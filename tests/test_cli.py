@@ -1,4 +1,5 @@
 """CLI surface: exit codes, output formats, env overrides, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -213,6 +214,22 @@ def test_taxonomy_planted_bug_exits_1(files, capsys):
 
 def test_taxonomy_unknown_filter_exits_2(files, capsys):
     assert run(["taxonomy", "--semiring", "bool", "--variant", "Mz"]) == 2
+
+
+# sha256 of this report, pinned so that a change to the report bytes is seen.
+# It has sampled and exhaustive passes and one counterexample row.  A change
+# that alters the bytes on purpose re-pins the digest and says why.
+GOLDEN_ARGV = [
+    "taxonomy", "--semiring", "nat", "--semiring", "gf(2)",
+    "--sizes", "0,1", "--seed", "11", "--format", "structured",
+]
+GOLDEN_SHA256 = "6ed4368082a0bf395aa3836e417144fdb1133769ec274028d50024ab324be32f"
+
+
+def test_taxonomy_golden_digest(tmp_path):
+    out = tmp_path / "golden.jsonl"
+    assert run(GOLDEN_ARGV + ["--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
 
 
 # shared option handling
