@@ -50,7 +50,7 @@ from .taxonomy import (
     _json_safe,
 )
 from .weightmap import VARIANTS, WeightMapError, word_labels
-from .wrel import BoundaryError, WRelFormatError, wrel_to_doc
+from .wrel import BoundaryError, WRelFormatError, _word_str, wrel_to_doc
 
 
 class UsageError(ValueError):
@@ -100,6 +100,8 @@ def _config(args) -> RunConfig:
     )
     if cfg.budget <= 0:
         raise UsageError("--budget must be positive")
+    if cfg.samples is not None and cfg.samples <= 0:
+        raise UsageError("--samples must be positive")
     return cfg
 
 
@@ -307,10 +309,6 @@ def cmd_eval(args) -> int:
                 )
         _emit("\n".join(lines) + "\n", cfg.out)
     return 0
-
-
-def _word_str(word) -> str:
-    return "[" + ",".join(s.name for s in word) + "]"
 
 
 def _key_str(word, key) -> str:

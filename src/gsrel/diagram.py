@@ -27,12 +27,14 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .report import COUNTEREXAMPLE, EXHAUSTIVE_PASS, LawReport
-from .semiring import Semiring, load_semiring
-from .weightmap import FinSet, WeightMapError
+from .semiring import Semiring, SemiringError, load_semiring
+from .weightmap import FinSet
 from .wrel import (
     BoundaryError,
     WRel,
     WRelFormatError,
+    _word_str,
+    finset_to_doc,
     wrel_compose,
     wrel_copy,
     wrel_del,
@@ -434,9 +436,8 @@ def check_term_equality(t1, t2, interp: Interpretation, law: str = "term-eq") ->
     g = evaluate_term(t2, interp)
     if f.boundary() != g.boundary():
         raise TypecheckError(
-            f"terms have different boundaries: "
-            f"[{','.join(s.name for s in f.dom)}] -> [{','.join(s.name for s in f.cod)}] vs "
-            f"[{','.join(s.name for s in g.dom)}] -> [{','.join(s.name for s in g.cod)}]"
+            f"terms have different boundaries: {_word_str(f.dom)} -> {_word_str(f.cod)} vs "
+            f"{_word_str(g.dom)} -> {_word_str(g.cod)}"
         )
     sr = interp.semiring
     checks = 0
@@ -470,24 +471,30 @@ def load_interpretation(doc: Mapping) -> Interpretation:
     for key in ("semiring", "sorts", "generators"):
         if key not in doc:
             raise InterpFormatError(f"interpretation document missing field {key!r}")
-    sr = load_semiring(doc["semiring"])
+    for key in ("sorts", "generators"):
+        if not isinstance(doc[key], Mapping):
+            raise InterpFormatError(f"interpretation field {key!r} must be an object")
+    try:
+        sr = load_semiring(doc["semiring"])
+    except SemiringError as e:
+        raise InterpFormatError(str(e)) from None
     sorts = {}
     for name, spec in doc["sorts"].items():
         if isinstance(spec, int):
-            size, labels = spec, None
-        elif isinstance(spec, Mapping) and "size" in spec:
-            size = int(spec["size"])
-            labels = tuple(spec["labels"]) if "labels" in spec else None
-        else:
+            spec = {"size": spec}
+        if not isinstance(spec, Mapping) or "size" not in spec:
             raise InterpFormatError(f"bad sort spec for {name!r}: {spec!r}")
         try:
-            sorts[name] = FinSet(name, size, labels)
-        except WeightMapError as e:
-            raise InterpFormatError(str(e)) from None
+            labels = tuple(spec["labels"]) if "labels" in spec else None
+            sorts[name] = FinSet(name, int(spec["size"]), labels)
+        except (TypeError, ValueError) as e:
+            raise InterpFormatError(f"bad sort spec for {name!r}: {e}") from None
     generators = {}
     gen_sig = {}
     for name, body in doc["generators"].items():
-        if not isinstance(body, Mapping) or "dom" not in body or "cod" not in body:
+        if not isinstance(body, Mapping) or not all(
+            isinstance(body.get(key), list) for key in ("dom", "cod")
+        ):
             raise InterpFormatError(f"generator {name!r} needs 'dom' and 'cod' sort words")
         dw = tuple(body["dom"])
         cw = tuple(body["cod"])
@@ -495,8 +502,8 @@ def load_interpretation(doc: Mapping) -> Interpretation:
             if s not in sorts:
                 raise InterpFormatError(f"generator {name!r} uses undeclared sort {s!r}")
         arrow_doc = {
-            "dom": [_sort_doc(sorts[s]) for s in dw],
-            "cod": [_sort_doc(sorts[s]) for s in cw],
+            "dom": [finset_to_doc(sorts[s]) for s in dw],
+            "cod": [finset_to_doc(sorts[s]) for s in cw],
             "entries": body.get("entries", []),
         }
         try:
@@ -505,13 +512,6 @@ def load_interpretation(doc: Mapping) -> Interpretation:
             raise InterpFormatError(f"generator {name!r}: {e}") from None
         gen_sig[name] = (dw, cw)
     return Interpretation(sr, sorts, generators, gen_sig)
-
-
-def _sort_doc(s: FinSet) -> dict:
-    doc = {"name": s.name, "size": s.size}
-    if s.labels is not None:
-        doc["labels"] = list(s.labels)
-    return doc
 
 
 # ---------------------------------------------------------------------------

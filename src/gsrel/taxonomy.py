@@ -7,6 +7,17 @@ Three layers:
                      diagram evaluated with psi and pushforwards
   classify_kleisli   per-arrow category flags quantified over variant arrows
 
+Laws are data.  check_monad_laws and variant_closure_reports build a list
+of specs (law, cases, exhaustive, holds, describe) and make one check_cases
+call per spec.  classify_monad reads a table of (flag, law stem, pointwise
+cases and predicate, diagram cases and predicate).  The theorem and
+implication rows of each pair come from the module tables _THEOREMS and
+_IMPLICATIONS.  A law's cases come in groups, one per word, word pair,
+function pair or size triple; _grouped_cases gives each group an equal
+share of the samples, enumerating the group instead when its pools are
+exhaustive and the product is affordable.  Arrow pools over every pair of
+dom and cod sizes come from _arrow_grid.
+
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
 with "closure/" or "gated/" are informational: they surface sub-family
@@ -46,6 +57,8 @@ from .weightmap import (
     WeightMap,
     WeightMapError,
     Word,
+    _dedup,
+    _enumerable,
     in_variant,
     render_map,
     variant_maps,
@@ -64,7 +77,6 @@ from .wrel import (
     WRel,
     arrow_in_variant,
     hom_scalar_mul,
-    hom_scalar_unit,
     canonical_semigroup_mul,
     variant_arrows,
     wrel_classify,
@@ -89,15 +101,6 @@ MONAD_FLAGS = (
     "mass_preserving",
     "unital_domain_preserving",
     "weakly_affine",
-)
-
-KLEISLI_FLAGS = (
-    "gsm_axioms",
-    "markov",
-    "restriction",
-    "domain_category",
-    "mass_category",
-    "weakly_markov",
 )
 
 # Closure reports each flag's diagram oracle relies on; agreement between the
@@ -220,15 +223,12 @@ def _word_name(word: Word) -> str:
     return "*".join(f"{s.name}{s.size}" for s in word)
 
 
-def _flag_words(sizes: Sequence[int]) -> list[Word]:
-    words: list[Word] = [()]
-    for s in sorted(set(int(v) for v in sizes)):
-        words.append((FinSet("X", s),))
-    return words
+def _sizes(sizes: Sequence[int]) -> list[int]:
+    return sorted(set(int(v) for v in sizes))
 
 
-def _law_words(sizes: Sequence[int]) -> list[Word]:
-    return [(FinSet("X", s),) for s in sorted(set(int(v) for v in sizes))]
+def _words(sizes: Sequence[int], name: str = "X") -> list[Word]:
+    return [(FinSet(name, s),) for s in _sizes(sizes)]
 
 
 def _map_pools(sr, variant, words, seed, n, tag):
@@ -253,29 +253,28 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
     if not inner:
         h = wm_empty(sr)
         return ([h] if in_variant(sr, h, variant) else []), True
-    if sr.finite:
-        if max_support is None and len(sr.elements) ** len(inner) <= 4096:
+    if max_support is None and _enumerable(sr, len(inner)):
+        out = []
+        for values in product(sr.elements, repeat=len(inner)):
+            H = WeightMap(sr, dict(zip(inner, values)))
+            if in_variant(sr, H, variant):
+                out.append(H)
+        return _dedup(out), True
+    if max_support is not None and sr.finite:
+        nonzero = [v for v in sr.elements if v != sr.zero]
+        count = sum(
+            len(list(combinations(range(len(inner)), k))) * len(nonzero) ** k
+            for k in range(min(max_support, len(inner)) + 1)
+        )
+        if count <= _CASE_CAP:
             out = []
-            for values in product(sr.elements, repeat=len(inner)):
-                H = WeightMap(sr, dict(zip(inner, values)))
-                if in_variant(sr, H, variant):
-                    out.append(H)
+            for k in range(min(max_support, len(inner)) + 1):
+                for support in combinations(inner, k):
+                    for values in product(nonzero, repeat=k):
+                        H = WeightMap(sr, dict(zip(support, values)))
+                        if in_variant(sr, H, variant):
+                            out.append(H)
             return _dedup(out), True
-        if max_support is not None:
-            nonzero = [v for v in sr.elements if v != sr.zero]
-            count = sum(
-                len(list(combinations(range(len(inner)), k))) * len(nonzero) ** k
-                for k in range(min(max_support, len(inner)) + 1)
-            )
-            if count <= _CASE_CAP:
-                out = []
-                for k in range(min(max_support, len(inner)) + 1):
-                    for support in combinations(inner, k):
-                        for values in product(nonzero, repeat=k):
-                            H = WeightMap(sr, dict(zip(support, values)))
-                            if in_variant(sr, H, variant):
-                                out.append(H)
-                return _dedup(out), True
     rng = derive_rng(seed, "nested", sr.name, variant, tag, len(inner), n)
     vals = [v for v in sr.sample_elements(rng) if v != sr.zero]
     two = sr.add(sr.one, sr.one)
@@ -300,16 +299,6 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
     if max_support is not None:
         out = [H for H in out if len(H) <= max_support]
     return out[:n], False
-
-
-def _dedup(maps):
-    seen = set()
-    out = []
-    for h in maps:
-        if h not in seen:
-            seen.add(h)
-            out.append(h)
-    return out
 
 
 def _dedup_values(values, sr):
@@ -355,12 +344,29 @@ def _cases(pools, exhaustive, samples, seed, tag, targeted=()):
         if total <= max(samples, _CASE_CAP):
             return list(product(*pools)), True
     if any(not p for p in pools):
-        return list(targeted), exhaustive and not targeted
+        return list(targeted), False
     rng = derive_rng(seed, "cases", tag)
     out = list(targeted)
     for _ in range(samples):
         out.append(tuple(rng.choice(p) for p in pools))
     return out, False
+
+
+def _grouped_cases(groups, floor, samples, seed):
+    """One law's cases over groups (pools, full, tag, prefix, suffix[, targeted]).
+
+    Each group gets max(floor, samples // len(groups)) cases from _cases, each
+    case wrapped as prefix + case + suffix; the flag is True when every group
+    was enumerated in full.
+    """
+    n = max(floor, samples // max(1, len(groups)))
+    cases = []
+    exhaustive = True
+    for pools, full, tag, prefix, suffix, *targeted in groups:
+        group, enumerated = _cases(pools, full, n, seed, tag, *targeted)
+        cases += [prefix + c + suffix for c in group]
+        exhaustive = exhaustive and enumerated
+    return cases, exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -381,74 +387,10 @@ def variant_closure_reports(
     which is a finding the suite surfaces rather than hides.
     """
     sr = load_semiring(sr)
-    words = _flag_words(sizes)
+    words = [()] + _words(sizes)
     pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"closure-{variant}")
-    reports: dict[str, LawReport] = {}
-
-    eta_cases = [(w, x) for w in words for x in word_elements(w)]
-    reports["eta"] = check_cases(
-        "closure/eta",
-        eta_cases,
-        lambda c: in_variant(sr, wm_eta(sr, c[1]), variant),
-        describe=lambda c: {"word": _word_name(c[0]), "key": list(c[1])},
-        exhaustive=True,
-    )
-
-    psi_cases = []
-    psi_exhaustive = exhaustive
-    for w1 in words:
-        for w2 in words:
-            cs, ex = _cases(
-                [pools[w1], pools[w2]],
-                exhaustive,
-                max(4, samples // max(1, len(words) ** 2)),
-                seed,
-                f"psi-{sr.name}-{variant}-{_word_name(w1)}-{_word_name(w2)}",
-            )
-            psi_cases.extend((w1, w2, h, k) for h, k in cs)
-            psi_exhaustive = psi_exhaustive and ex
-    reports["psi"] = check_cases(
-        "closure/psi",
-        psi_cases,
-        lambda c: in_variant(sr, wm_psi(sr, c[2], c[3]), variant),
-        describe=lambda c: {
-            "words": [_word_name(c[0]), _word_name(c[1])],
-            "left": render_map(sr, c[2]),
-            "right": render_map(sr, c[3]),
-            "image": render_map(sr, wm_psi(sr, c[2], c[3])),
-        },
-        exhaustive=psi_exhaustive,
-    )
-
-    push_cases = []
-    push_exhaustive = exhaustive
-    for w1 in words:
-        for w2 in words:
-            fns = _functions(w1, w2)
-            if not fns:
-                continue
-            cs, ex = _cases(
-                [fns, pools[w1]],
-                exhaustive,
-                max(4, samples // max(1, len(words) ** 2)),
-                seed,
-                f"push-{sr.name}-{variant}-{_word_name(w1)}-{_word_name(w2)}",
-            )
-            push_cases.extend((w1, w2, fn, h) for fn, h in cs)
-            push_exhaustive = push_exhaustive and ex
-    reports["pushforward"] = check_cases(
-        "closure/pushforward",
-        push_cases,
-        lambda c: in_variant(sr, wm_pushforward(sr, c[2], c[3]), variant),
-        describe=lambda c: {
-            "words": [_word_name(c[0]), _word_name(c[1])],
-            "function": c[2].describe(),
-            "map": render_map(sr, c[3]),
-            "image": render_map(sr, wm_pushforward(sr, c[2], c[3])),
-        },
-        exhaustive=push_exhaustive,
-    )
-
+    site = f"{sr.name}-{variant}"
+    pairs = [(u, v, f"{_word_name(u)}-{_word_name(v)}") for u in words for v in words]
     mu_cases = []
     mu_exhaustive = exhaustive
     for w in words:
@@ -457,18 +399,70 @@ def variant_closure_reports(
         )
         mu_cases.extend((w, H) for H in nested)
         mu_exhaustive = mu_exhaustive and full
-    reports["mu"] = check_cases(
-        "closure/mu",
-        mu_cases,
-        lambda c: in_variant(sr, wm_mu(sr, c[1]), variant),
-        describe=lambda c: {
-            "word": _word_name(c[0]),
-            "outer": render_map(sr, c[1]),
-            "image": render_map(sr, wm_mu(sr, c[1])),
-        },
-        exhaustive=mu_exhaustive,
-    )
-    return reports
+
+    specs = [
+        (
+            "eta",
+            [(w, x) for w in words for x in word_elements(w)],
+            True,
+            lambda c: in_variant(sr, wm_eta(sr, c[1]), variant),
+            lambda c: {"word": _word_name(c[0]), "key": list(c[1])},
+        ),
+        (
+            "psi",
+            *_grouped_cases(
+                [
+                    ([pools[u], pools[v]], exhaustive, f"psi-{site}-{uv}", (u, v), ())
+                    for u, v, uv in pairs
+                ],
+                4,
+                samples,
+                seed,
+            ),
+            lambda c: in_variant(sr, wm_psi(sr, c[2], c[3]), variant),
+            lambda c: {
+                "words": [_word_name(c[0]), _word_name(c[1])],
+                "left": render_map(sr, c[2]),
+                "right": render_map(sr, c[3]),
+                "image": render_map(sr, wm_psi(sr, c[2], c[3])),
+            },
+        ),
+        (
+            # pairs with no functions (into an empty word) are empty groups
+            "pushforward",
+            *_grouped_cases(
+                [
+                    ([_functions(u, v), pools[u]], exhaustive, f"push-{site}-{uv}", (u, v), ())
+                    for u, v, uv in pairs
+                ],
+                4,
+                samples,
+                seed,
+            ),
+            lambda c: in_variant(sr, wm_pushforward(sr, c[2], c[3]), variant),
+            lambda c: {
+                "words": [_word_name(c[0]), _word_name(c[1])],
+                "function": c[2].describe(),
+                "map": render_map(sr, c[3]),
+                "image": render_map(sr, wm_pushforward(sr, c[2], c[3])),
+            },
+        ),
+        (
+            "mu",
+            mu_cases,
+            mu_exhaustive,
+            lambda c: in_variant(sr, wm_mu(sr, c[1]), variant),
+            lambda c: {
+                "word": _word_name(c[0]),
+                "outer": render_map(sr, c[1]),
+                "image": render_map(sr, wm_mu(sr, c[1])),
+            },
+        ),
+    ]
+    return {
+        name: check_cases(f"closure/{name}", cases, holds, describe, exhaustive=full)
+        for name, cases, full, holds, describe in specs
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +487,7 @@ def check_monad_laws(
     is caught by the corresponding law.
     """
     sr = load_semiring(sr)
-    words = _law_words(sizes)
-    if not words:
-        words = [(FinSet("X", 1),)]
+    words = _words(sizes) or [(FinSet("X", 1),)]
     samples = max(1, min(samples, budget))
     pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"laws-{variant}")
     nested = {}
@@ -509,29 +501,16 @@ def check_monad_laws(
         outer[w], outer_full[w] = _nested_pool(
             sr, variant, nested[w], seed, max(8, samples // 4), f"L3-{_word_name(w)}", max_support=3
         )
-    reports: list[LawReport] = []
-
-    def law(name, case_lists, holds, describe, exhaustive_flag):
-        cases = [c for lst in case_lists for c in lst]
-        reports.append(check_cases(name, cases, holds, describe, exhaustive=exhaustive_flag))
+    site = f"{sr.name}-{variant}"
+    name = _word_name
+    fn_pairs = [(u, v, fn) for u in words for v in words for fn in _functions(u, v)]
 
     def per_word(tag):
-        lists = []
-        full_all = True
-        for w in words:
-            cs, full = _cases(
-                [pools[w]],
-                exhaustive,
-                max(4, samples // len(words)),
-                seed,
-                f"{tag}-{sr.name}-{variant}-{_word_name(w)}",
-            )
-            lists.append([(w,) + c for c in cs])
-            full_all = full_all and full
-        return lists, full_all
+        groups = [([pools[w]], exhaustive, f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
+        return _grouped_cases(groups, 4, samples, seed)
 
     def mdescribe(c):
-        parts = {"word": _word_name(c[0])}
+        parts = {"word": name(c[0])}
         for i, item in enumerate(c[1:]):
             if isinstance(item, WeightMap):
                 parts[f"arg{i}"] = render_map(sr, item)
@@ -541,235 +520,210 @@ def check_monad_laws(
                 parts[f"arg{i}"] = _json_safe(item)
         return parts
 
-    # unit laws of mu
-    l1_lists, l1_full = per_word("mu-unit-left")
-    law(
-        "monad/mu-unit-left",
-        l1_lists,
-        lambda c: ops.mu(sr, ops.eta(sr, c[1])) == c[1],
-        mdescribe,
-        l1_full,
-    )
-    l1r_lists, l1r_full = per_word("mu-unit-right")
-    law(
-        "monad/mu-unit-right",
-        l1r_lists,
-        lambda c: ops.mu(sr, ops.pushforward(sr, lambda x: ops.eta(sr, x), c[1])) == c[1],
-        mdescribe,
-        l1r_full,
-    )
-
-    # associativity of mu over triple nestings
-    assoc_lists = []
-    assoc_full = exhaustive
-    for w in words:
-        cs, full = _cases(
-            [outer[w]],
-            exhaustive and nested_full[w] and outer_full[w],
-            max(4, samples // len(words)),
-            seed,
-            f"mu-assoc-{sr.name}-{variant}-{_word_name(w)}",
-        )
-        assoc_lists.append([(w, G[0]) for G in cs])
-        assoc_full = assoc_full and full
-    law(
-        "monad/mu-assoc",
-        assoc_lists,
-        lambda c: ops.mu(sr, ops.mu(sr, c[1]))
-        == ops.mu(sr, ops.pushforward(sr, lambda H: ops.mu(sr, H), c[1])),
-        mdescribe,
-        assoc_full,
-    )
-
-    # naturality
-    fn_pairs = []
-    for w1 in words:
-        for w2 in words:
-            for fn in _functions(w1, w2):
-                fn_pairs.append((w1, w2, fn))
-    eta_nat_cases = []
-    for w1, w2, fn in fn_pairs:
-        for x in word_elements(w1):
-            eta_nat_cases.append((w1, fn, x, w2))
-    law(
-        "monad/eta-natural",
-        [eta_nat_cases],
-        lambda c: ops.pushforward(sr, c[1], ops.eta(sr, c[2])) == ops.eta(sr, c[1](c[2])),
-        lambda c: {"word": _word_name(c[0]), "function": c[1].describe(), "key": list(c[2])},
-        True,
-    )
-
-    mu_nat_lists = []
-    mu_nat_full = exhaustive
-    for w1, w2, fn in fn_pairs:
-        cs, full = _cases(
-            [nested[w1]],
-            exhaustive and nested_full[w1],
-            max(2, samples // max(1, len(fn_pairs))),
-            seed,
-            f"mu-nat-{sr.name}-{variant}-{_word_name(w1)}-{_word_name(w2)}",
-        )
-        mu_nat_lists.append([(w1, fn, H[0]) for H in cs])
-        mu_nat_full = mu_nat_full and full
-    law(
-        "monad/mu-natural",
-        mu_nat_lists,
-        lambda c: ops.pushforward(sr, c[1], ops.mu(sr, c[2]))
-        == ops.mu(sr, ops.pushforward(sr, lambda h: ops.pushforward(sr, c[1], h), c[2])),
-        mdescribe,
-        mu_nat_full,
-    )
-
-    psi_nat_lists = []
-    psi_nat_full = exhaustive
-    for w1, w2, fn in fn_pairs:
-        for w3, w4, gn in fn_pairs:
-            cs, full = _cases(
-                [pools[w1], pools[w3]],
-                exhaustive,
-                max(1, samples // max(1, len(fn_pairs) ** 2)),
-                seed,
-                f"psi-nat-{sr.name}-{variant}-{_word_name(w1)}{_word_name(w2)}{_word_name(w3)}{_word_name(w4)}",
-            )
-            joined = _joined_fn(fn, gn)
-            psi_nat_lists.append([(w1, fn, gn, h, k, joined) for h, k in cs])
-            psi_nat_full = psi_nat_full and full
-    law(
-        "monad/psi-natural",
-        psi_nat_lists,
-        lambda c: ops.psi(sr, ops.pushforward(sr, c[1], c[3]), ops.pushforward(sr, c[2], c[4]))
-        == ops.pushforward(sr, c[5], ops.psi(sr, c[3], c[4])),
-        lambda c: {
-            "word": _word_name(c[0]),
-            "left_fn": c[1].describe(),
-            "right_fn": c[2].describe(),
-            "left": render_map(sr, c[3]),
-            "right": render_map(sr, c[4]),
-        },
-        psi_nat_full,
-    )
-
-    # lax structure: associativity, unit squares, symmetry
-    lax_lists = []
-    lax_full = exhaustive
-    for w1 in words:
-        for w2 in words:
-            for w3 in words:
-                cs, full = _cases(
-                    [pools[w1], pools[w2], pools[w3]],
-                    exhaustive,
-                    max(1, samples // max(1, len(words) ** 3)),
-                    seed,
-                    f"lax-assoc-{sr.name}-{variant}-{_word_name(w1)}{_word_name(w2)}{_word_name(w3)}",
-                )
-                lax_lists.append([(w1, h, k, l) for h, k, l in cs])
-                lax_full = lax_full and full
-    law(
-        "monad/lax-assoc",
-        lax_lists,
-        lambda c: ops.psi(sr, ops.psi(sr, c[1], c[2]), c[3])
-        == ops.psi(sr, c[1], ops.psi(sr, c[2], c[3])),
-        mdescribe,
-        lax_full,
-    )
-
-    unit_lists, unit_full = per_word("lax-unit")
-    law(
-        "monad/lax-unit-left",
-        unit_lists,
-        lambda c: ops.psi(sr, wm_psi0(sr), c[1]) == c[1],
-        mdescribe,
-        unit_full,
-    )
-    unit_r_lists, unit_r_full = per_word("lax-unit-right")
-    law(
-        "monad/lax-unit-right",
-        unit_r_lists,
-        lambda c: ops.psi(sr, c[1], wm_psi0(sr)) == c[1],
-        mdescribe,
-        unit_r_full,
-    )
-
-    sym_lists = []
-    sym_full = exhaustive
-    for w1 in words:
-        for w2 in words:
-            cs, full = _cases(
-                [pools[w1], pools[w2]],
-                exhaustive,
-                max(2, samples // max(1, len(words) ** 2)),
-                seed,
-                f"symmetry-{sr.name}-{variant}-{_word_name(w1)}-{_word_name(w2)}",
-            )
-            n2 = len(w2)
-            sym_lists.append([(w1, h, k, n2) for h, k in cs])
-            sym_full = sym_full and full
-    law(
-        "monad/symmetry",
-        sym_lists,
-        lambda c: ops.psi(sr, c[1], c[2])
-        == ops.pushforward(
-            sr, lambda key, n=c[3]: key[n:] + key[:n], ops.psi(sr, c[2], c[1])
+    specs = [
+        # unit laws of mu
+        (
+            "monad/mu-unit-left",
+            *per_word("mu-unit-left"),
+            lambda c: ops.mu(sr, ops.eta(sr, c[1])) == c[1],
+            mdescribe,
         ),
-        mdescribe,
-        sym_full,
-    )
-
-    # commutative-monad squares
-    comm1_cases = []
-    for w1 in words:
-        for w2 in words:
-            for x in word_elements(w1):
-                for y in word_elements(w2):
-                    comm1_cases.append((w1, x, y))
-    law(
-        "monad/commutative-1",
-        [comm1_cases],
-        lambda c: ops.psi(sr, ops.eta(sr, c[1]), ops.eta(sr, c[2])) == ops.eta(sr, c[1] + c[2]),
-        lambda c: {"word": _word_name(c[0]), "left_key": list(c[1]), "right_key": list(c[2])},
-        True,
-    )
-
-    comm2_lists = []
-    comm2_full = exhaustive
-    for w in words:
-        targeted = _collision_pair(sr, variant, pools[w])
-        cs, full = _cases(
-            [nested[w], nested[w]],
-            exhaustive and nested_full[w],
-            max(4, samples // len(words)),
-            seed,
-            f"comm2-{sr.name}-{variant}-{_word_name(w)}",
-            targeted=targeted,
-        )
-        comm2_lists.append([(w, H, K) for H, K in cs])
-        comm2_full = comm2_full and full
-    law(
-        "monad/commutative-2",
-        comm2_lists,
-        lambda c: ops.mu(
-            sr,
-            ops.pushforward(
-                sr, lambda pair: ops.psi(sr, pair[0], pair[1]), ops.psi(sr, c[1], c[2])
+        (
+            "monad/mu-unit-right",
+            *per_word("mu-unit-right"),
+            lambda c: ops.mu(sr, ops.pushforward(sr, lambda x: ops.eta(sr, x), c[1])) == c[1],
+            mdescribe,
+        ),
+        # associativity of mu over triple nestings
+        (
+            "monad/mu-assoc",
+            *_grouped_cases(
+                [
+                    (
+                        [outer[w]],
+                        exhaustive and nested_full[w] and outer_full[w],
+                        f"mu-assoc-{site}-{name(w)}",
+                        (w,),
+                        (),
+                    )
+                    for w in words
+                ],
+                4,
+                samples,
+                seed,
             ),
-        )
-        == ops.psi(sr, ops.mu(sr, c[1]), ops.mu(sr, c[2])),
-        mdescribe,
-        comm2_full,
-    )
-
+            lambda c: ops.mu(sr, ops.mu(sr, c[1]))
+            == ops.mu(sr, ops.pushforward(sr, lambda H: ops.mu(sr, H), c[1])),
+            mdescribe,
+        ),
+        # naturality
+        (
+            "monad/eta-natural",
+            [(u, fn, x, v) for u, v, fn in fn_pairs for x in word_elements(u)],
+            True,
+            lambda c: ops.pushforward(sr, c[1], ops.eta(sr, c[2])) == ops.eta(sr, c[1](c[2])),
+            lambda c: {"word": name(c[0]), "function": c[1].describe(), "key": list(c[2])},
+        ),
+        (
+            "monad/mu-natural",
+            *_grouped_cases(
+                [
+                    (
+                        [nested[u]],
+                        exhaustive and nested_full[u],
+                        f"mu-nat-{site}-{name(u)}-{name(v)}",
+                        (u, fn),
+                        (),
+                    )
+                    for u, v, fn in fn_pairs
+                ],
+                2,
+                samples,
+                seed,
+            ),
+            lambda c: ops.pushforward(sr, c[1], ops.mu(sr, c[2]))
+            == ops.mu(sr, ops.pushforward(sr, lambda h: ops.pushforward(sr, c[1], h), c[2])),
+            mdescribe,
+        ),
+        (
+            # the last case item is fn x gn, built once per group
+            "monad/psi-natural",
+            *_grouped_cases(
+                [
+                    (
+                        [pools[u1], pools[u2]],
+                        exhaustive,
+                        f"psi-nat-{site}-{name(u1)}{name(v1)}{name(u2)}{name(v2)}",
+                        (u1, fn, gn),
+                        (_TableFn({x + y: fn(x) + gn(y) for x in fn.table for y in gn.table}),),
+                    )
+                    for u1, v1, fn in fn_pairs
+                    for u2, v2, gn in fn_pairs
+                ],
+                1,
+                samples,
+                seed,
+            ),
+            lambda c: ops.psi(sr, ops.pushforward(sr, c[1], c[3]), ops.pushforward(sr, c[2], c[4]))
+            == ops.pushforward(sr, c[5], ops.psi(sr, c[3], c[4])),
+            lambda c: {
+                "word": name(c[0]),
+                "left_fn": c[1].describe(),
+                "right_fn": c[2].describe(),
+                "left": render_map(sr, c[3]),
+                "right": render_map(sr, c[4]),
+            },
+        ),
+        # lax structure: associativity, unit squares, symmetry
+        (
+            "monad/lax-assoc",
+            *_grouped_cases(
+                [
+                    (
+                        [pools[a], pools[b], pools[c]],
+                        exhaustive,
+                        f"lax-assoc-{site}-{name(a)}{name(b)}{name(c)}",
+                        (a,),
+                        (),
+                    )
+                    for a in words
+                    for b in words
+                    for c in words
+                ],
+                1,
+                samples,
+                seed,
+            ),
+            lambda c: ops.psi(sr, ops.psi(sr, c[1], c[2]), c[3])
+            == ops.psi(sr, c[1], ops.psi(sr, c[2], c[3])),
+            mdescribe,
+        ),
+        (
+            "monad/lax-unit-left",
+            *per_word("lax-unit"),
+            lambda c: ops.psi(sr, wm_psi0(sr), c[1]) == c[1],
+            mdescribe,
+        ),
+        (
+            "monad/lax-unit-right",
+            *per_word("lax-unit-right"),
+            lambda c: ops.psi(sr, c[1], wm_psi0(sr)) == c[1],
+            mdescribe,
+        ),
+        (
+            "monad/symmetry",
+            *_grouped_cases(
+                [
+                    (
+                        [pools[u], pools[v]],
+                        exhaustive,
+                        f"symmetry-{site}-{name(u)}-{name(v)}",
+                        (u,),
+                        (len(v),),
+                    )
+                    for u in words
+                    for v in words
+                ],
+                2,
+                samples,
+                seed,
+            ),
+            lambda c: ops.psi(sr, c[1], c[2])
+            == ops.pushforward(
+                sr, lambda key, n=c[3]: key[n:] + key[:n], ops.psi(sr, c[2], c[1])
+            ),
+            mdescribe,
+        ),
+        # commutative-monad squares
+        (
+            "monad/commutative-1",
+            [
+                (u, x, y)
+                for u in words
+                for v in words
+                for x in word_elements(u)
+                for y in word_elements(v)
+            ],
+            True,
+            lambda c: ops.psi(sr, ops.eta(sr, c[1]), ops.eta(sr, c[2])) == ops.eta(sr, c[1] + c[2]),
+            lambda c: {"word": name(c[0]), "left_key": list(c[1]), "right_key": list(c[2])},
+        ),
+        (
+            "monad/commutative-2",
+            *_grouped_cases(
+                [
+                    (
+                        [nested[w], nested[w]],
+                        exhaustive and nested_full[w],
+                        f"comm2-{site}-{name(w)}",
+                        (w,),
+                        (),
+                        _collision_pair(sr, variant, pools[w]),
+                    )
+                    for w in words
+                ],
+                4,
+                samples,
+                seed,
+            ),
+            lambda c: ops.mu(
+                sr,
+                ops.pushforward(
+                    sr, lambda pair: ops.psi(sr, pair[0], pair[1]), ops.psi(sr, c[1], c[2])
+                ),
+            )
+            == ops.psi(sr, ops.mu(sr, c[1]), ops.mu(sr, c[2])),
+            mdescribe,
+        ),
+    ]
+    reports = [
+        check_cases(law, cases, holds, describe, exhaustive=full)
+        for law, cases, full, holds, describe in specs
+    ]
     if include_closure:
         closure = variant_closure_reports(variant, sr, sizes, seed, samples)
-        reports.extend(closure[name] for name in ("eta", "psi", "mu", "pushforward"))
+        reports.extend(closure[law] for law in ("eta", "psi", "mu", "pushforward"))
     return reports
-
-
-def _joined_fn(fn: _TableFn, gn: _TableFn) -> _TableFn:
-    table = {}
-    for k1, v1 in fn.table.items():
-        for k2, v2 in gn.table.items():
-            table[k1 + k2] = v1 + v2
-    return _TableFn(table)
 
 
 def _collision_pair(sr, variant, pool):
@@ -825,124 +779,24 @@ def classify_monad(
     if budget <= 0:
         raise ValueError("budget must be positive")
     samples = max(1, min(samples, budget))
-    words = _flag_words(sizes)
+    words = [()] + _words(sizes)
     pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"flags-{variant}")
-    unit_pool = pools[()]
     all_cases = [(w, h) for w in words for h in pools[w]]
-    unit_cases = [((), h) for h in unit_pool]
+    unit_cases = [((), h) for h in pools[()]]
     closure = variant_closure_reports(variant, sr, sizes, seed, samples)
 
-    def rep(law, cases, holds):
-        return check_cases(
-            law,
-            cases,
-            holds,
-            describe=lambda c: {"word": _word_name(c[0]), "map": render_map(sr, c[1])},
-            exhaustive=exhaustive,
+    def idempotent_total(c):
+        t = wm_total(sr, c[1])
+        return sr.mul(t, t) == t
+
+    def relevant_pointwise(c):
+        entries = c[1].entries
+        return all(sr.mul(v, v) == v for _, v in entries) and all(
+            sr.mul(v, w) == sr.zero for (x, v), (y, w) in product(entries, repeat=2) if x != y
         )
-
-    def scalar(h: WeightMap):
-        return wm_total(sr, h)
-
-    flags: dict[str, FlagVerdict] = {}
-
-    def record(flag, pointwise, diagram):
-        needed = _FLAG_PRECONDITIONS[flag]
-        flags[flag] = FlagVerdict(
-            flag=flag,
-            value=diagram.passed,
-            pointwise=pointwise,
-            diagram=diagram,
-            well_posed=all(closure[n].passed for n in needed),
-        )
-
-    record(
-        "affine",
-        rep(
-            "monadflag/affine-pointwise",
-            unit_cases,
-            lambda c: c[1] == wm_eta(sr, ()),
-        ),
-        rep(
-            "monadflag/affine-diagram",
-            all_cases,
-            lambda c: ops.pushforward(sr, lambda _k: (), c[1]) == ops.eta(sr, ()),
-        ),
-    )
-
-    record(
-        "relevant",
-        rep(
-            "monadflag/relevant-pointwise",
-            all_cases,
-            lambda c: all(
-                sr.mul(v, v) == v for _, v in c[1].entries
-            )
-            and all(
-                sr.mul(v, w) == sr.zero
-                for (x, v), (y, w) in product(c[1].entries, repeat=2)
-                if x != y
-            ),
-        ),
-        rep(
-            "monadflag/relevant-diagram",
-            all_cases,
-            lambda c: ops.psi(sr, c[1], c[1])
-            == ops.pushforward(sr, lambda k: k + k, c[1]),
-        ),
-    )
-
-    record(
-        "domain_preserving",
-        rep(
-            "monadflag/domain-preserving-pointwise",
-            all_cases,
-            lambda c: all(
-                sr.mul(v, scalar(c[1])) == v for _, v in c[1].entries
-            ),
-        ),
-        rep(
-            "monadflag/domain-preserving-diagram",
-            all_cases,
-            lambda c: ops.pushforward(
-                sr, lambda k, n=len(c[0]): k[:n], ops.psi(sr, c[1], c[1])
-            )
-            == c[1],
-        ),
-    )
-
-    record(
-        "mass_preserving",
-        rep(
-            "monadflag/mass-preserving-pointwise",
-            all_cases,
-            lambda c: sr.mul(scalar(c[1]), scalar(c[1])) == scalar(c[1]),
-        ),
-        rep(
-            "monadflag/mass-preserving-diagram",
-            all_cases,
-            lambda c: ops.pushforward(sr, lambda _k: (), ops.psi(sr, c[1], c[1]))
-            == ops.pushforward(sr, lambda _k: (), c[1]),
-        ),
-    )
-
-    record(
-        "unital_domain_preserving",
-        rep(
-            "monadflag/unital-pointwise",
-            unit_cases,
-            lambda c: sr.mul(scalar(c[1]), scalar(c[1])) == scalar(c[1]),
-        ),
-        rep(
-            "monadflag/unital-diagram",
-            unit_cases,
-            lambda c: ops.psi(sr, c[1], c[1]) == c[1],
-        ),
-    )
 
     def wa_pointwise(c):
-        v = scalar(c[1])
-        inv = mul_inverse(sr, v)
+        inv = mul_inverse(sr, wm_total(sr, c[1]))
         return inv is not None and in_variant(sr, WeightMap(sr, {(): inv}), variant)
 
     def wa_diagram(c):
@@ -958,12 +812,73 @@ def classify_monad(
             and ops.psi(sr, s, antipode) == ops.eta(sr, ())
         )
 
-    record(
-        "weakly_affine",
-        rep("monadflag/weakly-affine-pointwise", unit_cases, wa_pointwise),
-        rep("monadflag/weakly-affine-diagram", unit_cases, wa_diagram),
+    # (flag, law stem, pointwise cases, pointwise predicate, diagram cases, diagram predicate)
+    table = (
+        (
+            "affine",
+            "affine",
+            unit_cases,
+            lambda c: c[1] == wm_eta(sr, ()),
+            all_cases,
+            lambda c: ops.pushforward(sr, lambda _k: (), c[1]) == ops.eta(sr, ()),
+        ),
+        (
+            "relevant",
+            "relevant",
+            all_cases,
+            relevant_pointwise,
+            all_cases,
+            lambda c: ops.psi(sr, c[1], c[1]) == ops.pushforward(sr, lambda k: k + k, c[1]),
+        ),
+        (
+            "domain_preserving",
+            "domain-preserving",
+            all_cases,
+            lambda c: all(sr.mul(v, wm_total(sr, c[1])) == v for _, v in c[1].entries),
+            all_cases,
+            lambda c: ops.pushforward(sr, lambda k, n=len(c[0]): k[:n], ops.psi(sr, c[1], c[1]))
+            == c[1],
+        ),
+        (
+            "mass_preserving",
+            "mass-preserving",
+            all_cases,
+            idempotent_total,
+            all_cases,
+            lambda c: ops.pushforward(sr, lambda _k: (), ops.psi(sr, c[1], c[1]))
+            == ops.pushforward(sr, lambda _k: (), c[1]),
+        ),
+        (
+            "unital_domain_preserving",
+            "unital",
+            unit_cases,
+            idempotent_total,
+            unit_cases,
+            lambda c: ops.psi(sr, c[1], c[1]) == c[1],
+        ),
+        ("weakly_affine", "weakly-affine", unit_cases, wa_pointwise, unit_cases, wa_diagram),
     )
 
+    def rep(law, cases, holds):
+        return check_cases(
+            law,
+            cases,
+            holds,
+            describe=lambda c: {"word": _word_name(c[0]), "map": render_map(sr, c[1])},
+            exhaustive=exhaustive,
+        )
+
+    flags: dict[str, FlagVerdict] = {}
+    for flag, stem, p_cases, p_holds, d_cases, d_holds in table:
+        pointwise = rep(f"monadflag/{stem}-pointwise", p_cases, p_holds)
+        diagram = rep(f"monadflag/{stem}-diagram", d_cases, d_holds)
+        flags[flag] = FlagVerdict(
+            flag=flag,
+            value=diagram.passed,
+            pointwise=pointwise,
+            diagram=diagram,
+            well_posed=all(closure[n].passed for n in _FLAG_PRECONDITIONS[flag]),
+        )
     return MonadClassification(
         variant=variant, semiring=sr.name, flags=flags, closure=closure
     )
@@ -1048,20 +963,36 @@ def check_gsm_axioms(sr, words: Sequence[Word], pairs=None) -> dict[str, LawRepo
 
 
 def _gsm_axiom_reports(sr: Semiring, sizes: Sequence[int]) -> dict[str, LawReport]:
-    size_list = sorted(set(int(v) for v in sizes))
-    words = [()] + [(FinSet("A", s),) for s in size_list]
-    pairs = [
-        ((FinSet("A", a),), (FinSet("B", b),)) for a in size_list for b in size_list
+    pairs = [(u, v) for u in _words(sizes, "A") for v in _words(sizes, "B")]
+    return check_gsm_axioms(sr, [()] + _words(sizes, "A"), pairs)
+
+
+def _arrow_grid(sr, variant, size_list, seed, n, tag):
+    """Variant arrows X(ds) -> Y(cs) for every pair of sizes, keyed by (ds, cs),
+    plus an exhaustiveness marker.  `tag` is formatted with variant, ds, cs."""
+    grid = {}
+    exhaustive = True
+    for ds in size_list:
+        for cs in size_list:
+            grid[ds, cs], full = variant_arrows(
+                sr,
+                (FinSet("X", ds),),
+                (FinSet("Y", cs),),
+                variant,
+                seed,
+                n,
+                tag=tag.format(variant=variant, ds=ds, cs=cs),
+            )
+            exhaustive = exhaustive and full
+    return grid, exhaustive
+
+
+def _arrow_laws(sr, arrows, exhaustive, laws):
+    """One report per (law, holds) over the same arrows, witnessed by the arrow."""
+    return [
+        check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f), exhaustive=exhaustive)
+        for law, holds in laws
     ]
-    return check_gsm_axioms(sr, words, pairs)
-
-
-def _flag_witness(sr: Semiring, flag: str, f: WRel, sizes) -> dict:
-    return {
-        "equation": flag,
-        "sizes": list(sizes),
-        "arrow": wrel_to_doc(sr, f),
-    }
 
 
 def classify_kleisli(
@@ -1087,41 +1018,37 @@ def classify_kleisli(
     if budget <= 0:
         raise ValueError("budget must be positive")
     samples = max(1, min(samples, budget))
-    size_list = sorted(set(int(v) for v in sizes))
+    size_list = _sizes(sizes)
     gsm_reports = _gsm_axiom_reports(sr, size_list)
 
-    per_flag = {"total": None, "copyable": None, "domain_eq": None, "mass_eq": None}
-    counts = {k: 0 for k in per_flag}
-    exhaustive = True
-    for ds in size_list:
-        for cs in size_list:
-            dom = (FinSet("X", ds),)
-            cod = (FinSet("Y", cs),)
-            pool, full = variant_arrows(
-                sr, dom, cod, variant, seed, samples, tag=f"classify-{variant}-{ds}x{cs}"
-            )
-            exhaustive = exhaustive and full
-            for f in pool:
-                af = wrel_classify(sr, f)
-                for flag in per_flag:
-                    counts[flag] += 1
-                    if per_flag[flag] is None and not getattr(af, flag):
-                        per_flag[flag] = _flag_witness(sr, flag, f, (ds, cs))
+    grid, exhaustive = _arrow_grid(
+        sr, variant, size_list, seed, samples, "classify-{variant}-{ds}x{cs}"
+    )
+    witnesses = dict.fromkeys(("total", "copyable", "domain_eq", "mass_eq"))
+    checks = 0
+    for (ds, cs), pool in grid.items():
+        for f in pool:
+            checks += 1
+            af = wrel_classify(sr, f)
+            for equation, witness in witnesses.items():
+                if witness is None and not getattr(af, equation):
+                    witnesses[equation] = {
+                        "equation": equation,
+                        "sizes": [ds, cs],
+                        "arrow": wrel_to_doc(sr, f),
+                    }
 
-    def flag_report(name, flag):
-        witness = per_flag[flag]
-        if witness is not None:
-            return LawReport(name, COUNTEREXAMPLE, counts[flag], witness)
-        return LawReport(
-            name, EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS, counts[flag]
-        )
-
-    reports = {
-        "markov": flag_report("kleisli/markov", "total"),
-        "restriction": flag_report("kleisli/restriction", "copyable"),
-        "domain_category": flag_report("kleisli/domain-category", "domain_eq"),
-        "mass_category": flag_report("kleisli/mass-category", "mass_eq"),
-    }
+    passed = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
+    reports = {}
+    for flag, equation in (
+        ("markov", "total"),
+        ("restriction", "copyable"),
+        ("domain_category", "domain_eq"),
+        ("mass_category", "mass_eq"),
+    ):
+        witness = witnesses[equation]
+        status = passed if witness is None else COUNTEREXAMPLE
+        reports[flag] = LawReport("kleisli/" + flag.replace("_", "-"), status, checks, witness)
 
     reports["weakly_markov"], wm_value = _weakly_markov_report(
         sr, variant, size_list, seed, samples
@@ -1130,10 +1057,7 @@ def classify_kleisli(
 
     flags: dict[str, object] = {
         "gsm_axioms": all(r.passed for r in gsm_reports.values()),
-        "markov": reports["markov"].passed,
-        "restriction": reports["restriction"].passed,
-        "domain_category": reports["domain_category"].passed,
-        "mass_category": reports["mass_category"].passed,
+        **{flag: r.passed for flag, r in reports.items()},
         "weakly_markov": wm_value,
     }
     return KleisliClassification(
@@ -1152,7 +1076,7 @@ def _weakly_markov_report(sr, variant, size_list, seed, samples):
     exhaustive = True
     for ds in size_list:
         dom = (FinSet("Y", ds),)
-        unit = hom_scalar_unit(sr, dom)
+        unit = wrel_del(sr, dom)
         pool, full = variant_arrows(
             sr, dom, (), variant, seed, samples, tag=f"wmarkov-{variant}-{ds}"
         )
@@ -1180,7 +1104,7 @@ def _weakly_markov_report(sr, variant, size_list, seed, samples):
 def _hom_inverse(sr, variant, dom, f: WRel, finite_pool):
     """Inverse of f under pointwise scalar multiplication, if one exists."""
     if finite_pool is not None:
-        unit = hom_scalar_unit(sr, dom)
+        unit = wrel_del(sr, dom)
         for g in finite_pool:
             if wrel_eq(hom_scalar_mul(sr, f, g), unit):
                 return g
@@ -1202,25 +1126,18 @@ def _hom_inverse(sr, variant, dom, f: WRel, finite_pool):
 
 def _composition_closure_report(sr, variant, size_list, seed, samples):
     """Composites of variant arrows should have variant rows."""
-    cases = []
-    exhaustive = True
     triples = [(a, b, c) for a in size_list for b in size_list for c in size_list]
     per_triple = max(2, samples // max(1, len(triples)))
+    groups = []
     for a, b, c in triples:
         wa = (FinSet("X", a),)
         wb = (FinSet("Y", b),)
         wc = (FinSet("Z", c),)
         fs, full_f = variant_arrows(sr, wa, wb, variant, seed, per_triple, tag=f"compclo-f-{a}{b}{c}")
         gs, full_g = variant_arrows(sr, wb, wc, variant, seed, per_triple, tag=f"compclo-g-{a}{b}{c}")
-        pair_cases, full_pairs = _cases(
-            [fs, gs],
-            full_f and full_g,
-            per_triple,
-            seed,
-            f"compclo-{sr.name}-{variant}-{a}{b}{c}",
-        )
-        exhaustive = exhaustive and full_pairs
-        cases.extend(pair_cases)
+        tag = f"compclo-{sr.name}-{variant}-{a}{b}{c}"
+        groups.append(([fs, gs], full_f and full_g, tag, (), ()))
+    cases, exhaustive = _grouped_cases(groups, 2, samples, seed)
     return check_cases(
         "closure/composition",
         cases,
@@ -1252,34 +1169,25 @@ def crosscheck_dom_paths(
     same arrow computed through psi and pushforwards row by row.
     """
     sr = load_semiring(sr)
-    size_list = sorted(set(int(v) for v in sizes))
-    pools = []
-    exhaustive = True
-    for ds in size_list:
-        for cs in size_list:
-            dom = (FinSet("X", ds),)
-            cod = (FinSet("Y", cs),)
-            pool, full = variant_arrows(
-                sr, dom, cod, variant, seed, samples, tag=f"domx-{variant}-{ds}x{cs}"
-            )
-            pools.append(pool)
-            exhaustive = exhaustive and full
-    arrows = [f for pool in pools for f in pool]
-    closed = check_cases(
-        "crosscheck/dom-closed-form",
-        arrows,
-        lambda f: wrel_eq(wrel_dom(sr, f), wrel_dom_closed(sr, f)),
-        describe=lambda f: wrel_to_doc(sr, f),
-        exhaustive=exhaustive,
+    grid, exhaustive = _arrow_grid(
+        sr, variant, _sizes(sizes), seed, samples, "domx-{variant}-{ds}x{cs}"
     )
-    monad_path = check_cases(
-        "crosscheck/dom-monad-path",
-        arrows,
-        lambda f: wrel_eq(
-            wrel_compose(sr, wrel_dom(sr, f), f), wrel_dom_via_kleisli_path(sr, f)
-        ),
-        describe=lambda f: wrel_to_doc(sr, f),
-        exhaustive=exhaustive,
+    closed, monad_path = _arrow_laws(
+        sr,
+        [f for pool in grid.values() for f in pool],
+        exhaustive,
+        [
+            (
+                "crosscheck/dom-closed-form",
+                lambda f: wrel_eq(wrel_dom(sr, f), wrel_dom_closed(sr, f)),
+            ),
+            (
+                "crosscheck/dom-monad-path",
+                lambda f: wrel_eq(
+                    wrel_compose(sr, wrel_dom(sr, f), f), wrel_dom_via_kleisli_path(sr, f)
+                ),
+            ),
+        ],
     )
     return closed, monad_path
 
@@ -1287,122 +1195,99 @@ def crosscheck_dom_paths(
 def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
     """dom is invariant under post-discharge and post-copy for every arrow;
     the pre-copy variant is a lemma whose hypothesis is domain_category."""
-    arrows = []
-    exhaustive = True
-    for ds in size_list:
-        for cs in size_list:
-            pool, full = variant_arrows(
-                sr,
-                (FinSet("X", ds),),
-                (FinSet("Y", cs),),
-                variant,
-                seed,
-                max(4, samples // max(1, len(size_list) ** 2)),
-                tag=f"structural-{variant}-{ds}x{cs}",
-            )
-            arrows.extend(pool)
-            exhaustive = exhaustive and full
-    discharge = check_cases(
-        "structural/dom-after-discharge",
-        arrows,
-        lambda f: wrel_eq(wrel_dom(sr, wrel_mass(sr, f)), wrel_dom(sr, f)),
-        describe=lambda f: wrel_to_doc(sr, f),
-        exhaustive=exhaustive,
+    grid, exhaustive = _arrow_grid(
+        sr,
+        variant,
+        size_list,
+        seed,
+        max(4, samples // max(1, len(size_list) ** 2)),
+        "structural-{variant}-{ds}x{cs}",
     )
-    post_copy = check_cases(
-        "structural/dom-after-copy",
-        arrows,
-        lambda f: wrel_eq(
-            wrel_dom(sr, wrel_compose(sr, f, wrel_copy(sr, f.cod))), wrel_dom(sr, f)
-        ),
-        describe=lambda f: wrel_to_doc(sr, f),
-        exhaustive=exhaustive,
-    )
-    law = "structural/dom-before-copy" if domain_category else "gated/dom-before-copy"
-    pre_copy = check_cases(
-        law,
-        arrows,
-        lambda f: wrel_eq(
-            wrel_dom(
-                sr, wrel_compose(sr, wrel_copy(sr, f.dom), wrel_tensor(sr, f, f))
+    return _arrow_laws(
+        sr,
+        [f for pool in grid.values() for f in pool],
+        exhaustive,
+        [
+            (
+                "structural/dom-after-discharge",
+                lambda f: wrel_eq(wrel_dom(sr, wrel_mass(sr, f)), wrel_dom(sr, f)),
             ),
-            wrel_dom(sr, f),
-        ),
-        describe=lambda f: wrel_to_doc(sr, f),
-        exhaustive=exhaustive,
+            (
+                "structural/dom-after-copy",
+                lambda f: wrel_eq(
+                    wrel_dom(sr, wrel_compose(sr, f, wrel_copy(sr, f.cod))), wrel_dom(sr, f)
+                ),
+            ),
+            (
+                "structural/dom-before-copy" if domain_category else "gated/dom-before-copy",
+                lambda f: wrel_eq(
+                    wrel_dom(
+                        sr, wrel_compose(sr, wrel_copy(sr, f.dom), wrel_tensor(sr, f, f))
+                    ),
+                    wrel_dom(sr, f),
+                ),
+            ),
+        ],
     )
-    return discharge, post_copy, pre_copy, law
 
 
 def _hom_monoid_reports(sr, variant, size_list, seed, samples):
     """Monoid laws of the scalar hom-sets under pointwise multiplication."""
-    reports = []
-    assoc_cases, comm_cases, unit_cases = [], [], []
-    exhaustive = True
+    n = max(4, samples // max(1, len(size_list)))
+    site = f"{sr.name}-{variant}"
+    pools = []
     for ds in size_list:
         dom = (FinSet("Y", ds),)
-        pool, full = variant_arrows(
-            sr, dom, (), variant, seed, max(4, samples // max(1, len(size_list))),
-            tag=f"homm-{variant}-{ds}",
-        )
-        exhaustive = exhaustive and full
-        unit = hom_scalar_unit(sr, dom)
-        triple_cases, full3 = _cases(
-            [pool, pool, pool],
-            full,
-            max(4, samples // max(1, len(size_list))),
-            seed,
-            f"homm-assoc-{sr.name}-{variant}-{ds}",
-        )
-        pair_cases, full2 = _cases(
-            [pool, pool],
-            full,
-            max(4, samples // max(1, len(size_list))),
-            seed,
-            f"homm-comm-{sr.name}-{variant}-{ds}",
-        )
-        exhaustive = exhaustive and full3 and full2
-        assoc_cases.extend(triple_cases)
-        comm_cases.extend(pair_cases)
-        unit_cases.extend((f, unit) for f in pool)
-    reports.append(
-        check_cases(
-            "homm/mul-assoc",
-            assoc_cases,
-            lambda c: wrel_eq(
-                hom_scalar_mul(sr, hom_scalar_mul(sr, c[0], c[1]), c[2]),
-                hom_scalar_mul(sr, c[0], hom_scalar_mul(sr, c[1], c[2])),
+        pool, full = variant_arrows(sr, dom, (), variant, seed, n, tag=f"homm-{variant}-{ds}")
+        pools.append((ds, dom, pool, full))
+    assoc_cases, assoc_full = _grouped_cases(
+        [([pool] * 3, full, f"homm-assoc-{site}-{ds}", (), ()) for ds, _, pool, full in pools],
+        4,
+        samples,
+        seed,
+    )
+    comm_cases, comm_full = _grouped_cases(
+        [([pool] * 2, full, f"homm-comm-{site}-{ds}", (), ()) for ds, _, pool, full in pools],
+        4,
+        samples,
+        seed,
+    )
+    unit_cases = [(f, wrel_del(sr, dom)) for _, dom, pool, _ in pools for f in pool]
+
+    def docs(c):
+        return [wrel_to_doc(sr, f) for f in c]
+
+    return [
+        check_cases(law, cases, holds, describe, exhaustive=assoc_full and comm_full)
+        for law, cases, holds, describe in (
+            (
+                "homm/mul-assoc",
+                assoc_cases,
+                lambda c: wrel_eq(
+                    hom_scalar_mul(sr, hom_scalar_mul(sr, c[0], c[1]), c[2]),
+                    hom_scalar_mul(sr, c[0], hom_scalar_mul(sr, c[1], c[2])),
+                ),
+                docs,
             ),
-            describe=lambda c: [wrel_to_doc(sr, f) for f in c],
-            exhaustive=exhaustive,
-        )
-    )
-    reports.append(
-        check_cases(
-            "homm/mul-comm",
-            comm_cases,
-            lambda c: wrel_eq(
-                hom_scalar_mul(sr, c[0], c[1]), hom_scalar_mul(sr, c[1], c[0])
+            (
+                "homm/mul-comm",
+                comm_cases,
+                lambda c: wrel_eq(hom_scalar_mul(sr, c[0], c[1]), hom_scalar_mul(sr, c[1], c[0])),
+                docs,
             ),
-            describe=lambda c: [wrel_to_doc(sr, f) for f in c],
-            exhaustive=exhaustive,
+            (
+                "homm/mul-unit",
+                unit_cases,
+                lambda c: wrel_eq(hom_scalar_mul(sr, c[1], c[0]), c[0])
+                and wrel_eq(hom_scalar_mul(sr, c[0], c[1]), c[0]),
+                lambda c: wrel_to_doc(sr, c[0]),
+            ),
         )
-    )
-    reports.append(
-        check_cases(
-            "homm/mul-unit",
-            unit_cases,
-            lambda c: wrel_eq(hom_scalar_mul(sr, c[1], c[0]), c[0])
-            and wrel_eq(hom_scalar_mul(sr, c[0], c[1]), c[0]),
-            describe=lambda c: wrel_to_doc(sr, c[0]),
-            exhaustive=exhaustive,
-        )
-    )
-    return reports
+    ]
 
 
 def _cansem_reports(sr, size_list):
-    words = [()] + [(FinSet("X", s),) for s in size_list]
+    words = [()] + _words(size_list)
     if size_list:
         words.append((FinSet("X", size_list[-1]), FinSet("Y", size_list[0])))
     special = check_cases(
@@ -1430,10 +1315,67 @@ def _cansem_reports(sr, size_list):
 # ---------------------------------------------------------------------------
 # the theorem suite
 
+# Iff claims between conjunctions of monad and Kleisli flags:
+# (law, lhs flags, rhs flags, lhs witness key, rhs witness key, gate).
+# A gated claim is asserted only where its gate holds (see _pair_entries)
+# and is reported under gated/ elsewhere.
+_THEOREMS = (
+    (
+        "domain-preserving-vs-domain-category",
+        ("domain_preserving",),
+        ("domain_category",),
+        "monad_domain_preserving",
+        "kleisli_domain_category",
+        None,
+    ),
+    (
+        "mass-preserving-vs-mass-category",
+        ("mass_preserving",),
+        ("mass_category",),
+        "monad_mass_preserving",
+        "kleisli_mass_category",
+        None,
+    ),
+    (
+        "unital-vs-mass-category",
+        ("unital_domain_preserving",),
+        ("mass_category",),
+        "monad_unital_domain_preserving",
+        "kleisli_mass_category",
+        "category",
+    ),
+    (
+        "weakly-affine-and-unital-vs-affine",
+        ("weakly_affine", "unital_domain_preserving"),
+        ("affine",),
+        "weakly_affine_and_unital",
+        "affine",
+        "functor",
+    ),
+    (
+        "markov-decomposition",
+        ("markov",),
+        ("weakly_markov", "mass_category"),
+        "markov",
+        "weakly_markov_and_mass_category",
+        "decomposition",
+    ),
+)
 
-def _entry(law: str, variant: str, semiring: str, report: LawReport) -> SuiteEntry:
+# Implications between flags, checked at every pair: (law, antecedent, consequent).
+_IMPLICATIONS = (
+    ("markov-implies-domain-category", "markov", "domain_category"),
+    ("restriction-implies-domain-category", "restriction", "domain_category"),
+    ("domain-implies-mass", "domain_preserving", "mass_preserving"),
+    ("mass-implies-unital", "mass_preserving", "unital_domain_preserving"),
+    ("affine-implies-domain-preserving", "affine", "domain_preserving"),
+    ("relevant-implies-domain-preserving", "relevant", "domain_preserving"),
+)
+
+
+def _entry(report: LawReport, variant: str, semiring: str) -> SuiteEntry:
     return SuiteEntry(
-        law=law,
+        law=report.law,
         variant=variant,
         semiring=semiring,
         status=report.status,
@@ -1469,15 +1411,12 @@ def run_theorem_suite(
     is what routes an injected broken operation into a blocking entry.
     """
     entries: list[SuiteEntry] = []
-    size_list = sorted(set(int(v) for v in sizes))
+    size_list = _sizes(sizes)
     for spec in semirings:
         sr = load_semiring(spec)
         profile = classify_semiring(sr, budget=budget, seed=seed)
-        for name, report in _gsm_axiom_reports(sr, size_list).items():
-            entries.append(_entry(name, "-", sr.name, report))
-        special, unit = _cansem_reports(sr, size_list)
-        entries.append(_entry(special.law, "-", sr.name, special))
-        entries.append(_entry(unit.law, "-", sr.name, unit))
+        shared = [*_gsm_axiom_reports(sr, size_list).values(), *_cansem_reports(sr, size_list)]
+        entries.extend(_entry(report, "-", sr.name) for report in shared)
 
         per_variant: dict[str, tuple[MonadClassification, KleisliClassification]] = {}
         for variant in variants:
@@ -1499,7 +1438,7 @@ def run_theorem_suite(
                     ops=ops,
                     include_closure=False,
                 ):
-                    entries.append(_entry(report.law, variant, sr.name, report))
+                    entries.append(_entry(report, variant, sr.name))
             entries.extend(_pair_entries(sr, variant, size_list, seed, samples, mc, kc))
 
         if profile.distributive_lattice and "M" in per_variant and "Md" in per_variant:
@@ -1510,24 +1449,17 @@ def run_theorem_suite(
 
 
 def _pair_entries(sr, variant, size_list, seed, samples, mc, kc) -> list[SuiteEntry]:
-    entries = []
-    closure = mc.closure
-    comp = kc.composition_closure
-    for name in ("eta", "psi", "mu", "pushforward"):
-        entries.append(_entry(f"closure/{name}", variant, sr.name, closure[name]))
-    entries.append(_entry("closure/composition", variant, sr.name, comp))
-    failed_closures = [n for n in ("eta", "psi", "mu", "pushforward") if not closure[n].passed]
-    if not comp.passed:
-        failed_closures.append("composition")
-    functor_ok = all(closure[n].passed for n in ("eta", "psi", "pushforward"))
-    category_ok = functor_ok and closure["mu"].passed and comp.passed
+    closure = {**mc.closure, "composition": kc.composition_closure}
+    names = ("eta", "psi", "mu", "pushforward", "composition")
+    entries = [_entry(closure[name], variant, sr.name) for name in names]
+    failed_closures = [name for name in names if not closure[name].passed]
+    functor_ok = all(closure[name].passed for name in ("eta", "psi", "pushforward"))
+    category_ok = not failed_closures
 
     # dual-oracle agreement per monad flag
     for flag in MONAD_FLAGS:
         fv = mc.flags[flag]
         agree = fv.consistent
-        checks = fv.pointwise.checks_performed + fv.diagram.checks_performed
-        exhaustive = fv.pointwise.exhaustive and fv.diagram.exhaustive
         witness = None
         if not agree or not fv.well_posed:
             witness = {
@@ -1538,181 +1470,62 @@ def _pair_entries(sr, variant, size_list, seed, samples, mc, kc) -> list[SuiteEn
                 witness["failed_preconditions"] = [
                     n for n in _FLAG_PRECONDITIONS[flag] if not closure[n].passed
                 ]
-        if fv.well_posed:
-            entries.append(
-                _claim_entry(
-                    f"oracle/{flag}-agreement", variant, sr.name, agree, exhaustive, witness, checks
-                )
+        entries.append(
+            _claim_entry(
+                f"oracle/{flag}-agreement" if fv.well_posed else f"gated/oracle-{flag}-agreement",
+                variant,
+                sr.name,
+                agree,
+                fv.pointwise.exhaustive and fv.diagram.exhaustive,
+                witness,
+                fv.pointwise.checks_performed + fv.diagram.checks_performed,
             )
-        else:
-            entries.append(
-                _claim_entry(
-                    f"gated/oracle-{flag}-agreement",
-                    variant,
-                    sr.name,
-                    agree,
-                    exhaustive,
-                    witness,
-                    checks,
-                )
-            )
+        )
 
-    mflags = mc.flag_values()
-    kflags = kc.flag_values()
-
-    def iff_entry(law, lhs, rhs, lhs_desc, rhs_desc, exhaustive=False, gated_on=True, gate_reason=None):
-        holds = bool(lhs) == bool(rhs)
+    flags = {**mc.flag_values(), **kc.flag_values()}
+    exact = {name: fv.diagram.exhaustive for name, fv in mc.flags.items()}
+    exact.update((name, r.exhaustive) for name, r in kc.reports.items())
+    gates = {
+        None: True,
+        "functor": functor_ok,
+        "category": category_ok,
+        "decomposition": category_ok and flags["weakly_markov"] is not None,
+    }
+    for law, lhs_flags, rhs_flags, lhs_key, rhs_key, gate in _THEOREMS:
+        lhs = all(flags[name] for name in lhs_flags)
+        rhs = all(flags[name] for name in rhs_flags)
         witness = None
-        if not holds or not gated_on:
-            witness = {lhs_desc: bool(lhs), rhs_desc: bool(rhs)}
-            if gate_reason:
-                witness["failed_preconditions"] = gate_reason
-        name = law if gated_on else f"gated/{law.split('/', 1)[1]}"
-        return _claim_entry(name, variant, sr.name, holds, exhaustive, witness, 1)
+        if lhs != rhs or not gates[gate]:
+            witness = {lhs_key: lhs, rhs_key: rhs}
+            if not gates[gate]:
+                witness["failed_preconditions"] = failed_closures or ["weakly_markov undetermined"]
+        entries.append(
+            _claim_entry(
+                f"theorem/{law}" if gates[gate] else f"gated/{law}",
+                variant,
+                sr.name,
+                lhs == rhs,
+                all(exact[name] for name in lhs_flags + rhs_flags),
+                witness,
+                1,
+            )
+        )
 
-    def flag_exh(*names):
-        out = True
-        for n in names:
-            if n in mc.flags:
-                out = out and mc.flags[n].diagram.exhaustive
-            else:
-                out = out and kc.reports[n].exhaustive
-        return out
+    for law, antecedent, consequent in _IMPLICATIONS:
+        holds = not flags[antecedent] or bool(flags[consequent])
+        witness = None if holds else {antecedent: True, consequent: False}
+        entries.append(
+            _claim_entry(f"implication/{law}", variant, sr.name, holds, False, witness, 1)
+        )
 
-    entries.append(
-        iff_entry(
-            "theorem/domain-preserving-vs-domain-category",
-            mflags["domain_preserving"],
-            kflags["domain_category"],
-            "monad_domain_preserving",
-            "kleisli_domain_category",
-            exhaustive=flag_exh("domain_preserving", "domain_category"),
+    entries.extend(
+        _entry(report, variant, sr.name)
+        for report in (
+            *_hom_monoid_reports(sr, variant, size_list, seed, samples),
+            *_structural_reports(sr, variant, size_list, seed, samples, flags["domain_category"]),
+            *crosscheck_dom_paths(sr, variant, size_list, seed, samples),
         )
     )
-    entries.append(
-        iff_entry(
-            "theorem/mass-preserving-vs-mass-category",
-            mflags["mass_preserving"],
-            kflags["mass_category"],
-            "monad_mass_preserving",
-            "kleisli_mass_category",
-            exhaustive=flag_exh("mass_preserving", "mass_category"),
-        )
-    )
-    entries.append(
-        iff_entry(
-            "theorem/unital-vs-mass-category",
-            mflags["unital_domain_preserving"],
-            kflags["mass_category"],
-            "monad_unital_domain_preserving",
-            "kleisli_mass_category",
-            exhaustive=flag_exh("unital_domain_preserving", "mass_category"),
-            gated_on=category_ok,
-            gate_reason=failed_closures if not category_ok else None,
-        )
-    )
-    entries.append(
-        iff_entry(
-            "theorem/weakly-affine-and-unital-vs-affine",
-            mflags["weakly_affine"] and mflags["unital_domain_preserving"],
-            mflags["affine"],
-            "weakly_affine_and_unital",
-            "affine",
-            exhaustive=flag_exh("weakly_affine", "unital_domain_preserving", "affine"),
-            gated_on=functor_ok,
-            gate_reason=failed_closures if not functor_ok else None,
-        )
-    )
-    wm_value = kflags["weakly_markov"]
-    decomposition_ok = category_ok and wm_value is not None
-    entries.append(
-        iff_entry(
-            "theorem/markov-decomposition",
-            kflags["markov"],
-            (wm_value or False) and kflags["mass_category"],
-            "markov",
-            "weakly_markov_and_mass_category",
-            exhaustive=flag_exh("markov", "weakly_markov", "mass_category"),
-            gated_on=decomposition_ok,
-            gate_reason=(failed_closures or ["weakly_markov undetermined"])
-            if not decomposition_ok
-            else None,
-        )
-    )
-
-    def implication_entry(law, antecedent, consequent, a_desc, c_desc):
-        holds = (not antecedent) or bool(consequent)
-        witness = None if holds else {a_desc: bool(antecedent), c_desc: bool(consequent)}
-        return _claim_entry(law, variant, sr.name, holds, False, witness, 1)
-
-    entries.append(
-        implication_entry(
-            "implication/markov-implies-domain-category",
-            kflags["markov"],
-            kflags["domain_category"],
-            "markov",
-            "domain_category",
-        )
-    )
-    entries.append(
-        implication_entry(
-            "implication/restriction-implies-domain-category",
-            kflags["restriction"],
-            kflags["domain_category"],
-            "restriction",
-            "domain_category",
-        )
-    )
-    entries.append(
-        implication_entry(
-            "implication/domain-implies-mass",
-            mflags["domain_preserving"],
-            mflags["mass_preserving"],
-            "domain_preserving",
-            "mass_preserving",
-        )
-    )
-    entries.append(
-        implication_entry(
-            "implication/mass-implies-unital",
-            mflags["mass_preserving"],
-            mflags["unital_domain_preserving"],
-            "mass_preserving",
-            "unital_domain_preserving",
-        )
-    )
-    entries.append(
-        implication_entry(
-            "implication/affine-implies-domain-preserving",
-            mflags["affine"],
-            mflags["domain_preserving"],
-            "affine",
-            "domain_preserving",
-        )
-    )
-    entries.append(
-        implication_entry(
-            "implication/relevant-implies-domain-preserving",
-            mflags["relevant"],
-            mflags["domain_preserving"],
-            "relevant",
-            "domain_preserving",
-        )
-    )
-
-    for report in _hom_monoid_reports(sr, variant, size_list, seed, samples):
-        entries.append(_entry(report.law, variant, sr.name, report))
-
-    discharge, post_copy, pre_copy, pre_copy_law = _structural_reports(
-        sr, variant, size_list, seed, samples, kflags["domain_category"]
-    )
-    entries.append(_entry(discharge.law, variant, sr.name, discharge))
-    entries.append(_entry(post_copy.law, variant, sr.name, post_copy))
-    entries.append(_entry(pre_copy_law, variant, sr.name, pre_copy))
-
-    closed, monad_path = crosscheck_dom_paths(sr, variant, size_list, seed, samples)
-    entries.append(_entry(closed.law, variant, sr.name, closed))
-    entries.append(_entry(monad_path.law, variant, sr.name, monad_path))
     return entries
 
 
@@ -1721,30 +1534,22 @@ def _coincidence_entry(sr, size_list, seed, samples, m_pair, md_pair) -> SuiteEn
     whole monad: same arrows, same classifications."""
     mc_m, kc_m = m_pair
     mc_md, kc_md = md_pair
+    grid_m, full_m = _arrow_grid(sr, "M", size_list, seed, samples, "coin-m-{ds}{cs}")
+    grid_md, full_md = _arrow_grid(sr, "Md", size_list, seed, samples, "coin-md-{ds}{cs}")
     checks = 0
-    exhaustive = True
 
     def scan_arrows():
-        nonlocal checks, exhaustive
-        for ds in size_list:
-            for cs in size_list:
-                dom = (FinSet("X", ds),)
-                cod = (FinSet("Y", cs),)
-                pool_m, full_m = variant_arrows(
-                    sr, dom, cod, "M", seed, samples, tag=f"coin-m-{ds}{cs}"
-                )
-                pool_md, full_md = variant_arrows(
-                    sr, dom, cod, "Md", seed, samples, tag=f"coin-md-{ds}{cs}"
-                )
-                exhaustive = exhaustive and full_m and full_md
-                for f in pool_m:
+        nonlocal checks
+        for (ds, cs), pool_m in grid_m.items():
+            for pool, missing_from in ((pool_m, "Md"), (grid_md[ds, cs], "M")):
+                for f in pool:
                     checks += 1
-                    if not arrow_in_variant(sr, f, "Md"):
-                        return {"sizes": [ds, cs], "missing_from": "Md", "arrow": wrel_to_doc(sr, f)}
-                for f in pool_md:
-                    checks += 1
-                    if not arrow_in_variant(sr, f, "M"):
-                        return {"sizes": [ds, cs], "missing_from": "M", "arrow": wrel_to_doc(sr, f)}
+                    if not arrow_in_variant(sr, f, missing_from):
+                        return {
+                            "sizes": [ds, cs],
+                            "missing_from": missing_from,
+                            "arrow": wrel_to_doc(sr, f),
+                        }
         return None
 
     witness = scan_arrows()
@@ -1757,6 +1562,7 @@ def _coincidence_entry(sr, size_list, seed, samples, m_pair, md_pair) -> SuiteEn
                 "kleisli_flags_M": kc_m.flag_values(),
                 "kleisli_flags_Md": kc_md.flag_values(),
             }
+    exhaustive = full_m and full_md
     return _claim_entry(
         "coincidence/m-equals-md", "-", sr.name, witness is None, exhaustive, witness, checks
     )
@@ -1801,8 +1607,3 @@ def entries_to_table(entries: Sequence[SuiteEntry]) -> str:
             f"INFO {e.law} [{e.variant}, {e.semiring}] witness={_json_safe(e.witness)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def laws_to_jsonl(variant: str, semiring: str, reports: Sequence[LawReport]) -> str:
-    entries = [_entry(r.law, variant, semiring, r) for r in reports]
-    return entries_to_jsonl(entries)

@@ -113,11 +113,18 @@ class WeightMap:
     __slots__ = ("entries", "_index", "_hash")
 
     def __init__(self, sr: Semiring, items):
-        pairs = items.items() if hasattr(items, "items") else items
+        if hasattr(items, "items"):
+            pairs = items.items()
+        else:
+            # mapping keys are unique already; pairs are checked, zeros included
+            pairs = list(items)
+            seen = set()
+            for k, _ in pairs:
+                if k in seen:
+                    raise WeightMapError(f"duplicate key {k!r}")
+                seen.add(k)
         kept = {}
         for k, v in pairs:
-            if k in kept:
-                raise WeightMapError(f"duplicate key {k!r}")
             if v != sr.zero:
                 kept[k] = v
         entries = tuple(sorted(kept.items(), key=lambda kv: _sort_token(kv[0])))
@@ -292,7 +299,7 @@ def sample_maps(
     """
     # Small finite map spaces are enumerated outright; anything bigger falls
     # through to the seeded stream below, which works for finite carriers too.
-    if sr.finite and len(sr.elements) ** max(1, word_size(word)) <= 4096:
+    if _enumerable(sr, word_size(word)):
         pool = enumerate_maps(sr, word, variant)
         return pool[:n]
     rng = derive_rng(seed, "sample-maps", sr.name, variant, tag, _word_tag(word), n)
@@ -335,9 +342,14 @@ def variant_maps(
     sr: Semiring, word: Word, variant: str, seed: int, n: int, tag: str = "maps"
 ) -> tuple[list[WeightMap], bool]:
     """Variant members over the word plus an exhaustiveness marker."""
-    if sr.finite and len(sr.elements) ** max(1, word_size(word)) <= 4096:
+    if _enumerable(sr, word_size(word)):
         return enumerate_maps(sr, word, variant), True
     return sample_maps(sr, word, variant, seed, n, tag), False
+
+
+def _enumerable(sr: Semiring, cells: int) -> bool:
+    """Whether every filling of `cells` value slots is enumerated, not sampled."""
+    return sr.finite and len(sr.elements) ** max(1, cells) <= 4096
 
 
 def _dedup(maps: list[WeightMap]) -> list[WeightMap]:

@@ -26,9 +26,9 @@ from .weightmap import (
     WeightMap,
     Word,
     WeightMapError,
+    _enumerable,
     in_variant,
     enumerate_maps,
-    render_map,
     sample_maps,
     wm_empty,
     wm_eta,
@@ -219,10 +219,6 @@ def wrel_dom_via_kleisli_path(sr: Semiring, f: WRel) -> WRel:
 # scalar maps and the canonical semigroup
 
 
-def hom_scalar_unit(sr: Semiring, word: Word) -> WRel:
-    return wrel_del(sr, word)
-
-
 def hom_scalar_mul(sr: Semiring, f: WRel, g: WRel) -> WRel:
     """Pointwise product of scalar maps Y -> I via copy ; (f x g)."""
     if f.cod != () or g.cod != ():
@@ -297,7 +293,7 @@ def sample_arrows(
     The stream starts with systematic products of the smallest row shapes, so
     witnesses land on small readable arrows before random draws begin.
     """
-    if sr.finite and len(sr.elements) ** max(1, word_size(dom) * word_size(cod)) <= 4096:
+    if _enumerable(sr, word_size(dom) * word_size(cod)):
         return enumerate_arrows(sr, dom, cod, variant)[:n]
     keys = list(word_elements(dom))
     row_pool = sample_maps(sr, cod, variant, seed, max(6, n // 4), tag=f"{tag}-rows")
@@ -329,7 +325,7 @@ def variant_arrows(
     sr: Semiring, dom: Word, cod: Word, variant: str, seed: int, n: int, tag: str = "arrows"
 ) -> tuple[list[WRel], bool]:
     """Variant arrows plus an exhaustiveness marker, mirroring variant_maps."""
-    if sr.finite and len(sr.elements) ** max(1, word_size(dom) * word_size(cod)) <= 4096:
+    if _enumerable(sr, word_size(dom) * word_size(cod)):
         return enumerate_arrows(sr, dom, cod, variant), True
     return sample_arrows(sr, dom, cod, variant, seed, n, tag), False
 
@@ -385,34 +381,25 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
             raise WRelFormatError(f"arrow document missing field {key!r}")
     dom = tuple(finset_from_doc(d) for d in doc["dom"])
     cod = tuple(finset_from_doc(d) for d in doc["cod"])
+    if not isinstance(doc["entries"], list):
+        raise WRelFormatError("arrow entries must be a list")
     rows: dict = {}
     for item in doc["entries"]:
-        if len(item) != 3:
+        if not isinstance(item, list) or len(item) != 3:
             raise WRelFormatError(f"bad entry {item!r}")
         row_labels, col_labels, value_label = item
+        if not (isinstance(row_labels, list) and isinstance(col_labels, list)):
+            raise WRelFormatError(f"entry labels must be lists: {item!r}")
         if len(row_labels) != len(dom) or len(col_labels) != len(cod):
             raise WRelFormatError(f"entry shape does not match the boundary words: {item!r}")
         try:
             x = tuple(s.index_of(l) for s, l in zip(dom, row_labels))
             y = tuple(s.index_of(l) for s, l in zip(cod, col_labels))
             v = sr.parse(value_label)
-        except (WeightMapError, ValueError) as e:
+        except (TypeError, ValueError) as e:
             raise WRelFormatError(str(e)) from None
         cols = rows.setdefault(x, {})
         if y in cols:
             raise WRelFormatError(f"duplicate entry at {row_labels} {col_labels}")
         cols[y] = v
     return wrel_make(sr, dom, cod, rows)
-
-
-def wrel_witness(sr: Semiring, f: WRel) -> dict:
-    """Witness form used in law reports: the full serialized arrow."""
-    return {"arrow": wrel_to_doc(sr, f)}
-
-
-def row_witness(sr: Semiring, f: WRel, x) -> dict:
-    return {
-        "arrow": wrel_to_doc(sr, f),
-        "row": word_labels(f.dom, x),
-        "row_map": render_map(sr, f.row(sr, x), f.cod),
-    }

@@ -21,7 +21,6 @@ from gsrel import (
     enumerate_arrows,
     gsm_axiom_pairs,
     hom_scalar_mul,
-    hom_scalar_unit,
     load_interpretation,
     load_semiring,
     parse_term,
@@ -32,6 +31,7 @@ from gsrel import (
     wm_classify,
     wrel_classify,
     wrel_compose,
+    wrel_del,
     wrel_dom,
     wrel_eq,
     wrel_from_doc,
@@ -186,7 +186,7 @@ def test_c7_dom_pipeline_crosscheck():
 
 def test_c8_weakly_affine_instance():
     Y = (FinSet("Y", 2),)
-    unit = hom_scalar_unit(QPLUS, Y)
+    unit = wrel_del(QPLUS, Y)
     rng = derive_rng(0, "antipode")
     group_ok = True
     n_values = 0

@@ -264,3 +264,48 @@ def test_bad_sizes_exit_2(files):
 
 def test_budget_must_be_positive(files):
     assert run(["check-semiring", "bool", "--budget", "0"]) == 2
+
+
+def test_samples_must_be_positive(files, capsys):
+    for samples in ("0", "-3"):
+        assert run(["taxonomy", "--semiring", "bool", "--samples", samples]) == 2
+    assert "--samples must be positive" in capsys.readouterr().err
+
+
+GOOD_SORTS = {"A": {"size": 2, "labels": ["a", "b"]}}
+GOOD_GENERATORS = {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["a"], ["b"], "1"]]}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"semiring": "gf(4)", "sorts": GOOD_SORTS, "generators": GOOD_GENERATORS},
+        {"semiring": "bool", "sorts": {"A": {"size": "x"}}, "generators": {}},
+        {
+            "semiring": "bool",
+            "sorts": GOOD_SORTS,
+            "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [5]}},
+        },
+        {"semiring": "bool", "sorts": ["X"], "generators": {}},
+        {
+            "semiring": "nat",
+            "sorts": GOOD_SORTS,
+            "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["a"], ["b"], [1]]]}},
+        },
+        {"semiring": "bool", "sorts": GOOD_SORTS, "generators": {"f": {"dom": 5, "cod": ["A"]}}},
+    ],
+    ids=[
+        "unknown-semiring",
+        "sort-size-not-int",
+        "entry-not-a-list",
+        "sorts-not-an-object",
+        "value-not-a-label",
+        "dom-not-a-list",
+    ],
+)
+def test_eval_malformed_interpretation_exits_2(files, tmp_path, capsys, doc):
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps(doc))
+    assert run(["eval", files / "f.gsd", interp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

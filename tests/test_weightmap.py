@@ -60,6 +60,12 @@ def test_duplicate_keys_rejected():
         wm_make(NAT, [((0,), 1), ((0,), 2)])
 
 
+def test_duplicate_keys_rejected_when_one_value_is_zero():
+    for pairs in ([((0,), 0), ((0,), 3)], [((0,), 3), ((0,), 0)]):
+        with pytest.raises(WeightMapError, match="duplicate key"):
+            wm_make(NAT, pairs)
+
+
 def test_immutable():
     h = wm_eta(BOOL, (0,))
     with pytest.raises(AttributeError):

@@ -14,7 +14,6 @@ from gsrel import (
     derive_rng,
     enumerate_arrows,
     hom_scalar_mul,
-    hom_scalar_unit,
     load_semiring,
     sample_arrows,
     wm_eta,
@@ -220,7 +219,7 @@ def test_arrow_in_variant_matches_flags():
 
 
 def test_hom_scalar_monoid():
-    unit = hom_scalar_unit(NAT, X)
+    unit = wrel_del(NAT, X)
     scalars = [rand_arrow(NAT, X, I, i, "s") for i in range(12)]
     for f in scalars:
         assert hom_scalar_mul(NAT, f, unit) == f
