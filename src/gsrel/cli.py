@@ -34,7 +34,7 @@ from .diagram import (
 from .report import DEFAULT_BUDGET
 from .semiring import (
     CATALOG,
-    TableFormatError,
+    SemiringError,
     check_semiring_laws,
     classify_semiring,
     load_semiring,
@@ -107,14 +107,8 @@ def _config(args) -> RunConfig:
 
 def _load_semiring_arg(spec: str):
     try:
-        if os.path.exists(spec):
-            with open(spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            return load_semiring(doc)
-        return load_semiring(spec)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"{spec}: invalid JSON at line {e.lineno}, column {e.colno}") from None
-    except (TableFormatError, ValueError) as e:
+        return load_semiring(_read_json(spec) if os.path.exists(spec) else spec)
+    except SemiringError as e:
         raise UsageError(str(e)) from None
 
 
@@ -127,21 +121,33 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_text(path: str) -> str:
+    """The one reader of input files; unreadable or non-UTF-8 files exit 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise UsageError(f"{path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _read_json(path: str):
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise UsageError(f"{path}: {e.strerror}") from None
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
+
+
+def _suite_kwargs(cfg: RunConfig, variants) -> dict:
+    """Keyword arguments shared by the law suites, once the variants check out."""
+    for v in variants:
+        if v not in VARIANTS:
+            raise UsageError(f"--variant must be one of {', '.join(VARIANTS)}; got {v!r}")
+    kwargs = {"sizes": cfg.sizes, "budget": cfg.budget, "seed": cfg.seed}
+    if cfg.samples is not None:
+        kwargs["samples"] = cfg.samples
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +158,8 @@ def cmd_check_semiring(args) -> int:
     cfg = _config(args)
     sr = _load_semiring_arg(args.semiring)
     reports = check_semiring_laws(sr, budget=cfg.budget, seed=cfg.seed)
-    profile = classify_semiring(sr, budget=cfg.budget, seed=cfg.seed)
-    flags = {
-        "mult_idempotent": profile.mult_idempotent,
-        "absorptive": profile.absorptive,
-        "distributive_lattice": profile.distributive_lattice,
-        "semifield": profile.semifield,
-    }
+    profile = classify_semiring(sr, seed=cfg.seed)
+    flags = profile.flags()
     if cfg.fmt == "structured":
         doc = {
             "semiring": sr.name,
@@ -200,13 +201,8 @@ def cmd_classify(args) -> int:
     cfg = _config(args)
     sr = _load_semiring_arg(args.semiring)
     variant = args.variant
-    if variant not in VARIANTS:
-        raise UsageError(f"--variant must be one of {', '.join(VARIANTS)}; got {variant!r}")
-    kwargs = {"sizes": cfg.sizes, "budget": cfg.budget, "seed": cfg.seed}
-    if cfg.samples is not None:
-        kwargs["samples"] = cfg.samples
-    ops = getattr(args, "_ops", None) or DEFAULT_OPS
-    mc = classify_monad(variant, sr, ops=ops, **kwargs)
+    kwargs = _suite_kwargs(cfg, [variant])
+    mc = classify_monad(variant, sr, ops=args.ops, **kwargs)
     kc = classify_kleisli(variant, sr, **kwargs)
     disagreements = [f for f, fv in mc.flags.items() if not fv.consistent]
     if cfg.fmt == "structured":
@@ -352,15 +348,9 @@ def cmd_taxonomy(args) -> int:
     semirings = args.semiring if args.semiring else list(CATALOG)
     loaded = [_load_semiring_arg(s) for s in semirings]
     variants = args.variant if args.variant else list(VARIANTS)
-    for v in variants:
-        if v not in VARIANTS:
-            raise UsageError(f"--variant must be one of {', '.join(VARIANTS)}; got {v!r}")
-    kwargs = {"sizes": cfg.sizes, "budget": cfg.budget, "seed": cfg.seed}
-    if cfg.samples is not None:
-        kwargs["samples"] = cfg.samples
-    ops = getattr(args, "_ops", None) or DEFAULT_OPS
+    kwargs = _suite_kwargs(cfg, variants)
     entries = run_theorem_suite(
-        loaded, variants, ops=ops, include_monad_laws=True, **kwargs
+        loaded, variants, ops=args.ops, include_monad_laws=True, **kwargs
     )
     if cfg.fmt == "structured":
         _emit(entries_to_jsonl(entries), cfg.out)
@@ -438,14 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, _ops_override=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if _ops_override is not None:
-        args._ops = _ops_override
+    args.ops = _ops_override or DEFAULT_OPS
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DiagramError, TableFormatError, WRelFormatError, BoundaryError, WeightMapError) as e:
+    except (UsageError, DiagramError, WRelFormatError, BoundaryError, WeightMapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

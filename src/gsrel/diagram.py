@@ -28,12 +28,12 @@ from typing import Mapping
 
 from .report import COUNTEREXAMPLE, EXHAUSTIVE_PASS, LawReport
 from .semiring import Semiring, SemiringError, load_semiring
-from .weightmap import FinSet
 from .wrel import (
     BoundaryError,
     WRel,
     WRelFormatError,
     _word_str,
+    finset_from_doc,
     finset_to_doc,
     wrel_compose,
     wrel_copy,
@@ -482,12 +482,11 @@ def load_interpretation(doc: Mapping) -> Interpretation:
     for name, spec in doc["sorts"].items():
         if isinstance(spec, int):
             spec = {"size": spec}
-        if not isinstance(spec, Mapping) or "size" not in spec:
+        if not isinstance(spec, Mapping):
             raise InterpFormatError(f"bad sort spec for {name!r}: {spec!r}")
         try:
-            labels = tuple(spec["labels"]) if "labels" in spec else None
-            sorts[name] = FinSet(name, int(spec["size"]), labels)
-        except (TypeError, ValueError) as e:
+            sorts[name] = finset_from_doc({**spec, "name": name})
+        except WRelFormatError as e:
             raise InterpFormatError(f"bad sort spec for {name!r}: {e}") from None
     generators = {}
     gen_sig = {}

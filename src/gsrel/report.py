@@ -16,8 +16,10 @@ EXHAUSTIVE_PASS = "exhaustive_pass"
 SAMPLED_PASS = "sampled_pass"
 COUNTEREXAMPLE = "counterexample"
 
-# Primitive-evaluation budget per law; crossing it downgrades exhaustive
-# enumeration to a seeded sample.
+# Work budget.  check_semiring_laws enumerates a finite carrier's triples
+# only when they fit in it, and checks a seeded sample of about budget**(1/3)
+# elements otherwise; the law suites clamp `samples` to it.  Nothing else
+# falls back from enumeration to sampling when it is crossed.
 DEFAULT_BUDGET = 10**6
 
 

@@ -18,13 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping
 
-from .report import (
-    COUNTEREXAMPLE,
-    DEFAULT_BUDGET,
-    LawReport,
-    check_cases,
-    derive_rng,
-)
+from .report import DEFAULT_BUDGET, LawReport, check_cases, derive_rng
 
 
 class SemiringError(ValueError):
@@ -257,7 +251,9 @@ def load_table_semiring(doc: Mapping) -> Semiring:
     for key in ("elements", "plus", "times", "zero", "one"):
         if key not in doc:
             raise TableFormatError(f"table document missing field {key!r}")
-    labels = list(doc["elements"])
+    labels = doc["elements"]
+    if not isinstance(labels, (list, tuple)):
+        raise TableFormatError("'elements' must be a list of labels")
     if not labels:
         raise TableFormatError("table document has no elements")
     if any(not isinstance(l, str) for l in labels):
@@ -267,27 +263,23 @@ def load_table_semiring(doc: Mapping) -> Semiring:
     n = len(labels)
     index = {l: i for i, l in enumerate(labels)}
 
+    def lookup(key: str, label) -> int:
+        # every label is a string, so anything else (lists included) is not one
+        if not isinstance(label, str) or label not in index:
+            raise TableFormatError(f"{key!r} entry {label!r} is not an element")
+        return index[label]
+
     def read_table(key: str):
         rows = doc[key]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if not isinstance(rows, (list, tuple)) or len(rows) != n or any(
+            not isinstance(r, (list, tuple)) or len(r) != n for r in rows
+        ):
             raise TableFormatError(f"{key!r} table is not {n}x{n}")
-        out = []
-        for r in rows:
-            line = []
-            for entry in r:
-                if entry not in index:
-                    raise TableFormatError(
-                        f"{key!r} table entry {entry!r} is not an element; operation not closed"
-                    )
-                line.append(index[entry])
-            out.append(tuple(line))
-        return tuple(out)
+        return tuple(tuple(lookup(key, entry) for entry in r) for r in rows)
 
     plus = read_table("plus")
     times = read_table("times")
-    for key, lab in (("zero", doc["zero"]), ("one", doc["one"])):
-        if lab not in index:
-            raise TableFormatError(f"{key!r} label {lab!r} is not an element")
+    zero, one = lookup("zero", doc["zero"]), lookup("one", doc["one"])
 
     def parse(s: str) -> int:
         if s not in index:
@@ -296,8 +288,8 @@ def load_table_semiring(doc: Mapping) -> Semiring:
 
     return Semiring(
         name=str(doc.get("name", "table")),
-        zero=index[doc["zero"]],
-        one=index[doc["one"]],
+        zero=zero,
+        one=one,
         add=lambda a, b: plus[a][b],
         mul=lambda a, b: times[a][b],
         inverse=None,
@@ -357,6 +349,20 @@ def _carrier(sr: Semiring, seed: int) -> tuple[list, bool]:
     return pool + extra, False
 
 
+def _check_laws(sr: Semiring, xs: list, exhaustive: bool, laws) -> list[LawReport]:
+    """One report per (law, arity, holds), over every arity-tuple of xs."""
+    return [
+        check_cases(
+            law,
+            product(xs, repeat=arity),
+            holds,
+            describe=lambda t: [sr.label(v) for v in t],
+            exhaustive=exhaustive,
+        )
+        for law, arity, holds in laws
+    ]
+
+
 def check_semiring_laws(sr: Semiring, budget: int = DEFAULT_BUDGET, seed: int = 0) -> list[LawReport]:
     """Check the semiring axioms; one LawReport per axiom."""
     xs, full = _carrier(sr, seed)
@@ -364,31 +370,17 @@ def check_semiring_laws(sr: Semiring, budget: int = DEFAULT_BUDGET, seed: int = 
     if full and not exhaustive:
         rng = derive_rng(seed, "laws", sr.name)
         xs = [rng.choice(xs) for _ in range(max(2, round(budget ** (1 / 3))))]
-    lab = sr.label
-
-    def over(k: int):
-        return product(xs, repeat=k)
-
-    def rep(law, arity, holds):
-        return check_cases(
-            law,
-            over(arity),
-            holds,
-            describe=lambda t: [lab(v) for v in t],
-            exhaustive=exhaustive,
-        )
-
     add, mul, zero, one = sr.add, sr.mul, sr.zero, sr.one
-    return [
-        rep("semiring/add-assoc", 3, lambda t: add(add(t[0], t[1]), t[2]) == add(t[0], add(t[1], t[2]))),
-        rep("semiring/add-comm", 2, lambda t: add(t[0], t[1]) == add(t[1], t[0])),
-        rep("semiring/add-unit", 1, lambda t: add(zero, t[0]) == t[0] == add(t[0], zero)),
-        rep("semiring/mul-assoc", 3, lambda t: mul(mul(t[0], t[1]), t[2]) == mul(t[0], mul(t[1], t[2]))),
-        rep("semiring/mul-unit", 1, lambda t: mul(one, t[0]) == t[0] == mul(t[0], one)),
-        rep("semiring/distrib-left", 3, lambda t: mul(t[0], add(t[1], t[2])) == add(mul(t[0], t[1]), mul(t[0], t[2]))),
-        rep("semiring/distrib-right", 3, lambda t: mul(add(t[0], t[1]), t[2]) == add(mul(t[0], t[2]), mul(t[1], t[2]))),
-        rep("semiring/annihilation", 1, lambda t: mul(zero, t[0]) == zero == mul(t[0], zero)),
-    ]
+    return _check_laws(sr, xs, exhaustive, [
+        ("semiring/add-assoc", 3, lambda t: add(add(t[0], t[1]), t[2]) == add(t[0], add(t[1], t[2]))),
+        ("semiring/add-comm", 2, lambda t: add(t[0], t[1]) == add(t[1], t[0])),
+        ("semiring/add-unit", 1, lambda t: add(zero, t[0]) == t[0] == add(t[0], zero)),
+        ("semiring/mul-assoc", 3, lambda t: mul(mul(t[0], t[1]), t[2]) == mul(t[0], mul(t[1], t[2]))),
+        ("semiring/mul-unit", 1, lambda t: mul(one, t[0]) == t[0] == mul(t[0], one)),
+        ("semiring/distrib-left", 3, lambda t: mul(t[0], add(t[1], t[2])) == add(mul(t[0], t[1]), mul(t[0], t[2]))),
+        ("semiring/distrib-right", 3, lambda t: mul(add(t[0], t[1]), t[2]) == add(mul(t[0], t[2]), mul(t[1], t[2]))),
+        ("semiring/annihilation", 1, lambda t: mul(zero, t[0]) == zero == mul(t[0], zero)),
+    ])
 
 
 @dataclass
@@ -400,37 +392,23 @@ class SemiringProfile:
     reports: dict[str, LawReport]
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "mult_idempotent": self.mult_idempotent,
-            "absorptive": self.absorptive,
-            "distributive_lattice": self.distributive_lattice,
-            "semifield": self.semifield,
-        }
+        return {name: report.passed for name, report in self.reports.items()}
 
 
-def classify_semiring(sr: Semiring, budget: int = DEFAULT_BUDGET, seed: int = 0) -> SemiringProfile:
+def classify_semiring(sr: Semiring, seed: int = 0) -> SemiringProfile:
     """Decide the classification flags on the carrier or its seeded sample.
 
-    A counterexample settles a flag negatively for good; a pass on an
-    infinite carrier is recorded as sampled, never as exhaustive.
+    A finite carrier is checked in full, so its flags are exhaustive; the
+    work is bounded by its own n x n tables.  A counterexample settles a flag
+    negatively for good; a pass on an infinite carrier is recorded as
+    sampled, never as exhaustive.
     """
     xs, full = _carrier(sr, seed)
-    exhaustive = full and len(xs) ** 2 <= budget
-    add, mul, lab = sr.add, sr.mul, sr.label
-
-    def rep(law, arity, holds):
-        return check_cases(
-            law,
-            product(xs, repeat=arity),
-            holds,
-            describe=lambda t: [lab(v) for v in t],
-            exhaustive=exhaustive,
-        )
-
-    reports = {
-        "mult_idempotent": rep("classify/mult-idempotent", 1, lambda t: mul(t[0], t[0]) == t[0]),
-        "absorptive": rep("classify/absorptive", 2, lambda t: mul(t[0], add(t[0], t[1])) == t[0]),
-        "distributive_lattice": rep(
+    add, mul = sr.add, sr.mul
+    laws = {
+        "mult_idempotent": ("classify/mult-idempotent", 1, lambda t: mul(t[0], t[0]) == t[0]),
+        "absorptive": ("classify/absorptive", 2, lambda t: mul(t[0], add(t[0], t[1])) == t[0]),
+        "distributive_lattice": (
             "classify/distributive-lattice",
             2,
             lambda t: mul(t[0], t[0]) == t[0]
@@ -438,16 +416,11 @@ def classify_semiring(sr: Semiring, budget: int = DEFAULT_BUDGET, seed: int = 0)
             and mul(t[0], add(t[0], t[1])) == t[0]
             and add(t[0], mul(t[0], t[1])) == t[0],
         ),
-        "semifield": rep(
+        "semifield": (
             "classify/semifield",
             1,
             lambda t: t[0] == sr.zero or mul_inverse(sr, t[0]) is not None,
         ),
     }
-    return SemiringProfile(
-        mult_idempotent=reports["mult_idempotent"].passed,
-        absorptive=reports["absorptive"].passed,
-        distributive_lattice=reports["distributive_lattice"].passed,
-        semifield=reports["semifield"].passed,
-        reports=reports,
-    )
+    reports = dict(zip(laws, _check_laws(sr, xs, full, laws.values())))
+    return SemiringProfile(**{name: r.passed for name, r in reports.items()}, reports=reports)

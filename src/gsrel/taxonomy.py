@@ -59,6 +59,7 @@ from .weightmap import (
     Word,
     _dedup,
     _enumerable,
+    _maps_over,
     in_variant,
     render_map,
     variant_maps,
@@ -254,12 +255,7 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
         h = wm_empty(sr)
         return ([h] if in_variant(sr, h, variant) else []), True
     if max_support is None and _enumerable(sr, len(inner)):
-        out = []
-        for values in product(sr.elements, repeat=len(inner)):
-            H = WeightMap(sr, dict(zip(inner, values)))
-            if in_variant(sr, H, variant):
-                out.append(H)
-        return _dedup(out), True
+        return _maps_over(sr, inner, variant), True
     if max_support is not None and sr.finite:
         nonzero = [v for v in sr.elements if v != sr.zero]
         count = sum(
@@ -274,7 +270,7 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
                         H = WeightMap(sr, dict(zip(support, values)))
                         if in_variant(sr, H, variant):
                             out.append(H)
-            return _dedup(out), True
+            return out, True
     rng = derive_rng(seed, "nested", sr.name, variant, tag, len(inner), n)
     vals = [v for v in sr.sample_elements(rng) if v != sr.zero]
     two = sr.add(sr.one, sr.one)
@@ -751,6 +747,19 @@ def _collision_pair(sr, variant, pool):
     return ()
 
 
+def _classify_args(variant, sr, sizes, budget, samples):
+    """Checked arguments of classify_monad and classify_kleisli: the loaded
+    semiring and the sample count clamped to the budget."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    sr = load_semiring(sr)
+    if not sizes:
+        raise ValueError("sizes must be nonempty")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    return sr, max(1, min(samples, budget))
+
+
 # ---------------------------------------------------------------------------
 # monad-level classification
 
@@ -771,14 +780,7 @@ def classify_monad(
     expected to agree whenever the sub-family is closed under the structure
     the diagram uses; `well_posed` records that precondition per flag.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    sr = load_semiring(sr)
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    samples = max(1, min(samples, budget))
+    sr, samples = _classify_args(variant, sr, sizes, budget, samples)
     words = [()] + _words(sizes)
     pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"flags-{variant}")
     all_cases = [(w, h) for w in words for h in pools[w]]
@@ -1010,14 +1012,7 @@ def classify_kleisli(
     be groups, searching inverses exhaustively on finite carriers and
     constructing them through mul_inverse otherwise.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    sr = load_semiring(sr)
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    samples = max(1, min(samples, budget))
+    sr, samples = _classify_args(variant, sr, sizes, budget, samples)
     size_list = _sizes(sizes)
     gsm_reports = _gsm_axiom_reports(sr, size_list)
 
@@ -1414,7 +1409,7 @@ def run_theorem_suite(
     size_list = _sizes(sizes)
     for spec in semirings:
         sr = load_semiring(spec)
-        profile = classify_semiring(sr, budget=budget, seed=seed)
+        profile = classify_semiring(sr, seed=seed)
         shared = [*_gsm_axiom_reports(sr, size_list).values(), *_cansem_reports(sr, size_list)]
         entries.extend(_entry(report, "-", sr.name) for report in shared)
 

@@ -273,13 +273,18 @@ def enumerate_maps(sr: Semiring, word: Word, variant: str = "M") -> list[WeightM
     """
     if not sr.finite:
         raise WeightMapError(f"{sr.name}: carrier is not enumerable; use sample_maps")
-    keys = list(word_elements(word))
+    return _maps_over(sr, list(word_elements(word)), variant)
+
+
+def _maps_over(sr: Semiring, keys: list, variant: str) -> list[WeightMap]:
+    """Every variant member with support among the distinct keys, valued in
+    a finite carrier; distinct value tuples give distinct maps."""
     out = []
     for values in product(sr.elements, repeat=len(keys)):
         h = WeightMap(sr, dict(zip(keys, values)))
         if in_variant(sr, h, variant):
             out.append(h)
-    return _dedup(out)
+    return out
 
 
 def sample_maps(
@@ -322,10 +327,10 @@ def sample_maps(
         picked = {k: rng.choice(values) for k in support} if values else {}
         if not picked:
             break
-        candidates.append(WeightMap(sr, picked))
+        h = WeightMap(sr, picked)
+        candidates.append(h)
         # Rescale by the inverse of the total when one exists, to land on
         # normalized members; otherwise force the first value to one.
-        h = WeightMap(sr, picked)
         t = wm_total(sr, h)
         inv = mul_inverse(sr, t) if t != sr.zero else None
         if inv is not None:
@@ -370,16 +375,14 @@ def _word_tag(word: Word) -> str:
 # rendering for witnesses and reports
 
 
-def render_map(sr: Semiring, h: WeightMap, word: Word | None = None) -> dict:
+def render_map(sr: Semiring, h: WeightMap) -> dict:
     """JSON-able description of a weight map; nested maps recurse."""
     entries = []
     for k, v in h.entries:
         if isinstance(k, WeightMap):
             key_doc = render_map(sr, k)
-        elif word is not None and word_contains(word, k):
-            key_doc = word_labels(word, k)
         else:
-            key_doc = [render_key_part(p, sr) for p in _as_tuple(k)] if isinstance(k, tuple) else repr(k)
+            key_doc = [render_key_part(p, sr) for p in k] if isinstance(k, tuple) else repr(k)
         entries.append({"key": key_doc, "value": sr.label(v)})
     return {"map": entries}
 

@@ -18,6 +18,7 @@ on the diagonal) is exposed separately as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .report import derive_rng
 from .semiring import Semiring
@@ -25,7 +26,6 @@ from .weightmap import (
     FinSet,
     WeightMap,
     Word,
-    WeightMapError,
     _enumerable,
     in_variant,
     enumerate_maps,
@@ -270,19 +270,7 @@ def enumerate_arrows(sr: Semiring, dom: Word, cod: Word, variant: str = "M") -> 
     """All arrows whose rows are variant members; finite carriers only."""
     keys = list(word_elements(dom))
     choices = enumerate_maps(sr, cod, variant)
-    out = []
-    for assignment in _assignments(choices, len(keys)):
-        out.append(WRel(dom, cod, dict(zip(keys, assignment))))
-    return out
-
-
-def _assignments(choices, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _assignments(choices, n - 1):
-        for c in choices:
-            yield rest + (c,)
+    return [WRel(dom, cod, dict(zip(keys, rows))) for rows in product(choices, repeat=len(keys))]
 
 
 def sample_arrows(
@@ -301,7 +289,7 @@ def sample_arrows(
         return []
     out = []
     seen = set()
-    for assignment in _assignments(row_pool[:3], len(keys)):
+    for assignment in product(row_pool[:3], repeat=len(keys)):
         arrow = WRel(dom, cod, dict(zip(keys, assignment)))
         if arrow not in seen:
             seen.add(arrow)
@@ -357,8 +345,8 @@ def finset_from_doc(doc) -> FinSet:
     labels = doc.get("labels")
     try:
         return FinSet(str(doc["name"]), int(doc["size"]), tuple(labels) if labels is not None else None)
-    except WeightMapError as e:
-        raise WRelFormatError(str(e)) from None
+    except (TypeError, ValueError) as e:
+        raise WRelFormatError(f"bad finite-set document {doc!r}: {e}") from None
 
 
 def wrel_to_doc(sr: Semiring, f: WRel) -> dict:
@@ -379,10 +367,10 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
     for key in ("dom", "cod", "entries"):
         if key not in doc:
             raise WRelFormatError(f"arrow document missing field {key!r}")
+        if not isinstance(doc[key], list):
+            raise WRelFormatError(f"arrow field {key!r} must be a list")
     dom = tuple(finset_from_doc(d) for d in doc["dom"])
     cod = tuple(finset_from_doc(d) for d in doc["cod"])
-    if not isinstance(doc["entries"], list):
-        raise WRelFormatError("arrow entries must be a list")
     rows: dict = {}
     for item in doc["entries"]:
         if not isinstance(item, list) or len(item) != 3:

@@ -89,6 +89,44 @@ def test_check_semiring_bad_inputs_exit_2(files, capsys):
     assert "line 1" in err
 
 
+def test_check_semiring_finite_profile_exhaustive_at_small_budget(files, capsys):
+    assert run(["check-semiring", "bool", "--budget", "3", "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {p["status"] for p in doc["profile"].values()} == {"exhaustive_pass"}
+    assert run(["check-semiring", "bool", "--budget", "3"]) == 0
+    assert "sampled_pass]" not in capsys.readouterr().out
+
+
+def _latin1(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("let main = f \xe9\n".encode("latin-1"))
+    return path
+
+
+def _table(tmp_path, field, value):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({**BROKEN_TABLE, field: value}))
+    return path
+
+
+# each builds an argv from the fixture directory and a scratch directory
+BAD_INPUTS = {
+    "semiring-file-is-a-directory": lambda d, t: ["check-semiring", d],
+    "term-file-not-utf8": lambda d, t: ["eval", _latin1(t), d / "interp_bool.json"],
+    "interpretation-not-utf8": lambda d, t: ["eval", d / "f.gsd", _latin1(t)],
+    "table-elements-not-a-list": lambda d, t: ["check-semiring", _table(t, "elements", 5)],
+    "table-plus-row-not-a-list": lambda d, t: ["check-semiring", _table(t, "plus", [5, 5, 5])],
+    "table-zero-not-a-label": lambda d, t: ["check-semiring", _table(t, "zero", ["a"])],
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_unreadable_or_malformed_input_files_exit_2(files, tmp_path, capsys, name):
+    assert run(BAD_INPUTS[name](files, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # classify
 
 

@@ -189,6 +189,18 @@ def test_table_duplicate_labels():
         load_semiring(bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("elements", 5), ("plus", [5, ["0", "1"]]), ("zero", ["a"])],
+    ids=["elements-not-a-list", "plus-row-not-a-list", "zero-not-a-label"],
+)
+def test_table_wrong_types_raise_table_format_error(field, value):
+    bad = dict(BOOL_TABLE)
+    bad[field] = value
+    with pytest.raises(TableFormatError):
+        load_semiring(bad)
+
+
 def test_broken_table_caught_by_law_check():
     # plus is not associative: (1+1)+1 = 0 but 1+(1+1) = 1
     bad = {

@@ -328,3 +328,19 @@ def test_from_doc_rejects_malformed_input():
     bad["dom"] = "X"
     with pytest.raises(WRelFormatError):
         wrel_from_doc(NAT, bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dom", [{"name": "X", "size": "x"}]),
+        ("dom", 5),
+        ("cod", [{"name": "Y", "size": 2, "labels": 5}]),
+    ],
+    ids=["size-not-an-int", "dom-not-a-list", "labels-not-a-list"],
+)
+def test_from_doc_wrong_types_raise_wrel_format_error(field, value):
+    doc = {"dom": [], "cod": [], "entries": []}
+    doc[field] = value
+    with pytest.raises(WRelFormatError):
+        wrel_from_doc(NAT, doc)
