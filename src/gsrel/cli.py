@@ -113,9 +113,13 @@ def _load_semiring_arg(spec: str):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write to --out or stdout; an unwritable --out path exits 2."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"{out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -57,8 +57,8 @@ from .weightmap import (
     WeightMap,
     WeightMapError,
     Word,
-    _dedup,
     _enumerable,
+    _first_members,
     _maps_over,
     in_variant,
     render_map,
@@ -247,15 +247,16 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
 
     Finite value spaces below the cap are enumerated (optionally with an
     outer-support bound); otherwise a targeted-then-random seeded stream is
-    used.  The targeted shapes cover the known closure-refutation patterns:
-    a unit pair, weighted pairs including the empty inner map, and all-unit
+    used, built lazily and stopped at the n-th distinct member.  The
+    targeted shapes cover the known closure-refutation patterns: a unit
+    pair, weighted pairs including the empty inner map, and all-unit
     triples.
     """
     if not inner:
         h = wm_empty(sr)
         return ([h] if in_variant(sr, h, variant) else []), True
     if max_support is None and _enumerable(sr, len(inner)):
-        return _maps_over(sr, inner, variant), True
+        return list(_maps_over(sr, inner, variant)), True
     if max_support is not None and sr.finite:
         nonzero = [v for v in sr.elements if v != sr.zero]
         count = sum(
@@ -272,29 +273,33 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
                             out.append(H)
             return out, True
     rng = derive_rng(seed, "nested", sr.name, variant, tag, len(inner), n)
+    stream = _nested_stream(sr, inner, rng, n, max_support)
+    if max_support is not None:
+        stream = (H for H in stream if len(H) <= max_support)
+    return _first_members(sr, stream, variant, n), False
+
+
+def _nested_stream(sr, inner, rng, n, max_support):
+    """The candidate maps of _nested_pool, in order, drawn from rng on demand."""
     vals = [v for v in sr.sample_elements(rng) if v != sr.zero]
     two = sr.add(sr.one, sr.one)
     inv2 = mul_inverse(sr, two) if two != sr.zero else None
     weights = _dedup_values([sr.one, two] + ([inv2] if inv2 is not None else []) + vals[:4], sr)
     head = min(4, len(inner))
-    candidates = [wm_empty(sr)]
+    yield wm_empty(sr)
     for g in inner[:3]:
-        candidates.append(wm_eta(sr, g))
+        yield wm_eta(sr, g)
     for a, b in combinations(range(head), 2):
         for w1 in weights[:4]:
             for w2 in weights[:4]:
-                candidates.append(WeightMap(sr, {inner[a]: w1, inner[b]: w2}))
+                yield WeightMap(sr, {inner[a]: w1, inner[b]: w2})
     for a, b, c in combinations(range(head), 3):
-        candidates.append(WeightMap(sr, {inner[a]: sr.one, inner[b]: sr.one, inner[c]: sr.one}))
+        yield WeightMap(sr, {inner[a]: sr.one, inner[b]: sr.one, inner[c]: sr.one})
     bound = max_support if max_support is not None else len(inner)
     for _ in range(4 * n):
         k = rng.randint(1, max(1, min(bound, 3)))
         support = rng.sample(inner, min(k, len(inner)))
-        candidates.append(WeightMap(sr, {g: rng.choice(weights + vals) for g in support}))
-    out = [H for H in _dedup(candidates) if in_variant(sr, H, variant)]
-    if max_support is not None:
-        out = [H for H in out if len(H) <= max_support]
-    return out[:n], False
+        yield WeightMap(sr, {g: rng.choice(weights + vals) for g in support})
 
 
 def _dedup_values(values, sr):

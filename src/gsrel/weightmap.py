@@ -24,7 +24,7 @@ Sub-family membership (wm_classify):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .report import derive_rng
 from .semiring import Semiring, mul_inverse
@@ -107,6 +107,17 @@ def _sort_token(key):
     return (0, repr(key))
 
 
+def _flat_int_keys(keys) -> bool:
+    """Whether every key is a tuple of items whose type is exactly int."""
+    for k in keys:
+        if type(k) is not tuple:
+            return False
+        for i in k:
+            if type(i) is not int:
+                return False
+    return True
+
+
 class WeightMap:
     """Immutable canonical finite-support map; see the module docstring."""
 
@@ -123,11 +134,14 @@ class WeightMap:
                 if k in seen:
                     raise WeightMapError(f"duplicate key {k!r}")
                 seen.add(k)
-        kept = {}
-        for k, v in pairs:
-            if v != sr.zero:
-                kept[k] = v
-        entries = tuple(sorted(kept.items(), key=lambda kv: _sort_token(kv[0])))
+        zero = sr.zero
+        kept = {k: v for k, v in pairs if v != zero}
+        if _flat_int_keys(kept):
+            # native tuple order is token order here, and the keys are
+            # unique, so values are never compared
+            entries = tuple(sorted(kept.items()))
+        else:
+            entries = tuple(sorted(kept.items(), key=lambda kv: _sort_token(kv[0])))
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_index", dict(entries))
         object.__setattr__(self, "_hash", hash(entries))
@@ -243,22 +257,41 @@ class MapFlags:
         return getattr(self, f"in_{variant}")
 
 
-def wm_classify(sr: Semiring, h: WeightMap) -> MapFlags:
+def _in_Mr(sr: Semiring, h: WeightMap) -> bool:
+    return len(h.entries) <= 1 and all(sr.mul(v, v) == v for _, v in h.entries)
+
+
+def _in_Ma(sr: Semiring, h: WeightMap) -> bool:
+    return wm_total(sr, h) == sr.one
+
+
+def _in_Mm(sr: Semiring, h: WeightMap) -> bool:
     t = wm_total(sr, h)
-    values = [v for _, v in h.entries]
-    return MapFlags(
-        in_Mr=len(values) <= 1 and all(sr.mul(v, v) == v for v in values),
-        in_Ma=t == sr.one,
-        in_Mm=sr.mul(t, t) == t,
-        in_Md=all(sr.mul(v, t) == v for v in values),
-        in_Mi=bool(values) and all(mul_inverse(sr, v) is not None for v in values),
-    )
+    return sr.mul(t, t) == t
+
+
+def _in_Md(sr: Semiring, h: WeightMap) -> bool:
+    t = wm_total(sr, h)
+    return all(sr.mul(v, t) == v for _, v in h.entries)
+
+
+def _in_Mi(sr: Semiring, h: WeightMap) -> bool:
+    return bool(h.entries) and all(mul_inverse(sr, v) is not None for _, v in h.entries)
+
+
+# The one predicate of each proper sub-family; every map is in M.
+_MEMBERSHIP = {"Mr": _in_Mr, "Ma": _in_Ma, "Mm": _in_Mm, "Md": _in_Md, "Mi": _in_Mi}
+
+
+def wm_classify(sr: Semiring, h: WeightMap) -> MapFlags:
+    return MapFlags(**{f"in_{v}": member(sr, h) for v, member in _MEMBERSHIP.items()})
 
 
 def in_variant(sr: Semiring, h: WeightMap, variant: str) -> bool:
+    """Membership in one sub-family; only that sub-family's predicate runs."""
     if variant not in VARIANTS:
         raise WeightMapError(f"unknown variant {variant!r}")
-    return wm_classify(sr, h).member(variant)
+    return variant == "M" or _MEMBERSHIP[variant](sr, h)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +306,16 @@ def enumerate_maps(sr: Semiring, word: Word, variant: str = "M") -> list[WeightM
     """
     if not sr.finite:
         raise WeightMapError(f"{sr.name}: carrier is not enumerable; use sample_maps")
-    return _maps_over(sr, list(word_elements(word)), variant)
+    return list(_maps_over(sr, list(word_elements(word)), variant))
 
 
-def _maps_over(sr: Semiring, keys: list, variant: str) -> list[WeightMap]:
+def _maps_over(sr: Semiring, keys: list, variant: str):
     """Every variant member with support among the distinct keys, valued in
-    a finite carrier; distinct value tuples give distinct maps."""
-    out = []
+    a finite carrier, lazily; distinct value tuples give distinct maps."""
     for values in product(sr.elements, repeat=len(keys)):
         h = WeightMap(sr, dict(zip(keys, values)))
         if in_variant(sr, h, variant):
-            out.append(h)
-    return out
+            yield h
 
 
 def sample_maps(
@@ -300,47 +331,62 @@ def sample_maps(
     Seeds the stream with small targeted shapes (empty map, unit-valued and
     doubled-unit point maps, rescaled and max-normalized random maps) so
     that the common membership patterns appear even when random draws
-    would miss them; membership is always re-checked, never assumed.
+    would miss them; membership is always re-checked, never assumed.  The
+    stream is built lazily and stops at the n-th distinct member.
     """
     # Small finite map spaces are enumerated outright; anything bigger falls
     # through to the seeded stream below, which works for finite carriers too.
-    if _enumerable(sr, word_size(word)):
-        pool = enumerate_maps(sr, word, variant)
-        return pool[:n]
-    rng = derive_rng(seed, "sample-maps", sr.name, variant, tag, _word_tag(word), n)
     keys = list(word_elements(word))
+    if _enumerable(sr, len(keys)):
+        return list(islice(_maps_over(sr, keys, variant), n))
+    rng = derive_rng(seed, "sample-maps", sr.name, variant, tag, _word_tag(word), n)
+    return _first_members(sr, _sample_stream(sr, keys, rng, n), variant, n)
+
+
+def _sample_stream(sr: Semiring, keys: list, rng, n: int):
+    """The candidate maps of sample_maps, in order, drawn from rng on demand."""
     values = [v for v in sr.sample_elements(rng) if v != sr.zero]
     two = sr.add(sr.one, sr.one)
-    candidates: list[WeightMap] = [wm_empty(sr)]
-    if keys:
-        candidates.append(wm_eta(sr, keys[0]))
-        candidates.append(WeightMap(sr, {keys[0]: two}))
-        for k in keys[1:]:
-            candidates.append(wm_eta(sr, k))
-        candidates.append(WeightMap(sr, {k: sr.one for k in keys}))
-        for v in values[:4]:
-            candidates.append(WeightMap(sr, {keys[0]: v}))
+    yield wm_empty(sr)
+    if not keys:
+        return
+    yield wm_eta(sr, keys[0])
+    yield WeightMap(sr, {keys[0]: two})
+    for k in keys[1:]:
+        yield wm_eta(sr, k)
+    yield WeightMap(sr, {k: sr.one for k in keys})
+    for v in values[:4]:
+        yield WeightMap(sr, {keys[0]: v})
+    if not values:
+        return
     for _ in range(6 * n):
-        if not keys:
-            break
         support = [k for k in keys if rng.random() < 0.6] or [rng.choice(keys)]
-        picked = {k: rng.choice(values) for k in support} if values else {}
-        if not picked:
-            break
+        picked = {k: rng.choice(values) for k in support}
         h = WeightMap(sr, picked)
-        candidates.append(h)
+        yield h
         # Rescale by the inverse of the total when one exists, to land on
         # normalized members; otherwise force the first value to one.
         t = wm_total(sr, h)
         inv = mul_inverse(sr, t) if t != sr.zero else None
         if inv is not None:
-            candidates.append(WeightMap(sr, {k: sr.mul(v, inv) for k, v in picked.items()}))
-        first = support[0]
+            yield WeightMap(sr, {k: sr.mul(v, inv) for k, v in picked.items()})
         forced = dict(picked)
-        forced[first] = sr.one
-        candidates.append(WeightMap(sr, forced))
-    out = [h for h in _dedup(candidates) if in_variant(sr, h, variant)]
-    return out[:n]
+        forced[support[0]] = sr.one
+        yield WeightMap(sr, forced)
+
+
+def _first_members(sr: Semiring, candidates, variant: str, n: int) -> list[WeightMap]:
+    """The first n distinct variant members of a candidate stream, in stream
+    order; nothing after the n-th member is pulled from the stream."""
+    def members():
+        seen = set()
+        for h in candidates:
+            if h not in seen:
+                seen.add(h)
+                if in_variant(sr, h, variant):
+                    yield h
+
+    return list(islice(members(), n))
 
 
 def variant_maps(
@@ -355,16 +401,6 @@ def variant_maps(
 def _enumerable(sr: Semiring, cells: int) -> bool:
     """Whether every filling of `cells` value slots is enumerated, not sampled."""
     return sr.finite and len(sr.elements) ** max(1, cells) <= 4096
-
-
-def _dedup(maps: list[WeightMap]) -> list[WeightMap]:
-    seen = set()
-    out = []
-    for h in maps:
-        if h not in seen:
-            seen.add(h)
-            out.append(h)
-    return out
 
 
 def _word_tag(word: Word) -> str:

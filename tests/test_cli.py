@@ -127,6 +127,22 @@ def test_unreadable_or_malformed_input_files_exit_2(files, tmp_path, capsys, nam
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# each builds an argv whose --out path cannot be written
+BAD_OUTPUTS = {
+    "check-semiring-out-is-a-directory": lambda t: ["check-semiring", "bool", "--out", t],
+    "taxonomy-out-in-missing-directory": lambda t: [
+        "taxonomy", "--semiring", "bool", "--sizes", "0", "--out", t / "missing" / "x.jsonl"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", BAD_OUTPUTS)
+def test_unwritable_out_path_exits_2(tmp_path, capsys, name):
+    assert run(BAD_OUTPUTS[name](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # classify
 
 

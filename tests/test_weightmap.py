@@ -27,6 +27,8 @@ from gsrel import (
     word_elements,
     word_size,
 )
+from gsrel.taxonomy import _nested_pool
+from gsrel.weightmap import _first_members, _sort_token
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -209,12 +211,29 @@ def test_classify_known_maps():
     assert (f.in_Mr, f.in_Ma, f.in_Mm, f.in_Md, f.in_Mi) == (True, False, True, True, False)
 
 
+Z3_TABLE = {
+    "name": "z3-table",
+    "elements": ["0", "1", "2"],
+    "zero": "0",
+    "one": "1",
+    "plus": [["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]],
+    "times": [["0", "0", "0"], ["0", "1", "2"], ["0", "2", "1"]],
+}
+
+
 def test_member_and_in_variant_agree():
-    for sr in (BOOL, NAT, GF2):
-        for h in sample_maps(sr, X2, "M", seed=3, n=40):
+    carriers = [BOOL, NAT, GF2, QPLUS, FMM, load_semiring("fuzzy-max-times")]
+    carriers.append(load_semiring(Z3_TABLE))
+    for sr in carriers:
+        flat = sample_maps(sr, X2, "M", seed=3, n=40)
+        nested, _ = _nested_pool(sr, "M", flat, 3, 40, "agree")
+        assert nested and all(isinstance(g, WeightMap) for H in nested for g in H.support)
+        for h in flat + nested:
             flags = wm_classify(sr, h)
             for variant in VARIANTS:
                 assert in_variant(sr, h, variant) == flags.member(variant)
+            with pytest.raises(WeightMapError):
+                in_variant(sr, h, "Mx")
 
 
 def test_enumerate_counts_bool_and_gf2():
@@ -285,3 +304,56 @@ def test_canonicalization_is_order_insensitive(items):
     g = wm_make(NAT, list(reversed(items)))
     assert h == g
     assert all(v != 0 for _, v in h.entries)
+
+
+def _token_sorted(sr, items):
+    kept = [(k, v) for k, v in items.items() if v != sr.zero]
+    return tuple(sorted(kept, key=lambda kv: _sort_token(kv[0])))
+
+
+flat_int_keys = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(tuple)
+
+
+@given(st.dictionaries(flat_int_keys, st.integers(min_value=0, max_value=4), max_size=12))
+@settings(max_examples=200)
+def test_flat_int_keys_sort_in_token_order(items):
+    assert WeightMap(NAT, items).entries == _token_sorted(NAT, items)
+    assert WeightMap(NAT, list(items.items())).entries == _token_sorted(NAT, items)
+
+
+def test_nested_mixed_and_bool_keys_keep_token_order():
+    g0, g1 = wm_eta(NAT, (1,)), wm_make(NAT, {(0,): 2, (1,): 1})
+    nested = {g1: 1, wm_empty(NAT): 3, g0: 2}
+    H = WeightMap(NAT, nested)
+    assert H.entries == _token_sorted(NAT, nested)
+    assert H.support == (wm_empty(NAT), g1, g0)
+    # wm_psi of a nested map joins WeightMap and int key parts
+    mixed = wm_psi(NAT, H, wm_make(NAT, {(1,): 1, (0,): 2}))
+    assert mixed.entries == _token_sorted(NAT, dict(mixed.entries))
+    assert [k[1] for k in mixed.support[:2]] == [0, 1]
+    # an int key among tuples sorts first, where a native sort would raise
+    assert WeightMap(NAT, {(0,): 1, 5: 2}).support == (5, (0,))
+    flags = {(True, 0): 1, (0, 1): 2, (False, 0): 3}
+    assert WeightMap(NAT, flags).entries == _token_sorted(NAT, flags)
+    assert WeightMap(NAT, flags).support == ((False, 0), (0, 1), (True, 0))
+
+
+def test_first_members_pulls_nothing_after_the_nth():
+    a, b = wm_eta(NAT, (0,)), wm_eta(NAT, (1,))
+
+    def stream():
+        yield a
+        yield b
+        raise AssertionError("pulled past the n-th member")
+
+    assert _first_members(NAT, stream(), "Ma", 2) == [a, b]
+    assert _first_members(NAT, stream(), "Ma", 0) == []
+
+
+def test_first_members_skips_duplicates_and_non_members_in_stream_order():
+    a, b, c = wm_eta(NAT, (0,)), wm_eta(NAT, (1,)), wm_make(NAT, {(0,): 1, (1,): 1})
+    two = wm_make(NAT, {(0,): 2})
+    stream = [two, b, two, b, c, a, b, c]
+    assert _first_members(NAT, iter(stream), "Ma", 2) == [b, a]
+    assert _first_members(NAT, iter(stream), "Ma", 5) == [b, a]
+    assert _first_members(NAT, iter(stream), "M", 5) == [two, b, c, a]
