@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
 from .report import (
@@ -260,7 +260,7 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
     if max_support is not None and sr.finite:
         nonzero = [v for v in sr.elements if v != sr.zero]
         count = sum(
-            len(list(combinations(range(len(inner)), k))) * len(nonzero) ** k
+            comb(len(inner), k) * len(nonzero) ** k
             for k in range(min(max_support, len(inner)) + 1)
         )
         if count <= _CASE_CAP:
@@ -385,9 +385,11 @@ def variant_closure_reports(
 
     These are preconditions for reading the sub-family as a monad and its
     arrow classes as a category; several catalog pairs fail some of them,
-    which is a finding the suite surfaces rather than hides.
+    which is a finding the suite surfaces rather than hides.  At least one
+    sample is drawn, so a sampled pass is never a pass over no cases.
     """
     sr = load_semiring(sr)
+    samples = max(1, samples)
     words = [()] + _words(sizes)
     pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"closure-{variant}")
     site = f"{sr.name}-{variant}"

@@ -27,6 +27,7 @@ from .weightmap import (
     WeightMap,
     Word,
     _enumerable,
+    _word_contains_all,
     in_variant,
     enumerate_maps,
     sample_maps,
@@ -57,29 +58,30 @@ class WRel:
     __slots__ = ("dom", "cod", "rows", "_index")
 
     def __init__(self, dom: Word, cod: Word, rows):
-        pairs = rows.items() if hasattr(rows, "items") else rows
         kept = {}
-        for x, h in pairs:
+        entry_keys = []
+        for x, h in rows.items() if hasattr(rows, "items") else rows:
             if not word_contains(dom, x):
                 raise BoundaryError(f"row key {x!r} is not an element of the domain word")
             if not isinstance(h, WeightMap):
                 raise BoundaryError(f"row {x!r} is not a WeightMap")
-            for y in h.support:
-                if not word_contains(cod, y):
-                    raise BoundaryError(f"entry key {y!r} is not an element of the codomain word")
             if len(h):
                 kept[x] = h
-        ordered = tuple(sorted(kept.items()))
+                entry_keys.extend(h._index)
+        if not _word_contains_all(cod, entry_keys):
+            bad = next(y for y in entry_keys if not word_contains(cod, y))
+            raise BoundaryError(f"entry key {bad!r} is not an element of the codomain word")
         object.__setattr__(self, "dom", tuple(dom))
         object.__setattr__(self, "cod", tuple(cod))
-        object.__setattr__(self, "rows", ordered)
-        object.__setattr__(self, "_index", dict(ordered))
+        object.__setattr__(self, "rows", tuple(sorted(kept.items())))
+        object.__setattr__(self, "_index", kept)
 
     def __setattr__(self, *_):
         raise AttributeError("WRel is immutable")
 
     def row(self, sr: Semiring, x) -> WeightMap:
-        return self._index.get(x, wm_empty(sr))
+        h = self._index.get(x)
+        return wm_empty(sr) if h is None else h
 
     def value(self, sr: Semiring, x, y):
         return self.row(sr, x).value(sr, y)
@@ -138,14 +140,20 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
         raise BoundaryError(
             f"compose mismatch: {_word_str(f.cod)} vs {_word_str(g.dom)}"
         )
+    # rows g does not store are empty and add nothing
+    g_rows = g._index
     rows = {}
     for x, frow in f.rows:
         acc: dict = {}
         for y, v in frow.entries:
-            for z, w in g.row(sr, y).entries:
+            grow = g_rows.get(y)
+            if grow is None:
+                continue
+            for z, w in grow.entries:
                 term = sr.mul(v, w)
                 acc[z] = sr.add(acc[z], term) if z in acc else term
-        rows[x] = wm_make(sr, acc)
+        if acc:
+            rows[x] = wm_make(sr, acc)
     return WRel(f.dom, g.cod, rows)
 
 
@@ -320,12 +328,7 @@ def variant_arrows(
 
 def arrow_in_variant(sr: Semiring, f: WRel, variant: str) -> bool:
     """True when every row (including implicit empty rows) is a variant member."""
-    stored = dict(f.rows)
-    for x in word_elements(f.dom):
-        h = stored.get(x, wm_empty(sr))
-        if not in_variant(sr, h, variant):
-            return False
-    return True
+    return all(in_variant(sr, f.row(sr, x), variant) for x in word_elements(f.dom))
 
 
 # ---------------------------------------------------------------------------

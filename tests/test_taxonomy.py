@@ -108,6 +108,13 @@ def test_affine_family_closed_everywhere():
             assert r.passed, (name, key, r.witness)
 
 
+def test_closure_with_zero_samples_checks_at_least_one_case():
+    zero = variant_closure_reports("Ma", NAT, samples=0)
+    assert zero == variant_closure_reports("Ma", NAT, samples=1)
+    for key, r in zero.items():
+        assert r.checks_performed > 0, (key, r.status)
+
+
 def test_known_closure_refutations():
     cases = {
         ("Mm", QPLUS): {"mu"},

@@ -68,6 +68,17 @@ def test_duplicate_keys_rejected_when_one_value_is_zero():
             wm_make(NAT, pairs)
 
 
+def test_map_keeps_no_link_to_the_callers_dict():
+    d = {(0,): 3, (1,): 0, (2,): 5}
+    original = dict(d)
+    h = wm_make(NAT, d)
+    d[(0,)] = 7
+    d[(1,)] = 2
+    del d[(2,)]
+    assert h == wm_make(NAT, original)
+    assert [h.value(NAT, (i,)) for i in range(3)] == [3, 0, 5]
+
+
 def test_immutable():
     h = wm_eta(BOOL, (0,))
     with pytest.raises(AttributeError):

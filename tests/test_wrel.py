@@ -269,6 +269,33 @@ def test_row_keys_validated():
         WRel(X, Y, {(0,): "not a map"})
 
 
+# (key, where it goes, accepted): (1.0,) equals (1,) and (True,) equals (1,),
+# yet only the bool item is an int
+KEY_CASES = [(key, "row", False) for key in [(1.0,), (7,), (0, 0), ("0",), [0]]] + [
+    (key, "entry", False) for key in [(1.0,), (7,), (0, 0), ("0",)]
+] + [((True,), "row", True), ((True,), "entry", True)]
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("key, place, accepted", KEY_CASES)
+def test_keys_are_word_elements_exactly(key, place, accepted, padded):
+    """Alone, or padded with rows whose entry keys outnumber the codomain
+    elements, a key passes exactly when it is a tuple of in-range int items."""
+    dom = (FinSet("D", 4),)
+    pad = {(i,): wm_make(NAT, {(0,): 1, (1,): 1}) for i in range(1, 4)} if padded else {}
+
+    def build(key):
+        if place == "row":
+            return WRel(dom, Y, [*pad.items(), (key, wm_eta(NAT, (0,)))])
+        return WRel(dom, Y, {**pad, (0,): wm_make(NAT, {key: 1})})
+
+    if accepted:
+        assert build(key) == build((1,))
+    else:
+        with pytest.raises(BoundaryError):
+            build(key)
+
+
 def test_empty_rows_are_dropped():
     f = WRel(X, Y, {(0,): wm_make(NAT, {})})
     assert f.rows == ()
