@@ -24,7 +24,7 @@ Sub-family membership (wm_classify):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import islice, product
 
 from .report import derive_rng
 from .semiring import Semiring, mul_inverse
@@ -91,33 +91,6 @@ def word_contains(word: Word, key) -> bool:
         return False
     for i, s in zip(key, word):
         if not (isinstance(i, int) and 0 <= i < s.size):
-            return False
-    return True
-
-
-# A key of a word and its items have these types; see _word_contains_all.
-_KEY_TYPES = frozenset((tuple, int, bool))
-
-
-def _word_contains_all(word: Word, keys: list) -> bool:
-    """Whether word_contains(word, k) holds for every key; keys are hashable.
-
-    With at least twice as many keys as the word has elements, one C-level
-    subset test against its element set costs less than testing the keys
-    one by one, and the set is never larger than the key list.  Membership
-    alone is not word_contains, since (1.0,) equals and hashes like (1,), so
-    the keys and their items must also have types in _KEY_TYPES: a key
-    equal to an element cannot be an int, nor one of its items a tuple.
-    What the set test cannot settle goes to word_contains key by key.
-    """
-    if (
-        2 * word_size(word) <= len(keys)
-        and set(word_elements(word)).issuperset(keys)
-        and _KEY_TYPES.issuperset(map(type, chain(keys, chain.from_iterable(keys))))
-    ):
-        return True
-    for k in keys:
-        if not word_contains(word, k):
             return False
     return True
 

@@ -27,7 +27,6 @@ from .weightmap import (
     WeightMap,
     Word,
     _enumerable,
-    _word_contains_all,
     in_variant,
     enumerate_maps,
     sample_maps,
@@ -59,18 +58,16 @@ class WRel:
 
     def __init__(self, dom: Word, cod: Word, rows):
         kept = {}
-        entry_keys = []
         for x, h in rows.items() if hasattr(rows, "items") else rows:
             if not word_contains(dom, x):
                 raise BoundaryError(f"row key {x!r} is not an element of the domain word")
             if not isinstance(h, WeightMap):
                 raise BoundaryError(f"row {x!r} is not a WeightMap")
+            for y, _ in h.entries:
+                if not word_contains(cod, y):
+                    raise BoundaryError(f"entry key {y!r} is not an element of the codomain word")
             if len(h):
                 kept[x] = h
-                entry_keys.extend(h._index)
-        if not _word_contains_all(cod, entry_keys):
-            bad = next(y for y in entry_keys if not word_contains(cod, y))
-            raise BoundaryError(f"entry key {bad!r} is not an element of the codomain word")
         object.__setattr__(self, "dom", tuple(dom))
         object.__setattr__(self, "cod", tuple(cod))
         object.__setattr__(self, "rows", tuple(sorted(kept.items())))
