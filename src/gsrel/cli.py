@@ -11,9 +11,8 @@ Exit codes: 0 pass, 1 refutation / oracle disagreement / term inequality,
 2 usage or file-format errors.  Structured output is deterministic under a
 fixed seed, so the suite doubles as a CI gate and its reports diff cleanly.
 
-SPEC is a catalog name (see check-semiring --list) or a path to a JSON
-table file.  GSREL_BUDGET and GSREL_SEED override the built-in defaults;
-explicit flags override both.
+SPEC is a catalog name (listed by `gsrel check-semiring --help`) or a path
+to a JSON table file.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .diagram import (
     DiagramError,
@@ -57,26 +55,6 @@ class UsageError(ValueError):
     """Bad configuration or malformed input file; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    sizes: tuple = (0, 1, 2)
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    samples: int | None = None
-    fmt: str = "human"
-    out: str | None = None
-
-
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def _parse_sizes(raw: str) -> tuple:
     try:
         sizes = tuple(int(part) for part in raw.split(",") if part.strip() != "")
@@ -87,22 +65,14 @@ def _parse_sizes(raw: str) -> tuple:
     return sizes
 
 
-def _config(args) -> RunConfig:
-    budget = args.budget if args.budget is not None else _env_int("GSREL_BUDGET")
-    seed = args.seed if args.seed is not None else _env_int("GSREL_SEED")
-    cfg = RunConfig(
-        sizes=_parse_sizes(args.sizes) if getattr(args, "sizes", None) else (0, 1, 2),
-        budget=budget if budget is not None else DEFAULT_BUDGET,
-        seed=seed if seed is not None else 0,
-        samples=getattr(args, "samples", None),
-        fmt=args.format,
-        out=args.out,
-    )
-    if cfg.budget <= 0:
-        raise UsageError("--budget must be positive")
-    if cfg.samples is not None and cfg.samples <= 0:
-        raise UsageError("--samples must be positive")
-    return cfg
+def _check_options(args) -> None:
+    """Parse --sizes in place and reject a nonpositive --budget or --samples."""
+    if "sizes" in vars(args):
+        args.sizes = _parse_sizes(args.sizes) if args.sizes else (0, 1, 2)
+    for name in ("budget", "samples"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0:
+            raise UsageError(f"--{name} must be positive")
 
 
 def _load_semiring_arg(spec: str):
@@ -143,14 +113,14 @@ def _read_json(path: str):
         raise UsageError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
 
 
-def _suite_kwargs(cfg: RunConfig, variants) -> dict:
+def _suite_kwargs(args, variants) -> dict:
     """Keyword arguments shared by the law suites, once the variants check out."""
     for v in variants:
         if v not in VARIANTS:
             raise UsageError(f"--variant must be one of {', '.join(VARIANTS)}; got {v!r}")
-    kwargs = {"sizes": cfg.sizes, "budget": cfg.budget, "seed": cfg.seed}
-    if cfg.samples is not None:
-        kwargs["samples"] = cfg.samples
+    kwargs = {"sizes": args.sizes, "budget": args.budget, "seed": args.seed}
+    if args.samples is not None:
+        kwargs["samples"] = args.samples
     return kwargs
 
 
@@ -159,12 +129,11 @@ def _suite_kwargs(cfg: RunConfig, variants) -> dict:
 
 
 def cmd_check_semiring(args) -> int:
-    cfg = _config(args)
     sr = _load_semiring_arg(args.semiring)
-    reports = check_semiring_laws(sr, budget=cfg.budget, seed=cfg.seed)
-    profile = classify_semiring(sr, seed=cfg.seed)
+    reports = check_semiring_laws(sr, budget=args.budget, seed=args.seed)
+    profile = classify_semiring(sr, seed=args.seed)
     flags = profile.flags()
-    if cfg.fmt == "structured":
+    if args.format == "structured":
         doc = {
             "semiring": sr.name,
             "laws": [
@@ -185,7 +154,7 @@ def cmd_check_semiring(args) -> int:
                 for name, value in flags.items()
             },
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [f"semiring: {sr.name}"]
         for r in reports:
@@ -197,19 +166,18 @@ def cmd_check_semiring(args) -> int:
             if rep.witness is not None:
                 extra = f"  witness: {_json_safe(rep.witness)}"
             lines.append(f"  {name}: {str(value).lower()} [{rep.status}]{extra}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_classify(args) -> int:
-    cfg = _config(args)
     sr = _load_semiring_arg(args.semiring)
     variant = args.variant
-    kwargs = _suite_kwargs(cfg, [variant])
+    kwargs = _suite_kwargs(args, [variant])
     mc = classify_monad(variant, sr, ops=args.ops, **kwargs)
     kc = classify_kleisli(variant, sr, **kwargs)
     disagreements = [f for f, fv in mc.flags.items() if not fv.consistent]
-    if cfg.fmt == "structured":
+    if args.format == "structured":
         doc = {
             "semiring": sr.name,
             "variant": variant,
@@ -237,7 +205,7 @@ def cmd_classify(args) -> int:
             },
             "oracle_disagreements": disagreements,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [f"semiring: {sr.name}", f"variant: {variant}", "monad flags:"]
         for name, fv in mc.flags.items():
@@ -261,7 +229,7 @@ def cmd_classify(args) -> int:
                 lines.append(f"    witness: {_json_safe(rep.witness)}")
         if disagreements:
             lines.append(f"oracle disagreements: {', '.join(disagreements)}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 1 if disagreements else 0
 
 
@@ -283,18 +251,17 @@ def _select_term(terms: dict, path: str, requested: str | None):
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args)
     terms = parse_term_file(_read_text(args.termfile))
     interp = load_interpretation(_read_json(args.interp))
     term = _select_term(terms, args.termfile, args.term)
     arrow = evaluate_term(term, interp)
-    if cfg.fmt == "structured":
+    if args.format == "structured":
         doc = {
             "term": print_term(term),
             "semiring": interp.semiring.name,
             "arrow": wrel_to_doc(interp.semiring, arrow),
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         sr = interp.semiring
         lines = [f"term: {print_term(term)}"]
@@ -307,7 +274,7 @@ def cmd_eval(args) -> int:
                 lines.append(
                     f"  {_key_str(dom, x)} -> {_key_str(cod, y)} : {sr.label(v)}"
                 )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -316,14 +283,13 @@ def _key_str(word, key) -> str:
 
 
 def cmd_eq(args) -> int:
-    cfg = _config(args)
     left_terms = parse_term_file(_read_text(args.left))
     right_terms = parse_term_file(_read_text(args.right))
     interp = load_interpretation(_read_json(args.interp))
     t1 = _select_term(left_terms, args.left, args.left_term)
     t2 = _select_term(right_terms, args.right, args.right_term)
     report = check_term_equality(t1, t2, interp, law="cmd/eq")
-    if cfg.fmt == "structured":
+    if args.format == "structured":
         doc = {
             "left": print_term(t1),
             "right": print_term(t2),
@@ -332,7 +298,7 @@ def cmd_eq(args) -> int:
             "witness": _json_safe(report.witness),
             "checks_performed": report.checks_performed,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [f"left:  {print_term(t1)}", f"right: {print_term(t2)}"]
         if report.passed:
@@ -343,23 +309,20 @@ def cmd_eq(args) -> int:
                 f"NOT EQUAL at row {w['row']}, column {w['col']}: "
                 f"left={w['left']} right={w['right']}"
             )
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if report.passed else 1
 
 
 def cmd_taxonomy(args) -> int:
-    cfg = _config(args)
     semirings = args.semiring if args.semiring else list(CATALOG)
     loaded = [_load_semiring_arg(s) for s in semirings]
     variants = args.variant if args.variant else list(VARIANTS)
-    kwargs = _suite_kwargs(cfg, variants)
-    entries = run_theorem_suite(
-        loaded, variants, ops=args.ops, include_monad_laws=True, **kwargs
-    )
-    if cfg.fmt == "structured":
-        _emit(entries_to_jsonl(entries), cfg.out)
+    kwargs = _suite_kwargs(args, variants)
+    entries = run_theorem_suite(loaded, variants, ops=args.ops, **kwargs)
+    if args.format == "structured":
+        _emit(entries_to_jsonl(entries), args.out)
     else:
-        _emit(entries_to_table(entries), cfg.out)
+        _emit(entries_to_table(entries), args.out)
     return 1 if suite_failures(entries) else 0
 
 
@@ -367,12 +330,12 @@ def cmd_taxonomy(args) -> int:
 # parser
 
 
-def _add_common(p, sizes=True, samples=True):
-    p.add_argument("--budget", type=int, default=None, help="max checks per law")
-    p.add_argument("--seed", type=int, default=None, help="base seed for sampled checks")
+def _add_common(p, laws=True, sizes=True):
+    if laws:
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max checks per law")
+        p.add_argument("--seed", type=int, default=0, help="base seed for sampled checks")
     if sizes:
         p.add_argument("--sizes", default=None, help="comma-separated set sizes, default 0,1,2")
-    if samples:
         p.add_argument("--samples", type=int, default=None, help="sampled cases per law")
     p.add_argument(
         "--format", choices=("human", "structured"), default="human", help="output format"
@@ -389,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-semiring", help="check semiring axioms and derived flags")
     p.add_argument("semiring", help=f"catalog name ({', '.join(CATALOG)}) or JSON table path")
-    _add_common(p, sizes=False, samples=False)
+    _add_common(p, sizes=False)
     p.set_defaults(func=cmd_check_semiring)
 
     p = sub.add_parser("classify", help="dual-oracle classification of a variant over a semiring")
@@ -402,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("termfile", help="diagram term file")
     p.add_argument("interp", help="interpretation JSON file")
     p.add_argument("--term", default=None, help="binding to evaluate (default: main)")
-    _add_common(p, sizes=False, samples=False)
+    _add_common(p, laws=False, sizes=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("eq", help="decide equality of two diagram term files")
@@ -411,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("interp", help="interpretation JSON file")
     p.add_argument("--left-term", default=None, help="binding in the first file")
     p.add_argument("--right-term", default=None, help="binding in the second file")
-    _add_common(p, sizes=False, samples=False)
+    _add_common(p, laws=False, sizes=False)
     p.set_defaults(func=cmd_eq)
 
     p = sub.add_parser("taxonomy", help="run the full law suite over the catalog")
@@ -434,6 +397,7 @@ def main(argv=None, _ops_override=None) -> int:
     args = parser.parse_args(argv)
     args.ops = _ops_override or DEFAULT_OPS
     try:
+        _check_options(args)
         return args.func(args)
     except (UsageError, DiagramError, WRelFormatError, BoundaryError, WeightMapError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -47,7 +47,7 @@ def check_cases(
     law: str,
     cases: Iterable,
     holds: Callable[[object], bool],
-    describe: Callable[[object], object] | None = None,
+    describe: Callable[[object], object],
     exhaustive: bool = True,
 ) -> LawReport:
     """Evaluate `holds` over `cases`, stopping at the first violation."""
@@ -55,14 +55,8 @@ def check_cases(
     for case in cases:
         n += 1
         if not holds(case):
-            witness = describe(case) if describe is not None else _default_witness(case)
-            return LawReport(law, COUNTEREXAMPLE, n, witness)
+            return LawReport(law, COUNTEREXAMPLE, n, describe(case))
     return LawReport(law, EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS, n)
-
-
-def _default_witness(case) -> list:
-    items = case if isinstance(case, tuple) else (case,)
-    return [repr(x) for x in items]
 
 
 def derive_rng(seed: int, *tags) -> random.Random:

@@ -1,7 +1,9 @@
 """Law suites over the weighted monad and its Kleisli arrows.
 
 Three layers:
-  check_monad_laws   the monad and lax-monoidal axioms plus sub-family closure
+  check_monad_laws   the monad and lax-monoidal axioms; sub-family closure
+                     comes from variant_closure_reports, which
+                     classify_monad runs
   classify_monad     functor-class flags, each decided by two oracles: a
                      pointwise scalar criterion and the literal commuting
                      diagram evaluated with psi and pushforwards
@@ -480,14 +482,14 @@ def check_monad_laws(
     seed: int = 0,
     samples: int = 160,
     ops: MonadOps = DEFAULT_OPS,
-    include_closure: bool = True,
 ) -> list[LawReport]:
     """Monad and lax symmetric monoidal axioms for the variant over sr.
 
     Small finite carriers are exhausted (triple nestings bounded to outer
     support three); infinite carriers run `samples` seeded checks per law.
     All structure is evaluated through `ops` so a planted broken operation
-    is caught by the corresponding law.
+    is caught by the corresponding law.  Sub-family closure does not go
+    through `ops`; its rows come from variant_closure_reports.
     """
     sr = load_semiring(sr)
     words = _words(sizes) or [(FinSet("X", 1),)]
@@ -719,14 +721,10 @@ def check_monad_laws(
             mdescribe,
         ),
     ]
-    reports = [
+    return [
         check_cases(law, cases, holds, describe, exhaustive=full)
         for law, cases, full, holds, describe in specs
     ]
-    if include_closure:
-        closure = variant_closure_reports(variant, sr, sizes, seed, samples)
-        reports.extend(closure[law] for law in ("eta", "psi", "mu", "pushforward"))
-    return reports
 
 
 def _collision_pair(sr, variant, pool):
@@ -1401,7 +1399,6 @@ def run_theorem_suite(
     seed: int = 0,
     samples: int = 24,
     ops: MonadOps = DEFAULT_OPS,
-    include_monad_laws: bool = False,
 ) -> list[SuiteEntry]:
     """Instance-level consistency of the classifications, per pair.
 
@@ -1409,8 +1406,8 @@ def run_theorem_suite(
     implementation bug or a genuine refutation.  Claims whose hypotheses
     fail at a pair (sub-family closure, ambient domain category) are
     emitted under the gated/ prefix with the observed values instead.
-    include_monad_laws folds the check_monad_laws rows in per pair, which
-    is what routes an injected broken operation into a blocking entry.
+    The check_monad_laws rows of each pair are folded in, which is what
+    routes an injected broken operation into a blocking entry.
     """
     entries: list[SuiteEntry] = []
     size_list = _sizes(sizes)
@@ -1429,18 +1426,10 @@ def run_theorem_suite(
                 variant, sr, sizes=size_list, budget=budget, seed=seed, samples=samples
             )
             per_variant[variant] = (mc, kc)
-            if include_monad_laws:
-                for report in check_monad_laws(
-                    variant,
-                    sr,
-                    sizes=size_list,
-                    budget=budget,
-                    seed=seed,
-                    samples=samples,
-                    ops=ops,
-                    include_closure=False,
-                ):
-                    entries.append(_entry(report, variant, sr.name))
+            monad = check_monad_laws(
+                variant, sr, sizes=size_list, budget=budget, seed=seed, samples=samples, ops=ops
+            )
+            entries.extend(_entry(report, variant, sr.name) for report in monad)
             entries.extend(_pair_entries(sr, variant, size_list, seed, samples, mc, kc))
 
         if profile.distributive_lattice and "M" in per_variant and "Md" in per_variant:

@@ -26,7 +26,6 @@ from gsrel import (
     load_semiring,
     parse_term,
     print_term,
-    run_theorem_suite,
     sample_arrows,
     suite_failures,
     wm_classify,
@@ -90,12 +89,11 @@ def test_c2_monad_laws_exhaustive_and_sampled():
     details = []
     for name in ("bool", "gf(2)"):
         reps = check_monad_laws("M", load_semiring(name))
-        monad = [r for r in reps if r.law.startswith("monad/")]
-        good = all(r.status == "exhaustive_pass" for r in monad)
-        ok = ok and good and len(monad) == 12
-        details.append(f"{name} exhaustive x{len(monad)}")
+        good = all(r.law.startswith("monad/") and r.status == "exhaustive_pass" for r in reps)
+        ok = ok and good and len(reps) == 12
+        details.append(f"{name} exhaustive x{len(reps)}")
     for name in ("nat", "q+"):
-        reps = check_monad_laws("M", load_semiring(name), samples=520, include_closure=False)
+        reps = check_monad_laws("M", load_semiring(name), samples=520)
         good = all(
             r.passed and (r.checks_performed >= 500 or r.status == "exhaustive_pass")
             for r in reps
@@ -159,8 +157,8 @@ def test_c5_markov_and_restriction_instances():
     verdict(5, "(Ma, bool) markov and (Mr, bool) restriction, exhaustive", ok)
 
 
-def test_c6_dual_oracle_consistency_across_catalog():
-    entries = run_theorem_suite()
+def test_c6_dual_oracle_consistency_across_catalog(catalog_suite):
+    entries = catalog_suite
     blocking = suite_failures(entries)
     agreement = [e for e in entries if e.law.startswith(("oracle/", "theorem/"))]
     agreement_bad = [e for e in agreement if e.status == "counterexample"]
@@ -223,7 +221,7 @@ def test_c8_weakly_affine_instance():
     )
 
 
-def test_c9_distributive_lattice_coincidence():
+def test_c9_distributive_lattice_coincidence(catalog_suite):
     X = (FinSet("X", 2),)
     Y = (FinSet("Y", 2),)
     ok = True
@@ -242,9 +240,9 @@ def test_c9_distributive_lattice_coincidence():
         km = classify_kleisli("M", sr)
         kd = classify_kleisli("Md", sr)
         ok = ok and km.flag_values() == kd.flag_values()
-    entries = run_theorem_suite(semirings=("bool", "fuzzy-max-min"), variants=("M", "Md"))
-    rows = [e for e in entries if e.law == "coincidence/m-equals-md"]
-    ok = ok and len(rows) == 2 and all(r.status != "counterexample" for r in rows)
+    rows = [e for e in catalog_suite if e.law == "coincidence/m-equals-md"]
+    ok = ok and {r.semiring for r in rows} == {"bool", "fuzzy-max-min"} and len(rows) == 2
+    ok = ok and all(r.status != "counterexample" for r in rows)
     verdict(9, "M and Md coincide over distributive lattices", ok)
 
 

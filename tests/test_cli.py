@@ -1,10 +1,18 @@
-"""CLI surface: exit codes, output formats, env overrides, determinism."""
+"""CLI surface: exit codes, output formats, determinism."""
 import hashlib
 import json
 
 import pytest
 
-from gsrel import MonadOps, wm_eta, wm_psi, wm_pushforward, wm_make
+from gsrel import (
+    MonadOps,
+    entries_to_jsonl,
+    run_theorem_suite,
+    wm_eta,
+    wm_make,
+    wm_psi,
+    wm_pushforward,
+)
 from gsrel.cli import main
 
 BROKEN_TABLE = {
@@ -286,29 +294,19 @@ def test_taxonomy_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
 
 
+def test_api_suite_matches_cli_golden_digest():
+    # the library suite and `gsrel taxonomy` emit the same rows
+    entries = run_theorem_suite(["nat", "gf(2)"], sizes=(0, 1), seed=11)
+    assert hashlib.sha256(entries_to_jsonl(entries).encode()).hexdigest() == GOLDEN_SHA256
+
+
 # shared option handling
 
 
-def test_env_overrides_and_flag_precedence(files, tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    monkeypatch.setenv("GSREL_SEED", "3")
-    code = run(
-        ["taxonomy", "--semiring", "gf(2)", "--seed", "7", "--format", "structured", "--out", a]
-    )
-    assert code == 0
-    monkeypatch.delenv("GSREL_SEED")
-    code = run(
-        ["taxonomy", "--semiring", "gf(2)", "--seed", "7", "--format", "structured", "--out", b]
-    )
-    assert code == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_env_bad_budget_exits_2(files, capsys, monkeypatch):
+def test_eval_and_eq_read_no_environment(files, monkeypatch):
     monkeypatch.setenv("GSREL_BUDGET", "lots")
-    assert run(["check-semiring", "bool"]) == 2
-    assert "GSREL_BUDGET" in capsys.readouterr().err
+    assert run(["eval", files / "f.gsd", files / "interp_bool.json"]) == 0
+    assert run(["eq", files / "domf.gsd", files / "f.gsd", files / "interp_bool.json"]) == 0
 
 
 def test_bad_sizes_exit_2(files):

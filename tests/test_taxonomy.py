@@ -1,8 +1,12 @@
 """Classification oracles, law suite wiring, and the planted-bug check."""
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from gsrel import (
     CATALOG,
+    DEFAULT_OPS,
     MONAD_FLAGS,
     VARIANTS,
     MonadOps,
@@ -53,7 +57,10 @@ def broken_ops():
 
 
 def test_monad_laws_bool_all_exhaustive():
-    reports = check_monad_laws("M", BOOL)
+    closure = variant_closure_reports("M", BOOL, sizes=(1, 2), samples=160)
+    reports = check_monad_laws("M", BOOL) + [
+        closure[name] for name in ("eta", "psi", "mu", "pushforward")
+    ]
     laws = [r.law for r in reports]
     assert laws == [
         "monad/mu-unit-left", "monad/mu-unit-right", "monad/mu-assoc",
@@ -68,7 +75,7 @@ def test_monad_laws_bool_all_exhaustive():
 
 def test_monad_laws_infinite_carriers_sampled_green():
     for sr in (NAT, QPLUS):
-        for r in check_monad_laws("M", sr, include_closure=False):
+        for r in check_monad_laws("M", sr):
             assert r.passed, (sr.name, r.law, r.witness)
 
 
@@ -79,7 +86,7 @@ def test_planted_mu_bug_is_invisible_over_bool():
 
 
 def test_planted_mu_bug_caught_over_nat():
-    reports = {r.law: r for r in check_monad_laws("M", NAT, ops=broken_ops(), include_closure=False)}
+    reports = {r.law: r for r in check_monad_laws("M", NAT, ops=broken_ops())}
     failing = {law for law, r in reports.items() if not r.passed}
     assert "monad/mu-unit-right" in failing
     assert "monad/commutative-2" in failing
@@ -95,6 +102,47 @@ def test_mu_unit_right_failure_is_real():
     H = wm_make(NAT, {h1: 1, h2: 3})
     assert wm_mu(NAT, H).value(NAT, (0,)) == 1 + 3 * 2
     assert mu_drop_outer(NAT, H).value(NAT, (0,)) == 1 + 2
+
+
+# kill matrix: one planted fault per MonadOps field, with the least number
+# of failing monad/* rows on each carrier at seed 11.  A zero is correct
+# behaviour where the fault is invisible (v*w*w = v*w when mul is
+# idempotent); keep-first on fuzzy-max-min is wrong, yet no law sees it.
+
+KILL_CARRIERS = ("bool", "gf(2)", "nat", "nonneg-rational", "fuzzy-max-min")
+
+
+def psi_squares_right(sr, h, k):
+    return wm_psi(sr, h, wm_make(sr, {y: sr.mul(w, w) for y, w in k.entries}))
+
+
+def push_keep_first(sr, f, h):
+    out = {}
+    for k, v in h.entries:
+        out.setdefault(f(k), v)
+    return wm_make(sr, out)
+
+
+def eta_two(sr, key):
+    return wm_make(sr, {key: sr.add(sr.one, sr.one)})
+
+
+@pytest.mark.parametrize(
+    "field, fault, least_failing",
+    [
+        ("mu", mu_drop_outer, (0, 0, 2, 2, 1)),
+        ("psi", psi_squares_right, (0, 0, 5, 5, 0)),
+        ("pushforward", push_keep_first, (0, 2, 1, 1, 0)),
+        ("eta", eta_two, (0, 2, 3, 3, 0)),
+    ],
+    ids=["mu-drops-outer", "psi-squares-right", "pushforward-keeps-first", "eta-two"],
+)
+def test_kill_matrix(field, fault, least_failing):
+    ops = replace(DEFAULT_OPS, **{field: fault})
+    for name, least in zip(KILL_CARRIERS, least_failing):
+        reports = check_monad_laws("M", load_semiring(name), seed=11, ops=ops)
+        failing = [r.law for r in reports if not r.passed]
+        assert len(failing) >= least, (name, failing)
 
 
 # closure of the sub-families
@@ -273,47 +321,45 @@ EXPECTED_INFORMATIONAL = {
 }
 
 
-def test_full_suite_zero_blocking_and_expected_findings():
-    entries = run_theorem_suite()
-    assert suite_failures(entries) == []
+def test_full_suite_zero_blocking_and_expected_findings(catalog_suite):
+    assert suite_failures(catalog_suite) == []
     found = {
         (e.law, e.variant, e.semiring)
-        for e in entries
+        for e in catalog_suite
         if e.status == "counterexample"
     }
     assert found == EXPECTED_INFORMATIONAL
 
 
 def test_suite_with_planted_bug_fails():
-    entries = run_theorem_suite(
-        semirings=("nat",), variants=("M",), include_monad_laws=True, ops=broken_ops()
-    )
+    entries = run_theorem_suite(semirings=("nat",), variants=("M",), ops=broken_ops())
     bad = suite_failures(entries)
     assert bad
     assert any(e.law == "monad/commutative-2" for e in bad)
     # bool alone cannot see this bug
-    entries = run_theorem_suite(
-        semirings=("bool",), variants=("M",), include_monad_laws=True, ops=broken_ops()
-    )
+    entries = run_theorem_suite(semirings=("bool",), variants=("M",), ops=broken_ops())
     assert suite_failures(entries) == []
 
 
-def test_suite_gated_rows_never_block():
-    entries = run_theorem_suite(semirings=("nat", "gf(2)"), variants=("M", "Mi"))
-    for e in entries:
+def test_suite_gated_rows_never_block(catalog_suite):
+    for e in catalog_suite:
         if e.law.startswith(("gated/", "closure/")):
             assert not e.blocking
 
 
-def test_gating_witness_names_failed_preconditions():
-    entries = run_theorem_suite(semirings=("nat",), variants=("Mi",))
-    row = next(e for e in entries if e.law == "gated/oracle-affine-agreement")
+def test_gating_witness_names_failed_preconditions(catalog_suite):
+    row = next(
+        e
+        for e in catalog_suite
+        if (e.law, e.variant, e.semiring) == ("gated/oracle-affine-agreement", "Mi", "nat")
+    )
     assert "pushforward" in str(row.witness)
 
 
-def test_jsonl_is_deterministic():
+def test_jsonl_is_deterministic(catalog_suite):
+    # a second, restricted run gives the catalog run's bytes for its rows
     a = entries_to_jsonl(run_theorem_suite(semirings=("bool", "gf(2)")))
-    b = entries_to_jsonl(run_theorem_suite(semirings=("bool", "gf(2)")))
+    b = entries_to_jsonl([e for e in catalog_suite if e.semiring in ("bool", "gf(2)")])
     assert a == b
     assert a.endswith("\n")
     import json
@@ -322,8 +368,8 @@ def test_jsonl_is_deterministic():
     assert list(first) == ["law", "variant", "semiring", "status", "witness", "checks_performed"]
 
 
-def test_table_rendering_marks_failures():
-    entries = run_theorem_suite(semirings=("nat",), variants=("M", "Mi"))
+def test_table_rendering_marks_failures(catalog_suite):
+    entries = [e for e in catalog_suite if e.semiring == "nat" and e.variant in ("-", "M", "Mi")]
     text = entries_to_table(entries)
     assert "closure/mu" in text
     assert "INFO" in text
