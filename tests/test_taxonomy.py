@@ -1,4 +1,6 @@
 """Classification oracles, law suite wiring, and the planted-bug check."""
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -108,8 +110,50 @@ def test_mu_unit_right_failure_is_real():
 # of failing monad/* rows on each carrier at seed 11.  A zero is correct
 # behaviour where the fault is invisible (v*w*w = v*w when mul is
 # idempotent); keep-first on fuzzy-max-min is wrong, yet no law sees it.
+# KILL_DIGESTS pins all 12 rows per carrier, so a change to which cases run
+# or how a law is evaluated cannot move which rows a fault breaks or the
+# witness they show: the sha256 of the canonical JSON of each row's
+# (law, status, checks_performed, witness), in carrier order.
 
 KILL_CARRIERS = ("bool", "gf(2)", "nat", "nonneg-rational", "fuzzy-max-min")
+
+_ALL_PASS = "59bf61e49c173c6357458598dbb62614dea3372fdd34bde8df465e5077e73b82"
+KILL_DIGESTS = {
+    "mu": (
+        _ALL_PASS,
+        _ALL_PASS,
+        "5fc8b26052d9007562c03ea92462efe8504bf7bc8baf1fa91f38dbc7ec01c745",
+        "6fd2f9a8592387ffe9cd1430bf009d42520ae4530d9b4e9a6b62f2ee659039fb",
+        "eb4134d7ac1f4123b4c9f046fe62cbf561a35d8001ab942f795857fb1f2221db",
+    ),
+    "psi": (
+        _ALL_PASS,
+        _ALL_PASS,
+        "6b785c8d8fc775ebf3b9f80c0872db8b20115f41bdd23ba07e3e8764773a8c3a",
+        "befdde540b544bb5c106d7e62b4becf19273479e780b9754f6b072814be834d4",
+        "da17e45ef6fe3ce4523e1c89776466afa01cb465a39793faa3df1a54e678bb85",
+    ),
+    "pushforward": (
+        _ALL_PASS,
+        "352a86584f7a1dc55eb0672e1bb3da924f90649d4dd792168d51c25600d904c4",
+        "73c728641133914db15ebf84bc2e86be4b6ed524eba340b06543813e6081ecae",
+        "73c728641133914db15ebf84bc2e86be4b6ed524eba340b06543813e6081ecae",
+        "da17e45ef6fe3ce4523e1c89776466afa01cb465a39793faa3df1a54e678bb85",
+    ),
+    "eta": (
+        _ALL_PASS,
+        "f940b708cd304ef9b3a0879c4eb11a3a4e9a50f43e1eb8738d3d8118c3513d71",
+        "da5ab605b52e150deb2405f50146fd6329bd7beae0f790865515ae35b5316790",
+        "fe3c6833d38067d3b1f24053496344819f8de22473bc7ba2dd5074125d6793a0",
+        "da17e45ef6fe3ce4523e1c89776466afa01cb465a39793faa3df1a54e678bb85",
+    ),
+}
+
+
+def _rows_digest(reports):
+    rows = [[r.law, r.status, r.checks_performed, r.witness] for r in reports]
+    doc = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
 def psi_squares_right(sr, h, k):
@@ -139,10 +183,12 @@ def eta_two(sr, key):
 )
 def test_kill_matrix(field, fault, least_failing):
     ops = replace(DEFAULT_OPS, **{field: fault})
-    for name, least in zip(KILL_CARRIERS, least_failing):
+    for name, least, digest in zip(KILL_CARRIERS, least_failing, KILL_DIGESTS[field]):
         reports = check_monad_laws("M", load_semiring(name), seed=11, ops=ops)
         failing = [r.law for r in reports if not r.passed]
         assert len(failing) >= least, (name, failing)
+        assert len(reports) == 12, (name, [r.law for r in reports])
+        assert _rows_digest(reports) == digest, (name, [r.brief() for r in reports])
 
 
 # closure of the sub-families
