@@ -480,7 +480,7 @@ def load_interpretation(doc: Mapping) -> Interpretation:
         raise InterpFormatError(str(e)) from None
     sorts = {}
     for name, spec in doc["sorts"].items():
-        if isinstance(spec, int):
+        if type(spec) is int:
             spec = {"size": spec}
         if not isinstance(spec, Mapping):
             raise InterpFormatError(f"bad sort spec for {name!r}: {spec!r}")

@@ -125,6 +125,8 @@ class MonadOps:
     """Injectable monad operations; the law suite evaluates through these.
 
     Tests plant broken operations here to confirm the suite catches them.
+    Each operation must be a pure, deterministic function of its arguments:
+    a suite call may evaluate a shared sub-term once and reuse the result.
     """
 
     eta: Callable
@@ -302,6 +304,23 @@ def _nested_stream(sr, inner, rng, n, max_support):
         k = rng.randint(1, max(1, min(bound, 3)))
         support = rng.sample(inner, min(k, len(inner)))
         yield WeightMap(sr, {g: rng.choice(weights + vals) for g in support})
+
+
+def _memo(op):
+    """op(sr, *args), evaluated once per distinct args.
+
+    The dict lives only as long as the returned function, which a law suite
+    builds inside one call over one semiring; so sr is not part of the key.
+    Keys are maps, arrows and _TableFns, which outlive the call's cases.
+    """
+    seen = {}
+
+    def call(sr, *args):
+        if args not in seen:
+            seen[args] = op(sr, *args)
+        return seen[args]
+
+    return call
 
 
 def _dedup_values(values, sr):
@@ -490,6 +509,10 @@ def check_monad_laws(
     All structure is evaluated through `ops` so a planted broken operation
     is caught by the corresponding law.  Sub-family closure does not go
     through `ops`; its rows come from variant_closure_reports.
+
+    psi-natural evaluates each distinct f_*h, g_*k and psi(h, k) once per
+    call and reuses it across its cases; the pushforward along f x g, whose
+    arguments differ in every case, and every other law evaluate afresh.
     """
     sr = load_semiring(sr)
     words = _words(sizes) or [(FinSet("X", 1),)]
@@ -509,6 +532,10 @@ def check_monad_laws(
     site = f"{sr.name}-{variant}"
     name = _word_name
     fn_pairs = [(u, v, fn) for u in words for v in words for fn in _functions(u, v)]
+    # psi-natural's cases share a few hundred f_*h, g_*k and psi(h, k); the
+    # keys are pool maps and the _TableFns of fn_pairs, never a per-case lambda
+    push = _memo(ops.pushforward)
+    psi = _memo(ops.psi)
 
     def per_word(tag):
         groups = [([pools[w]], exhaustive, f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
@@ -609,8 +636,8 @@ def check_monad_laws(
                 samples,
                 seed,
             ),
-            lambda c: ops.psi(sr, ops.pushforward(sr, c[1], c[3]), ops.pushforward(sr, c[2], c[4]))
-            == ops.pushforward(sr, c[5], ops.psi(sr, c[3], c[4])),
+            lambda c: psi(sr, push(sr, c[1], c[3]), push(sr, c[2], c[4]))
+            == ops.pushforward(sr, c[5], psi(sr, c[3], c[4])),
             lambda c: {
                 "word": name(c[0]),
                 "left_fn": c[1].describe(),
@@ -1172,6 +1199,7 @@ def crosscheck_dom_paths(
     grid, exhaustive = _arrow_grid(
         sr, variant, _sizes(sizes), seed, samples, "domx-{variant}-{ds}x{cs}"
     )
+    dom = _memo(wrel_dom)
     closed, monad_path = _arrow_laws(
         sr,
         [f for pool in grid.values() for f in pool],
@@ -1179,12 +1207,12 @@ def crosscheck_dom_paths(
         [
             (
                 "crosscheck/dom-closed-form",
-                lambda f: wrel_eq(wrel_dom(sr, f), wrel_dom_closed(sr, f)),
+                lambda f: wrel_eq(dom(sr, f), wrel_dom_closed(sr, f)),
             ),
             (
                 "crosscheck/dom-monad-path",
                 lambda f: wrel_eq(
-                    wrel_compose(sr, wrel_dom(sr, f), f), wrel_dom_via_kleisli_path(sr, f)
+                    wrel_compose(sr, dom(sr, f), f), wrel_dom_via_kleisli_path(sr, f)
                 ),
             ),
         ],
@@ -1203,6 +1231,7 @@ def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
         max(4, samples // max(1, len(size_list) ** 2)),
         "structural-{variant}-{ds}x{cs}",
     )
+    dom = _memo(wrel_dom)
     return _arrow_laws(
         sr,
         [f for pool in grid.values() for f in pool],
@@ -1210,12 +1239,12 @@ def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
         [
             (
                 "structural/dom-after-discharge",
-                lambda f: wrel_eq(wrel_dom(sr, wrel_mass(sr, f)), wrel_dom(sr, f)),
+                lambda f: wrel_eq(wrel_dom(sr, wrel_mass(sr, f)), dom(sr, f)),
             ),
             (
                 "structural/dom-after-copy",
                 lambda f: wrel_eq(
-                    wrel_dom(sr, wrel_compose(sr, f, wrel_copy(sr, f.cod))), wrel_dom(sr, f)
+                    wrel_dom(sr, wrel_compose(sr, f, wrel_copy(sr, f.cod))), dom(sr, f)
                 ),
             ),
             (
@@ -1224,7 +1253,7 @@ def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
                     wrel_dom(
                         sr, wrel_compose(sr, wrel_copy(sr, f.dom), wrel_tensor(sr, f, f))
                     ),
-                    wrel_dom(sr, f),
+                    dom(sr, f),
                 ),
             ),
         ],

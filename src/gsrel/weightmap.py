@@ -214,9 +214,11 @@ def _as_tuple(key) -> tuple:
 def wm_psi(sr: Semiring, h: WeightMap, k: WeightMap) -> WeightMap:
     """Pairing: value at joined key is the product of the component values."""
     acc = {}
+    right = [(_as_tuple(y), w) for y, w in k.entries]
     for x, v in h.entries:
-        for y, w in k.entries:
-            acc[_as_tuple(x) + _as_tuple(y)] = sr.mul(v, w)
+        x = _as_tuple(x)
+        for y, w in right:
+            acc[x + y] = sr.mul(v, w)
     return WeightMap(sr, acc)
 
 

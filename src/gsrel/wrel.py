@@ -342,9 +342,12 @@ def finset_to_doc(s: FinSet) -> dict:
 def finset_from_doc(doc) -> FinSet:
     if not isinstance(doc, dict) or "name" not in doc or "size" not in doc:
         raise WRelFormatError(f"bad finite-set document: {doc!r}")
+    # exactly int: 1.7, true and "2" are not sizes, though int() takes them
+    if type(doc["size"]) is not int:
+        raise WRelFormatError(f"bad finite-set document {doc!r}: size must be an integer")
     labels = doc.get("labels")
     try:
-        return FinSet(str(doc["name"]), int(doc["size"]), tuple(labels) if labels is not None else None)
+        return FinSet(str(doc["name"]), doc["size"], tuple(labels) if labels is not None else None)
     except (TypeError, ValueError) as e:
         raise WRelFormatError(f"bad finite-set document {doc!r}: {e}") from None
 

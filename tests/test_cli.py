@@ -361,3 +361,32 @@ def test_eval_malformed_interpretation_exits_2(files, tmp_path, capsys, doc):
     assert run(["eval", files / "f.gsd", interp]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [
+        (1, 0),
+        ({"size": 1}, 0),
+        ({"size": 1.7}, 2),
+        (1.7, 2),
+        (True, 2),
+        ({"size": True}, 2),
+        ({"size": "2"}, 2),
+    ],
+    ids=["bare-int", "int", "float", "bare-float", "bare-true", "true", "string"],
+)
+def test_sort_size_must_be_a_json_integer(files, tmp_path, capsys, spec, code):
+    # the generator is well formed at any size >= 1, so only the size decides
+    doc = {
+        "semiring": "bool",
+        "sorts": {"A": spec},
+        "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["0"], ["0"], "1"]]}},
+    }
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps(doc))
+    assert run(["eval", files / "f.gsd", interp]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+

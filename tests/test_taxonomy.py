@@ -33,6 +33,7 @@ from gsrel import (
     wrel_compose,
     wrel_dom,
 )
+from gsrel.taxonomy import _memo
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -189,6 +190,40 @@ def test_kill_matrix(field, fault, least_failing):
         assert len(failing) >= least, (name, failing)
         assert len(reports) == 12, (name, [r.law for r in reports])
         assert _rows_digest(reports) == digest, (name, [r.brief() for r in reports])
+
+
+# shared sub-terms: psi-natural evaluates each distinct psi(h, k) and
+# pushforward of a pool map once per suite call, not once per case
+
+
+def test_psi_natural_shares_its_sub_terms():
+    calls = {"psi": 0}
+
+    def counted_psi(sr, h, k):
+        calls["psi"] += 1
+        return wm_psi(sr, h, k)
+
+    ops = replace(DEFAULT_OPS, psi=counted_psi)
+    reports = check_monad_laws("M", BOOL, sizes=(0, 1, 3), seed=11, ops=ops)
+    natural = next(r for r in reports if r.law == "monad/psi-natural")
+    assert natural.status == "exhaustive_pass"
+    assert calls["psi"] < natural.checks_performed, (calls, natural.checks_performed)
+
+
+def test_memo_runs_op_once_per_distinct_arguments():
+    seen = []
+
+    def op(sr, *args):
+        seen.append(args)
+        return list(args)
+
+    memo = _memo(op)
+    first = memo(NAT, 1, 2)
+    assert memo(NAT, 1, 2) is first
+    assert memo(NAT, 2, 1) == [2, 1]
+    assert memo(NAT, 1) == [1]
+    assert memo(NAT, 1, 2) is first
+    assert seen == [(1, 2), (2, 1), (1,)]
 
 
 # closure of the sub-families
