@@ -314,11 +314,14 @@ def _memo(op):
     Keys are maps, arrows and _TableFns, which outlive the call's cases.
     """
     seen = {}
+    missing = object()
 
     def call(sr, *args):
-        if args not in seen:
-            seen[args] = op(sr, *args)
-        return seen[args]
+        # one lookup on a hit: hashing args hashes every map in it
+        out = seen.get(args, missing)
+        if out is missing:
+            out = seen[args] = op(sr, *args)
+        return out
 
     return call
 
@@ -532,8 +535,8 @@ def check_monad_laws(
     site = f"{sr.name}-{variant}"
     name = _word_name
     fn_pairs = [(u, v, fn) for u in words for v in words for fn in _functions(u, v)]
-    # psi-natural's cases share a few hundred f_*h, g_*k and psi(h, k); the
-    # keys are pool maps and the _TableFns of fn_pairs, never a per-case lambda
+    # keyed on pool maps and the _TableFns of fn_pairs; a per-case lambda as a
+    # key would never be seen twice
     push = _memo(ops.pushforward)
     psi = _memo(ops.psi)
 
