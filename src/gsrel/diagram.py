@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .report import COUNTEREXAMPLE, EXHAUSTIVE_PASS, LawReport
+from .report import LawReport, check_cases
 from .semiring import Semiring, SemiringError, load_semiring
 from .wrel import (
     BoundaryError,
@@ -440,25 +440,19 @@ def check_term_equality(t1, t2, interp: Interpretation, law: str = "term-eq") ->
             f"{_word_str(g.dom)} -> {_word_str(g.cod)}"
         )
     sr = interp.semiring
-    checks = 0
-    seen = set()
-    for arrow_rows in (f.rows, g.rows):
-        for x, h in arrow_rows:
-            for y, _v in h.entries:
-                seen.add((x, y))
-    for x, y in sorted(seen):
-        checks += 1
-        v1 = f.value(sr, x, y)
-        v2 = g.value(sr, x, y)
-        if v1 != v2:
-            witness = {
-                "row": word_labels(f.dom, x),
-                "col": word_labels(f.cod, y),
-                "left": sr.label(v1),
-                "right": sr.label(v2),
-            }
-            return LawReport(law, COUNTEREXAMPLE, checks, witness)
-    return LawReport(law, EXHAUSTIVE_PASS, checks)
+    keys = {(x, y) for arrow in (f, g) for x, h in arrow.rows for y, _v in h.entries}
+    return check_cases(
+        law,
+        sorted(keys),
+        lambda k: f.value(sr, *k) == g.value(sr, *k),
+        describe=lambda k: {
+            "row": word_labels(f.dom, k[0]),
+            "col": word_labels(f.cod, k[1]),
+            "left": sr.label(f.value(sr, *k)),
+            "right": sr.label(g.value(sr, *k)),
+        },
+        exhaustive=True,
+    )
 
 
 # ---------------------------------------------------------------------------

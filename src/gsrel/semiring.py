@@ -42,9 +42,9 @@ class Semiring:
     one: object
     add: Callable[[object, object], object]
     mul: Callable[[object, object], object]
-    # Closed-form partial multiplicative inverse; None means "search elements
-    # if finite, otherwise no inverse is known" (builtins all supply one).
-    inverse: Callable[[object], object] | None = None
+    # Partial multiplicative inverse: the inverse of a, or None when a has
+    # none.  Builtins give a closed form, table semirings a table lookup.
+    inverse: Callable[[object], object]
     elements: tuple | None = None
     sample_pool: Callable[[object], list] | None = None
     label: Callable[[object], str] = field(default=str)
@@ -70,20 +70,17 @@ class Semiring:
 
 
 def mul_inverse(sr: Semiring, a):
-    """Two-sided multiplicative inverse of a, or None if there is none."""
-    if sr.inverse is not None:
-        m = sr.inverse(a)
-        if m is None:
-            return None
-        if sr.mul(a, m) == sr.one and sr.mul(m, a) == sr.one:
-            return m
-        raise SemiringError(f"{sr.name}: inverse({sr.label(a)}) failed verification")
-    if sr.elements is not None:
-        for m in sr.elements:
-            if sr.mul(a, m) == sr.one and sr.mul(m, a) == sr.one:
-                return m
+    """Two-sided multiplicative inverse of a, or None if there is none.
+
+    sr.inverse is trusted only as far as its answer checks out: a claimed
+    inverse that is not two-sided raises SemiringError.
+    """
+    m = sr.inverse(a)
+    if m is None:
         return None
-    return None
+    if sr.mul(a, m) == sr.one and sr.mul(m, a) == sr.one:
+        return m
+    raise SemiringError(f"{sr.name}: inverse({sr.label(a)}) failed verification")
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +277,12 @@ def load_table_semiring(doc: Mapping) -> Semiring:
     plus = read_table("plus")
     times = read_table("times")
     zero, one = lookup("zero", doc["zero"]), lookup("one", doc["one"])
+    # Two-sided inverses, found once here.  Only a table whose times is not
+    # associative can give an element two; the first in element order is kept.
+    inverses = {}
+    for a, m in product(range(n), repeat=2):
+        if times[a][m] == one == times[m][a]:
+            inverses.setdefault(a, m)
 
     def parse(s: str) -> int:
         if s not in index:
@@ -292,7 +295,7 @@ def load_table_semiring(doc: Mapping) -> Semiring:
         one=one,
         add=lambda a, b: plus[a][b],
         mul=lambda a, b: times[a][b],
-        inverse=None,
+        inverse=inverses.get,
         elements=tuple(range(n)),
         label=lambda i: labels[i],
         parse=parse,

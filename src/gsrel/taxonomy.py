@@ -140,11 +140,14 @@ DEFAULT_OPS = MonadOps(wm_eta, wm_mu, wm_psi, wm_pushforward)
 
 @dataclass
 class FlagVerdict:
-    flag: str
-    value: bool
     pointwise: LawReport
     diagram: LawReport
     well_posed: bool
+
+    @property
+    def value(self) -> bool:
+        """The operative flag value: the diagram verdict."""
+        return self.diagram.passed
 
     @property
     def consistent(self) -> bool:
@@ -170,13 +173,19 @@ class MonadClassification:
 class KleisliClassification:
     variant: str
     semiring: str
-    flags: dict[str, object]
     reports: dict[str, LawReport]
     gsm_reports: dict[str, LawReport]
     composition_closure: LawReport
 
-    def flag_values(self) -> dict[str, object]:
-        return dict(self.flags)
+    @property
+    def flags(self) -> dict[str, bool]:
+        return {
+            "gsm_axioms": all(r.passed for r in self.gsm_reports.values()),
+            **{flag: r.passed for flag, r in self.reports.items()},
+        }
+
+    def flag_values(self) -> dict[str, bool]:
+        return self.flags
 
 
 @dataclass
@@ -277,10 +286,7 @@ def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
                             out.append(H)
             return out, True
     rng = derive_rng(seed, "nested", sr.name, variant, tag, len(inner), n)
-    stream = _nested_stream(sr, inner, rng, n, max_support)
-    if max_support is not None:
-        stream = (H for H in stream if len(H) <= max_support)
-    return _first_members(sr, stream, variant, n), False
+    return _first_members(sr, _nested_stream(sr, inner, rng, n, max_support), variant, n), False
 
 
 def _nested_stream(sr, inner, rng, n, max_support):
@@ -412,8 +418,7 @@ def variant_closure_reports(
     which is a finding the suite surfaces rather than hides.  At least one
     sample is drawn, so a sampled pass is never a pass over no cases.
     """
-    sr = load_semiring(sr)
-    samples = max(1, samples)
+    sr, samples = _classify_args(variant, sr, sizes, DEFAULT_BUDGET, samples)
     words = [()] + _words(sizes)
     pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"closure-{variant}")
     site = f"{sr.name}-{variant}"
@@ -514,12 +519,13 @@ def check_monad_laws(
     through `ops`; its rows come from variant_closure_reports.
 
     psi-natural evaluates each distinct f_*h, g_*k and psi(h, k) once per
-    call and reuses it across its cases; the pushforward along f x g, whose
-    arguments differ in every case, and every other law evaluate afresh.
+    call and reuses it across its cases, and lax-assoc shares the same
+    psi(h, k) and psi(k, l) through it.  The pushforward along f x g and the
+    two outer pairings of lax-assoc, whose arguments differ in every case,
+    and every other law evaluate afresh.
     """
-    sr = load_semiring(sr)
-    words = _words(sizes) or [(FinSet("X", 1),)]
-    samples = max(1, min(samples, budget))
+    sr, samples = _classify_args(variant, sr, sizes, budget, samples)
+    words = _words(sizes)
     pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"laws-{variant}")
     nested = {}
     nested_full = {}
@@ -669,8 +675,8 @@ def check_monad_laws(
                 samples,
                 seed,
             ),
-            lambda c: ops.psi(sr, ops.psi(sr, c[1], c[2]), c[3])
-            == ops.psi(sr, c[1], ops.psi(sr, c[2], c[3])),
+            lambda c: ops.psi(sr, psi(sr, c[1], c[2]), c[3])
+            == ops.psi(sr, c[1], psi(sr, c[2], c[3])),
             mdescribe,
         ),
         (
@@ -783,8 +789,8 @@ def _collision_pair(sr, variant, pool):
 
 
 def _classify_args(variant, sr, sizes, budget, samples):
-    """Checked arguments of classify_monad and classify_kleisli: the loaded
-    semiring and the sample count clamped to the budget."""
+    """Checked arguments of every law-suite entry point: the loaded semiring
+    and the sample count clamped to the budget and to at least one."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     sr = load_semiring(sr)
@@ -910,8 +916,6 @@ def classify_monad(
         pointwise = rep(f"monadflag/{stem}-pointwise", p_cases, p_holds)
         diagram = rep(f"monadflag/{stem}-diagram", d_cases, d_holds)
         flags[flag] = FlagVerdict(
-            flag=flag,
-            value=diagram.passed,
             pointwise=pointwise,
             diagram=diagram,
             well_posed=all(closure[n].passed for n in _FLAG_PRECONDITIONS[flag]),
@@ -925,16 +929,14 @@ def classify_monad(
 # Kleisli-level classification
 
 
-def check_gsm_axioms(sr, words: Sequence[Word], pairs=None) -> dict[str, LawReport]:
+def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
     """Structural axioms of the copy/discard fragment at the given words.
 
     Unary axioms are checked at every word, the tensor-multiplicativity
-    axioms at every pair (u, v); the unit object gets one dedicated case.
+    axioms at every given pair (u, v); the unit object gets one dedicated case.
     """
     sr = load_semiring(sr)
     words = [tuple(w) for w in words]
-    if pairs is None:
-        pairs = [(u, v) for u in words for v in words]
 
     def c(f, g):
         return wrel_compose(sr, f, g)
@@ -1044,8 +1046,8 @@ def classify_kleisli(
 
     markov / restriction / domain_category / mass_category aggregate the
     four per-arrow equations; weakly_markov asks the scalar hom-monoids to
-    be groups, searching inverses exhaustively on finite carriers and
-    constructing them through mul_inverse otherwise.
+    be groups, building each inverse row by row through mul_inverse.  Every
+    flag is the verdict of its report.
     """
     sr, samples = _classify_args(variant, sr, sizes, budget, samples)
     size_list = _sizes(sizes)
@@ -1080,78 +1082,55 @@ def classify_kleisli(
         status = passed if witness is None else COUNTEREXAMPLE
         reports[flag] = LawReport("kleisli/" + flag.replace("_", "-"), status, checks, witness)
 
-    reports["weakly_markov"], wm_value = _weakly_markov_report(
-        sr, variant, size_list, seed, samples
-    )
-    composition = _composition_closure_report(sr, variant, size_list, seed, samples)
-
-    flags: dict[str, object] = {
-        "gsm_axioms": all(r.passed for r in gsm_reports.values()),
-        **{flag: r.passed for flag, r in reports.items()},
-        "weakly_markov": wm_value,
-    }
+    reports["weakly_markov"] = _weakly_markov_report(sr, variant, size_list, seed, samples)
     return KleisliClassification(
         variant=variant,
         semiring=sr.name,
-        flags=flags,
         reports=reports,
         gsm_reports=gsm_reports,
-        composition_closure=composition,
+        composition_closure=_composition_closure_report(sr, variant, size_list, seed, samples),
     )
 
 
 def _weakly_markov_report(sr, variant, size_list, seed, samples):
-    """Group check for the scalar hom-monoids, one dom size at a time."""
-    checks = 0
+    """Group check for the scalar hom-monoids: every arrow Y -> I needs an
+    inverse under pointwise scalar multiplication."""
+    cases = []
     exhaustive = True
     for ds in size_list:
-        dom = (FinSet("Y", ds),)
-        unit = wrel_del(sr, dom)
         pool, full = variant_arrows(
-            sr, dom, (), variant, seed, samples, tag=f"wmarkov-{variant}-{ds}"
+            sr, (FinSet("Y", ds),), (), variant, seed, samples, tag=f"wmarkov-{variant}-{ds}"
         )
+        cases += [(ds, f) for f in pool]
         exhaustive = exhaustive and full
-        for f in pool:
-            checks += 1
-            inverse = _hom_inverse(sr, variant, dom, f, pool if full else None)
-            if inverse is None:
-                witness = {
-                    "dom_size": ds,
-                    "arrow": wrel_to_doc(sr, f),
-                    "reason": "no inverse under the scalar multiplication",
-                }
-                return LawReport("kleisli/weakly-markov", COUNTEREXAMPLE, checks, witness), False
-            if inverse == "undetermined":
-                witness = {"dom_size": ds, "reason": "inverse search unavailable"}
-                return LawReport("kleisli/weakly-markov", SAMPLED_PASS, checks, witness), None
-            if not wrel_eq(hom_scalar_mul(sr, f, inverse), unit):
-                witness = {"dom_size": ds, "arrow": wrel_to_doc(sr, f)}
-                return LawReport("kleisli/weakly-markov", COUNTEREXAMPLE, checks, witness), False
-    status = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
-    return LawReport("kleisli/weakly-markov", status, checks), True
+
+    def holds(c):
+        inverse = _hom_inverse(sr, variant, c[1])
+        return inverse is not None and wrel_eq(
+            hom_scalar_mul(sr, c[1], inverse), wrel_del(sr, c[1].dom)
+        )
+
+    def describe(c):
+        witness = {"dom_size": c[0], "arrow": wrel_to_doc(sr, c[1])}
+        if _hom_inverse(sr, variant, c[1]) is None:
+            witness["reason"] = "no inverse under the scalar multiplication"
+        return witness
+
+    return check_cases("kleisli/weakly-markov", cases, holds, describe, exhaustive=exhaustive)
 
 
-def _hom_inverse(sr, variant, dom, f: WRel, finite_pool):
-    """Inverse of f under pointwise scalar multiplication, if one exists."""
-    if finite_pool is not None:
-        unit = wrel_del(sr, dom)
-        for g in finite_pool:
-            if wrel_eq(hom_scalar_mul(sr, f, g), unit):
-                return g
-        return None
+def _hom_inverse(sr, variant, f: WRel):
+    """Inverse of f: Y -> I under pointwise scalar multiplication, built row
+    by row from mul_inverse; None if a weight has no inverse or the result
+    is not a variant arrow."""
     rows = {}
-    for x in word_elements(dom):
-        v = f.value(sr, x, ())
-        inv = mul_inverse(sr, v)
+    for x in word_elements(f.dom):
+        inv = mul_inverse(sr, f.value(sr, x, ()))
         if inv is None:
-            # finite carriers were already handled, so a None here is
-            # decisive only when the semiring has a closed-form inverse
-            return None if sr.inverse is not None else "undetermined"
+            return None
         rows[x] = wm_make(sr, {(): inv})
-    g = WRel(dom, (), rows)
-    if not arrow_in_variant(sr, g, variant):
-        return None
-    return g
+    g = WRel(f.dom, (), rows)
+    return g if arrow_in_variant(sr, g, variant) else None
 
 
 def _composition_closure_report(sr, variant, size_list, seed, samples):
@@ -1198,7 +1177,7 @@ def crosscheck_dom_paths(
     totals.  monad-path: dom(f);f computed by matrix composition equals the
     same arrow computed through psi and pushforwards row by row.
     """
-    sr = load_semiring(sr)
+    sr, samples = _classify_args(variant, sr, sizes, DEFAULT_BUDGET, samples)
     grid, exhaustive = _arrow_grid(
         sr, variant, _sizes(sizes), seed, samples, "domx-{variant}-{ds}x{cs}"
     )
@@ -1390,7 +1369,7 @@ _THEOREMS = (
         ("weakly_markov", "mass_category"),
         "markov",
         "weakly_markov_and_mass_category",
-        "decomposition",
+        "category",
     ),
 )
 
@@ -1512,7 +1491,6 @@ def _pair_entries(sr, variant, size_list, seed, samples, mc, kc) -> list[SuiteEn
         None: True,
         "functor": functor_ok,
         "category": category_ok,
-        "decomposition": category_ok and flags["weakly_markov"] is not None,
     }
     for law, lhs_flags, rhs_flags, lhs_key, rhs_key, gate in _THEOREMS:
         lhs = all(flags[name] for name in lhs_flags)
@@ -1521,7 +1499,7 @@ def _pair_entries(sr, variant, size_list, seed, samples, mc, kc) -> list[SuiteEn
         if lhs != rhs or not gates[gate]:
             witness = {lhs_key: lhs, rhs_key: rhs}
             if not gates[gate]:
-                witness["failed_preconditions"] = failed_closures or ["weakly_markov undetermined"]
+                witness["failed_preconditions"] = failed_closures
         entries.append(
             _claim_entry(
                 f"theorem/{law}" if gates[gate] else f"gated/{law}",
@@ -1535,7 +1513,7 @@ def _pair_entries(sr, variant, size_list, seed, samples, mc, kc) -> list[SuiteEn
         )
 
     for law, antecedent, consequent in _IMPLICATIONS:
-        holds = not flags[antecedent] or bool(flags[consequent])
+        holds = not flags[antecedent] or flags[consequent]
         witness = None if holds else {antecedent: True, consequent: False}
         entries.append(
             _claim_entry(f"implication/{law}", variant, sr.name, holds, False, witness, 1)

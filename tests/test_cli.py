@@ -227,6 +227,28 @@ def test_eq_nat_not_equal(files, capsys):
     assert "left=4" in out and "right=2" in out
 
 
+@pytest.mark.parametrize(
+    "interp, code, status, witness",
+    [
+        ("interp_bool.json", 0, "exhaustive_pass", None),
+        (
+            "interp_nat.json",
+            1,
+            "counterexample",
+            {"row": ["a"], "col": ["c"], "left": "4", "right": "2"},
+        ),
+    ],
+)
+def test_eq_structured_document(files, capsys, interp, code, status, witness):
+    argv = ["eq", files / "domf.gsd", files / "f.gsd", files / interp, "--format", "structured"]
+    assert run(argv) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["left"] == "dom(f) ; f" and doc["right"] == "f"
+    assert doc["status"] == status
+    assert doc["witness"] == witness
+    assert doc["checks_performed"] == 1
+
+
 def test_eq_boundary_mismatch_exits_2(files, capsys):
     code = run(["eq", files / "f.gsd", files / "counit.gsd", files / "interp_bool.json"])
     assert code == 2
@@ -272,6 +294,17 @@ def test_taxonomy_planted_bug_exits_1(files, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_taxonomy_samples_reach_the_law_suites(capsys):
+    def unit_left_checks(extra):
+        argv = ["taxonomy", "--semiring", "nat", "--variant", "M", "--sizes", "1"]
+        assert run(argv + extra + ["--format", "structured"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        return next(r for r in rows if r["law"] == "monad/mu-unit-left")["checks_performed"]
+
+    assert unit_left_checks(["--samples", "5"]) == 5
+    assert unit_left_checks([]) == 24
 
 
 def test_taxonomy_unknown_filter_exits_2(files, capsys):

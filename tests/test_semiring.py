@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from gsrel import (
     CATALOG,
+    Semiring,
+    SemiringError,
     TableFormatError,
     UnknownSemiringError,
     check_semiring_laws,
@@ -121,6 +123,37 @@ def test_mul_inverse_gf5():
         inv = mul_inverse(gf5, a)
         assert gf5.mul(a, inv) == 1
     assert mul_inverse(gf5, 0) is None
+
+
+def _zmod_table(p):
+    labels = [str(i) for i in range(p)]
+    return {
+        "name": f"z{p}",
+        "elements": labels,
+        "plus": [[labels[(a + b) % p] for b in range(p)] for a in range(p)],
+        "times": [[labels[a * b % p] for b in range(p)] for a in range(p)],
+        "zero": "0",
+        "one": "1",
+    }
+
+
+def test_table_inverses_agree_with_gf5():
+    table, gf5 = load_semiring(_zmod_table(5)), load_semiring("gf(5)")
+    for a in range(5):
+        assert mul_inverse(table, a) == mul_inverse(gf5, a), a
+
+
+def test_semiring_must_state_its_inverses():
+    with pytest.raises(TypeError):
+        Semiring(name="bare", zero=0, one=1, add=max, mul=min)
+    never = Semiring(name="bare", zero=0, one=1, add=max, mul=min, inverse=lambda a: None)
+    assert mul_inverse(never, 1) is None
+
+
+def test_wrong_inverse_fails_verification():
+    liar = Semiring(name="liar", zero=0, one=1, add=max, mul=min, inverse=lambda a: 0)
+    with pytest.raises(SemiringError):
+        mul_inverse(liar, 1)
 
 
 @given(st.fractions(min_value=0, max_value=100))

@@ -210,6 +210,22 @@ def test_psi_natural_shares_its_sub_terms():
     assert calls["psi"] < natural.checks_performed, (calls, natural.checks_performed)
 
 
+def test_lax_assoc_shares_its_inner_pairings():
+    calls = {"psi": 0}
+
+    def counted_psi(sr, h, k):
+        calls["psi"] += 1
+        return wm_psi(sr, h, k)
+
+    ops = replace(DEFAULT_OPS, psi=counted_psi)
+    reports = check_monad_laws("M", BOOL, sizes=(0, 1, 3), seed=11, ops=ops)
+    lax = next(r for r in reports if r.law == "monad/lax-assoc")
+    assert lax.status == "exhaustive_pass"
+    # four pairings a case when evaluated afresh; only the two outer ones are
+    # not shared
+    assert calls["psi"] < 4 * lax.checks_performed, (calls, lax.checks_performed)
+
+
 def test_memo_runs_op_once_per_distinct_arguments():
     seen = []
 
@@ -336,8 +352,46 @@ def test_kleisli_flags_frozen_table():
     for (variant, sr), want in expect.items():
         kc = classify_kleisli(variant, sr)
         got = kc.flag_values()
+        assert list(got) == ["gsm_axioms", *kc.reports]
+        assert all(got[name] is r.passed for name, r in kc.reports.items())
         assert got.pop("gsm_axioms") is True
         assert got == want, (variant, sr.name)
+
+
+def test_weakly_markov_table_matches_builtin_gf17():
+    p = 17
+    labels = [str(i) for i in range(p)]
+    table = load_semiring({
+        "elements": labels,
+        "plus": [[labels[(a + b) % p] for b in range(p)] for a in range(p)],
+        "times": [[labels[a * b % p] for b in range(p)] for a in range(p)],
+        "zero": "0",
+        "one": "1",
+    })
+    gf17 = load_semiring("gf(17)")
+    got, want = (classify_kleisli("M", sr, sizes=(3,)) for sr in (table, gf17))
+    assert got.flags["weakly_markov"] is want.flags["weakly_markov"] is False
+    for kc in (got, want):
+        witness = kc.reports["weakly_markov"].witness
+        assert list(witness) == ["dom_size", "arrow", "reason"]
+        assert witness["reason"] == "no inverse under the scalar multiplication"
+    assert got.reports["weakly_markov"].checks_performed == (
+        want.reports["weakly_markov"].checks_performed
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: crosscheck_dom_paths("nat", sizes=()),
+        lambda: check_monad_laws("M", "bool", sizes=()),
+        lambda: variant_closure_reports("M", "nat", sizes=()),
+    ],
+    ids=["crosscheck_dom_paths", "check_monad_laws", "variant_closure_reports"],
+)
+def test_law_suites_reject_empty_sizes(call):
+    with pytest.raises(ValueError, match="sizes must be nonempty"):
+        call()
 
 
 def test_nat_domain_category_witness_reevaluates():
