@@ -14,7 +14,10 @@ binds tighter, both left-associative):
 Bare names are generators; id/copy/del/swap/dom/mass are reserved.  'dom'
 and 'mass' are primitives of the term language and are expanded by the
 evaluator into their defining composites, so every equation is decided
-along a single semantic path.  '#' starts a line comment.
+along a single semantic path.  One evaluation query ('evaluate_term', or
+both sides of 'check_term_equality') builds each structurally distinct
+sub-term once and reuses its arrow wherever the sub-term recurs.  '#'
+starts a line comment.
 
 A term file is either a single term or a sequence of 'let name = term'
 bindings.  An interpretation file carries a semiring reference, sort
@@ -404,36 +407,52 @@ class Interpretation:
 def evaluate_term(term, interp: Interpretation) -> WRel:
     """Evaluate after typechecking; dom/mass expand to defining composites."""
     typecheck_term(term, interp.signature())
-    return _eval(term, interp)
+    return _eval(term, interp, {})
 
 
-def _eval(term, interp: Interpretation) -> WRel:
+def _eval(term, interp: Interpretation, memo: dict) -> WRel:
+    """Arrow of a typechecked term.  `memo` maps each sub-term this query has
+    evaluated to its arrow; AST nodes are frozen, so structurally equal
+    sub-terms share one entry and are built once."""
+    arrow = memo.get(term)
+    if arrow is not None:
+        return arrow
     sr = interp.semiring
     if isinstance(term, Id):
-        return wrel_id(sr, interp.word(term.word))
-    if isinstance(term, Copy):
-        return wrel_copy(sr, interp.word(term.word))
-    if isinstance(term, Del):
-        return wrel_del(sr, interp.word(term.word))
-    if isinstance(term, Swap):
-        return wrel_swap(sr, interp.word(term.left), interp.word(term.right))
-    if isinstance(term, Gen):
-        return interp.generators[term.name]
-    if isinstance(term, Seq):
-        return wrel_compose(sr, _eval(term.left, interp), _eval(term.right, interp))
-    if isinstance(term, Tensor):
-        return wrel_tensor(sr, _eval(term.left, interp), _eval(term.right, interp))
-    if isinstance(term, Dom):
-        return wrel_dom(sr, _eval(term.term, interp))
-    if isinstance(term, Mass):
-        return wrel_mass(sr, _eval(term.term, interp))
-    raise TypeError(f"not a term: {term!r}")
+        arrow = wrel_id(sr, interp.word(term.word))
+    elif isinstance(term, Copy):
+        arrow = wrel_copy(sr, interp.word(term.word))
+    elif isinstance(term, Del):
+        arrow = wrel_del(sr, interp.word(term.word))
+    elif isinstance(term, Swap):
+        arrow = wrel_swap(sr, interp.word(term.left), interp.word(term.right))
+    elif isinstance(term, Gen):
+        arrow = interp.generators[term.name]
+    elif isinstance(term, Seq):
+        arrow = wrel_compose(sr, _eval(term.left, interp, memo), _eval(term.right, interp, memo))
+    elif isinstance(term, Tensor):
+        arrow = wrel_tensor(sr, _eval(term.left, interp, memo), _eval(term.right, interp, memo))
+    elif isinstance(term, Dom):
+        arrow = wrel_dom(sr, _eval(term.term, interp, memo))
+    elif isinstance(term, Mass):
+        arrow = wrel_mass(sr, _eval(term.term, interp, memo))
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    memo[term] = arrow
+    return arrow
 
 
 def check_term_equality(t1, t2, interp: Interpretation, law: str = "term-eq") -> LawReport:
-    """Evaluate both terms and compare entrywise; boundary mismatch raises."""
-    f = evaluate_term(t1, interp)
-    g = evaluate_term(t2, interp)
+    """Evaluate both terms and compare entrywise; boundary mismatch raises.
+
+    Both terms are typechecked first, then evaluated through one memo, so a
+    sub-term the two sides share is built once."""
+    sig = interp.signature()
+    typecheck_term(t1, sig)
+    typecheck_term(t2, sig)
+    memo: dict = {}
+    f = _eval(t1, interp, memo)
+    g = _eval(t2, interp, memo)
     if f.boundary() != g.boundary():
         raise TypecheckError(
             f"terms have different boundaries: {_word_str(f.dom)} -> {_word_str(f.cod)} vs "
@@ -492,6 +511,9 @@ def load_interpretation(doc: Mapping) -> Interpretation:
         dw = tuple(body["dom"])
         cw = tuple(body["cod"])
         for s in dw + cw:
+            # a list or object here is unhashable, so test the type first
+            if not isinstance(s, str):
+                raise InterpFormatError(f"generator {name!r}: sort name {s!r} is not a string")
             if s not in sorts:
                 raise InterpFormatError(f"generator {name!r} uses undeclared sort {s!r}")
         arrow_doc = {

@@ -59,6 +59,9 @@ class FinSet:
         return self.labels[i] if self.labels is not None else str(i)
 
     def index_of(self, label: str) -> int:
+        # int() takes 2.7 and True, so only strings are labels
+        if not isinstance(label, str):
+            raise WeightMapError(f"{self.name}: label {label!r} is not a string")
         if self.labels is not None:
             try:
                 return self.labels.index(label)
@@ -148,7 +151,8 @@ class WeightMap:
         object.__setattr__(self, "entries", entries)
         # kept is fresh from the comprehension, so no caller holds it
         object.__setattr__(self, "_index", kept)
-        object.__setattr__(self, "_hash", hash(entries))
+        # most maps are compared but never hashed; __hash__ fills this in
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("WeightMap is immutable")
@@ -167,7 +171,11 @@ class WeightMap:
         return isinstance(other, WeightMap) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(self.entries)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self.entries)

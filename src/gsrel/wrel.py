@@ -346,9 +346,15 @@ def finset_from_doc(doc) -> FinSet:
     if type(doc["size"]) is not int:
         raise WRelFormatError(f"bad finite-set document {doc!r}: size must be an integer")
     labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(l, str) for l in labels)
+    ):
+        raise WRelFormatError(
+            f"bad finite-set document {doc!r}: labels must be a list of strings"
+        )
     try:
         return FinSet(str(doc["name"]), doc["size"], tuple(labels) if labels is not None else None)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise WRelFormatError(f"bad finite-set document {doc!r}: {e}") from None
 
 
@@ -375,6 +381,7 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
     dom = tuple(finset_from_doc(d) for d in doc["dom"])
     cod = tuple(finset_from_doc(d) for d in doc["cod"])
     rows: dict = {}
+    values: dict = {}  # value label -> parsed value; dense arrows repeat a few labels
     for item in doc["entries"]:
         if not isinstance(item, list) or len(item) != 3:
             raise WRelFormatError(f"bad entry {item!r}")
@@ -383,10 +390,15 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
             raise WRelFormatError(f"entry labels must be lists: {item!r}")
         if len(row_labels) != len(dom) or len(col_labels) != len(cod):
             raise WRelFormatError(f"entry shape does not match the boundary words: {item!r}")
+        # Fraction() takes floats and bools, so only strings are values
+        if not isinstance(value_label, str):
+            raise WRelFormatError(f"value label {value_label!r} is not a string")
         try:
             x = tuple(s.index_of(l) for s, l in zip(dom, row_labels))
             y = tuple(s.index_of(l) for s, l in zip(cod, col_labels))
-            v = sr.parse(value_label)
+            if value_label not in values:
+                values[value_label] = sr.parse(value_label)
+            v = values[value_label]
         except (TypeError, ValueError) as e:
             raise WRelFormatError(str(e)) from None
         cols = rows.setdefault(x, {})

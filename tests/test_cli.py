@@ -361,6 +361,15 @@ GOOD_SORTS = {"A": {"size": 2, "labels": ["a", "b"]}}
 GOOD_GENERATORS = {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["a"], ["b"], "1"]]}}
 
 
+def entry_doc(semiring, entry, sort=2):
+    """An interpretation whose one generator A -> A has the single entry."""
+    return {
+        "semiring": semiring,
+        "sorts": {"A": sort},
+        "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [entry]}},
+    }
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -378,6 +387,15 @@ GOOD_GENERATORS = {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["a"], ["b"], 
             "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["a"], ["b"], [1]]]}},
         },
         {"semiring": "bool", "sorts": GOOD_SORTS, "generators": {"f": {"dom": 5, "cod": ["A"]}}},
+        # labels are JSON strings: each of these loaded silently before
+        entry_doc("nat", [[2.7], ["0"], "1"], 3),
+        entry_doc("nat", [[True], ["0"], "1"]),
+        entry_doc("nat", [["0"], ["0"], 2.7]),
+        entry_doc("nonneg-rational", [["0"], ["0"], 2.7]),
+        entry_doc("nat", [[1], [0], "1"], {"size": 2, "labels": [0, 1]}),
+        # an unhashable sort name raised TypeError out of the loader
+        {"semiring": "bool", "sorts": GOOD_SORTS, "generators": {"f": {"dom": [["A"]], "cod": []}}},
+        {"semiring": "bool", "sorts": GOOD_SORTS, "generators": {"f": {"dom": [], "cod": [{}]}}},
     ],
     ids=[
         "unknown-semiring",
@@ -386,6 +404,13 @@ GOOD_GENERATORS = {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["a"], ["b"], 
         "sorts-not-an-object",
         "value-not-a-label",
         "dom-not-a-list",
+        "float-row-label",
+        "true-row-label",
+        "float-value-nat",
+        "float-value-rational",
+        "int-sort-labels",
+        "list-sort-name",
+        "object-sort-name",
     ],
 )
 def test_eval_malformed_interpretation_exits_2(files, tmp_path, capsys, doc):

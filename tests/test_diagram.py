@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gsrel.diagram as diagram
 from gsrel import (
     Copy,
     Del,
@@ -249,6 +250,73 @@ def test_check_term_equality_pass_and_witness():
 def test_check_term_equality_boundary_mismatch():
     with pytest.raises(TypecheckError, match="different boundaries"):
         check_term_equality(parse_term("f"), parse_term("g"), INTERP)
+
+
+def test_check_term_equality_builds_shared_sub_terms_once(monkeypatch):
+    # P ; L ; S against P ; R ; S, where L = R is copy-cocomm: P = dom(f) ; f
+    # and S = g * g are built once, though each side holds both
+    p, s = "(dom(f) ; f)", "(g * g)"
+    t1 = parse_term(f"{p} ; (copy[B] ; swap[B;B]) ; {s}")
+    t2 = parse_term(f"{p} ; copy[B] ; {s}")
+    built = []
+    for name in ("wrel_compose", "wrel_tensor"):
+        def counted(sr, f, g, _name=name, _op=getattr(diagram, name)):
+            built.append((_name, f, g))
+            return _op(sr, f, g)
+
+        monkeypatch.setattr(diagram, name, counted)
+    separate = [evaluate_term(t1, INTERP), evaluate_term(t2, INTERP)]
+    calls_separate = len(built)
+    built.clear()
+    rep = check_term_equality(t1, t2, INTERP)
+    f, g = INTERP.generators["f"], INTERP.generators["g"]
+    dom_f = wrel_dom(NAT, f)
+    assert [c[0] for c in built].count("wrel_tensor") == 1
+    assert [(c[1], c[2]) for c in built].count((dom_f, f)) == 1
+    assert [(c[1], c[2]) for c in built if c[0] == "wrel_tensor"] == [(g, g)]
+    assert len(built) == calls_separate - 2
+
+    # the report is the one two separate evaluations give
+    left, right = separate
+    keys = {(x, y) for arrow in separate for x, h in arrow.rows for y, _ in h.entries}
+    assert wrel_eq(left, right)
+    assert rep.passed and rep.status == "exhaustive_pass"
+    assert rep.checks_performed == len(keys)
+
+
+def test_check_term_equality_witness_matches_separate_evaluations():
+    # the sides share g * g and differ only in P: dom(f) ; f scales row a0
+    t1 = parse_term("(dom(f) ; f) ; copy[B] ; (g * g)")
+    t2 = parse_term("f ; copy[B] ; (g * g)")
+    rep = check_term_equality(t1, t2, INTERP)
+    left, right = evaluate_term(t1, INTERP), evaluate_term(t2, INTERP)
+    keys = sorted({(x, y) for arrow in (left, right) for x, h in arrow.rows for y, _ in h.entries})
+    first = next(
+        i for i, (x, y) in enumerate(keys) if left.value(NAT, x, y) != right.value(NAT, x, y)
+    )
+    x, y = keys[first]
+    assert not rep.passed
+    assert rep.checks_performed == first + 1
+    assert rep.witness == {
+        "row": ["a0"],
+        "col": [str(c) for c in y],
+        "left": str(left.value(NAT, x, y)),
+        "right": str(right.value(NAT, x, y)),
+    }
+
+
+def test_evaluate_term_builds_a_repeated_sub_term_once(monkeypatch):
+    calls = []
+
+    def counted(sr, f, g, _op=diagram.wrel_compose):
+        calls.append((f, g))
+        return _op(sr, f, g)
+
+    monkeypatch.setattr(diagram, "wrel_compose", counted)
+    arrow = evaluate_term(parse_term("(f ; g) * (f ; g)"), INTERP)
+    fg = wrel_compose(NAT, INTERP.generators["f"], INTERP.generators["g"])
+    assert len(calls) == 1
+    assert arrow == wrel_tensor(NAT, fg, fg)
 
 
 def random_interpretation(sr_name, seed, a=2, b=2):

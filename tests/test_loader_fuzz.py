@@ -1,0 +1,95 @@
+"""Document loaders fail only with their own error family, whatever JSON they get."""
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gsrel import InterpFormatError, load_interpretation, load_semiring
+from gsrel.wrel import BoundaryError, WRelFormatError, wrel_from_doc
+
+# Wrongly typed JSON values: scalars, and one level of lists and objects
+# (unhashable, so a loader that looks them up in a dict must test types first).
+# Strings come from a small alphabet so that they hit the sort names, labels
+# and semiring names below now and then.
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+STRINGS = st.sampled_from(["A", "B", "0", "1", "2", "a", "-1", "1/2", "2.7", "bool", "nat", ""])
+JSON = (
+    SCALARS
+    | STRINGS
+    | st.lists(SCALARS | STRINGS, max_size=2)
+    | st.dictionaries(STRINGS, SCALARS | STRINGS, max_size=2)
+)
+
+
+def sometimes(strategy):
+    """The well-formed shape three times in four, else a wrongly typed value,
+    so that a document often gets deep enough to reach a late check."""
+    return st.integers(0, 3).flatmap(lambda i: strategy if i else JSON)
+
+
+LABEL = sometimes(st.sampled_from(["0", "1", "2", "a", "b"]))
+SORT_NAME = sometimes(st.sampled_from(["A", "B"]))
+SIZE = sometimes(st.integers(0, 3))
+FINSET = sometimes(
+    st.fixed_dictionaries(
+        {"name": SORT_NAME, "size": SIZE},
+        optional={"labels": sometimes(st.lists(LABEL, max_size=3))},
+    )
+)
+ENTRY = sometimes(
+    st.tuples(st.lists(LABEL, max_size=2), st.lists(LABEL, max_size=2), LABEL).map(list)
+)
+ENTRIES = sometimes(st.lists(ENTRY, max_size=4))
+ARROW = sometimes(
+    st.fixed_dictionaries(
+        {"dom": sometimes(st.lists(FINSET, max_size=2)),
+         "cod": sometimes(st.lists(FINSET, max_size=2)),
+         "entries": ENTRIES}
+    )
+)
+SORT_SPEC = SIZE | st.fixed_dictionaries(
+    {"size": SIZE}, optional={"labels": sometimes(st.lists(LABEL, max_size=3))}
+)
+GENERATOR = sometimes(
+    st.fixed_dictionaries(
+        {"dom": sometimes(st.lists(SORT_NAME, max_size=2)),
+         "cod": sometimes(st.lists(SORT_NAME, max_size=2))},
+        optional={"entries": ENTRIES},
+    )
+)
+# The three top-level fields are always objects here; wrongly typed ones are
+# rejected first and have their own tests, and fuzzing them would keep most
+# documents from reaching the sorts and generators.
+INTERPRETATION = st.fixed_dictionaries(
+    {"semiring": sometimes(st.sampled_from(["bool", "nat", "q+", "gf(3)"])),
+     "sorts": st.dictionaries(st.sampled_from(["A", "B"]), SORT_SPEC, max_size=2),
+     "generators": st.dictionaries(st.sampled_from(["f", "g"]), GENERATOR, max_size=2)}
+)
+# A few dozen fixed examples keep Tier-1 fast; 3,000 random ones per test
+# were run without a failure when these loaders were last changed.
+FUZZ = settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@given(INTERPRETATION)
+@FUZZ
+def test_load_interpretation_raises_only_interp_format_error(doc):
+    try:
+        load_interpretation(doc)
+    except InterpFormatError:
+        pass
+
+
+@given(st.sampled_from(["bool", "nat", "q+", "gf(3)"]), ARROW)
+@FUZZ
+def test_wrel_from_doc_raises_only_its_format_errors(semiring, doc):
+    try:
+        wrel_from_doc(load_semiring(semiring), doc)
+    except (WRelFormatError, BoundaryError):
+        pass

@@ -85,6 +85,41 @@ def test_immutable():
         h.entries = ()
 
 
+def test_hash_is_the_hash_of_the_entries():
+    h = wm_make(QPLUS, {(0,): Fraction(1, 2), (1,): Fraction(3)})
+    assert hash(h) == hash(h.entries)
+    assert hash(h) == hash(h)
+    nested = wm_make(NAT, {h: 2, wm_empty(QPLUS): 1})
+    assert hash(nested) == hash(nested.entries)
+
+
+def test_equal_maps_from_different_paths_hash_equal_and_dedupe():
+    two = (FinSet("A", 2),)
+    paths = [
+        wm_make(NAT, {(0,): 2, (1,): 3}),
+        wm_make(NAT, [((1,), 3), ((0,), 2), ((2,), 0)]),
+        wm_pushforward(NAT, lambda k: (k[0] % 2,), wm_make(NAT, {(0,): 1, (2,): 1, (1,): 3})),
+        wm_psi(NAT, wm_make(NAT, {(0,): 2, (1,): 3}), wm_psi0(NAT)),
+        wm_mu(NAT, wm_make(NAT, {wm_make(NAT, {(0,): 1}): 2, wm_eta(NAT, (1,)): 3})),
+    ]
+    assert all(h == paths[0] for h in paths)
+    assert len({hash(h) for h in paths}) == 1
+    assert len(set(paths)) == 1
+    assert len({wm_make(NAT, {k: 1}) for k in word_elements(two)} | {wm_eta(NAT, (0,))}) == 2
+
+
+def test_hashing_leaves_the_map_immutable():
+    h = wm_make(NAT, {(0,): 2})
+    for attr, value in (("entries", ()), ("_hash", 0), ("_index", {})):
+        with pytest.raises(AttributeError):
+            setattr(h, attr, value)
+    first = hash(h)
+    with pytest.raises(AttributeError):
+        h._hash = first + 1
+    assert hash(h) == first == hash(h.entries)
+    assert h.entries == (((0,), 2),) and h.value(NAT, (0,)) == 2
+
+
 def test_value_defaults_to_zero():
     h = wm_eta(NAT, (0,))
     assert h.value(NAT, (1,)) == 0

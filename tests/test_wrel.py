@@ -1,5 +1,7 @@
 """Weighted relations: category laws, structural arrows, dom/mass, serialization."""
+import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -366,4 +368,67 @@ def test_from_doc_wrong_types_raise_wrel_format_error(field, value):
     doc = {"dom": [], "cod": [], "entries": []}
     doc[field] = value
     with pytest.raises(WRelFormatError):
+        wrel_from_doc(NAT, doc)
+
+
+def _arrow_doc(entries):
+    """An arrow document over two unlabelled two-element sets."""
+    return {
+        "dom": [{"name": "X", "size": 2}],
+        "cod": [{"name": "Y", "size": 2}],
+        "entries": entries,
+    }
+
+
+def test_from_doc_parses_each_value_label_once():
+    parsed = []
+
+    def parse(label, _parse=QPLUS.parse):
+        parsed.append(label)
+        return _parse(label)
+
+    sr = dataclasses.replace(QPLUS, parse=parse)
+    entries = [[[x], [y], "3/2"] for x in "01" for y in "01"]
+    f = wrel_from_doc(sr, _arrow_doc(entries))
+    assert parsed == ["3/2"]
+    assert {v for _, h in f.rows for _, v in h.entries} == {Fraction(3, 2)}
+    parsed.clear()
+    entries[3][2] = "1/3"
+    f = wrel_from_doc(sr, _arrow_doc(entries))
+    assert parsed == ["3/2", "1/3"]
+    assert f.value(sr, (1,), (1,)) == Fraction(1, 3) and f.value(sr, (0,), (1,)) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [("x", "invalid literal for int() with base 10: 'x'"), ("-1", "nat label is negative: '-1'")],
+    ids=["not-a-number", "negative"],
+)
+def test_from_doc_bad_value_label_keeps_its_message(label, message):
+    # the bad label follows a repeated good one, and raises where it first occurs
+    entries = [[["0"], [y], "2"] for y in "01"] + [[["1"], [y], label] for y in "01"]
+    with pytest.raises(WRelFormatError, match=f"^{re.escape(message)}$"):
+        wrel_from_doc(NAT, _arrow_doc(entries))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [["0"], ["0"], 2],
+        [["0"], ["0"], 2.5],
+        [[0], ["0"], "1"],
+        [["0"], [False], "1"],
+        [["0"], [None], "1"],
+    ],
+    ids=["int-value", "float-value", "int-row", "bool-col", "null-col"],
+)
+def test_from_doc_labels_must_be_strings(entry):
+    with pytest.raises(WRelFormatError, match="is not a string"):
+        wrel_from_doc(QPLUS, _arrow_doc([entry]))
+
+
+def test_from_doc_sort_labels_must_be_strings():
+    doc = _arrow_doc([])
+    doc["dom"][0]["labels"] = [0, 1]
+    with pytest.raises(WRelFormatError, match="labels must be a list of strings"):
         wrel_from_doc(NAT, doc)
