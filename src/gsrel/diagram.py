@@ -16,8 +16,14 @@ and 'mass' are primitives of the term language and are expanded by the
 evaluator into their defining composites, so every equation is decided
 along a single semantic path.  One evaluation query ('evaluate_term', or
 both sides of 'check_term_equality') builds each structurally distinct
-sub-term once and reuses its arrow wherever the sub-term recurs.  '#'
-starts a line comment.
+sub-term once and reuses its arrow wherever the sub-term recurs, and builds
+each structural arrow (id, copy, del, swap) once per word.  '#' starts a
+line comment.
+
+The parser rejects a term whose syntax tree is more than MAX_TERM_DEPTH
+levels high, or whose parentheses (those of dom and mass included) nest
+deeper than that, with a ParseError: typechecking, evaluation and printing
+walk the tree recursively.
 
 A term file is either a single term or a sequence of 'let name = term'
 bindings.  An interpretation file carries a semiring reference, sort
@@ -33,19 +39,14 @@ from .report import LawReport, check_cases
 from .semiring import Semiring, SemiringError, load_semiring
 from .wrel import (
     BoundaryError,
+    Structure,
     WRel,
     WRelFormatError,
     _word_str,
     finset_from_doc,
     finset_to_doc,
     wrel_compose,
-    wrel_copy,
-    wrel_del,
-    wrel_dom,
     wrel_from_doc,
-    wrel_id,
-    wrel_mass,
-    wrel_swap,
     wrel_tensor,
     word_labels,
 )
@@ -72,6 +73,12 @@ class UnknownGeneratorError(TypecheckError):
 
 class InterpFormatError(DiagramError):
     pass
+
+
+# Deeper terms would exhaust Python's default recursion limit of 1000 in the
+# recursive walks: equality of two deep sub-terms takes about three frames a
+# level, and nested parentheses take three parser frames a level.
+MAX_TERM_DEPTH = 200
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +179,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open at the current position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -187,6 +195,16 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return self.next()
 
+    def parse_whole_term(self):
+        """A term whose syntax tree is at most MAX_TERM_DEPTH levels high."""
+        start = self.peek()
+        term = self.parse_term()
+        if _height(term) > MAX_TERM_DEPTH:
+            raise ParseError(
+                f"term is nested more than {MAX_TERM_DEPTH} levels deep", start.line, start.col
+            )
+        return term
+
     def parse_term(self):
         node = self.parse_tensor()
         while self.peek().kind == ";":
@@ -201,12 +219,26 @@ class _Parser:
             node = Tensor(node, self.parse_atom())
         return node
 
+    def open_group(self, tok: Token) -> None:
+        """Consume a '(' and count it; returns before the group is parsed, so
+        a nesting level costs the parser no extra frame."""
+        self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_TERM_DEPTH:
+            raise ParseError(
+                f"parentheses nest more than {MAX_TERM_DEPTH} levels deep", tok.line, tok.col
+            )
+
+    def close_group(self) -> None:
+        self.expect(")")
+        self.depth -= 1
+
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "(":
-            self.next()
+            self.open_group(tok)
             inner = self.parse_term()
-            self.expect(")")
+            self.close_group()
             return inner
         if tok.kind != "name":
             raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col)
@@ -214,9 +246,9 @@ class _Parser:
         if name == "let":
             raise ParseError("'let' is only allowed at the top of a term file", tok.line, tok.col)
         if name in ("dom", "mass"):
-            self.expect("(")
+            self.open_group(tok)
             inner = self.parse_term()
-            self.expect(")")
+            self.close_group()
             return Dom(inner) if name == "dom" else Mass(inner)
         if name in ("id", "copy", "del"):
             self.expect("[")
@@ -248,9 +280,23 @@ class _Parser:
         return tok.text
 
 
+def _height(term) -> int:
+    """Levels of the syntax tree, counted without recursion."""
+    height = 0
+    stack = [(term, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, (Seq, Tensor)):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, (Dom, Mass)):
+            stack.append((node.term, level + 1))
+    return height
+
+
 def parse_term(text: str):
     parser = _Parser(tokenize(text))
-    term = parser.parse_term()
+    term = parser.parse_whole_term()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
@@ -276,7 +322,7 @@ def parse_term_file(text: str) -> dict:
         if name_tok.text in bindings:
             raise ParseError(f"duplicate binding {name_tok.text!r}", name_tok.line, name_tok.col)
         parser.expect("=")
-        term = parser.parse_term()
+        term = parser.parse_whole_term()
         bindings[name_tok.text] = term
     return bindings
 
@@ -407,35 +453,36 @@ class Interpretation:
 def evaluate_term(term, interp: Interpretation) -> WRel:
     """Evaluate after typechecking; dom/mass expand to defining composites."""
     typecheck_term(term, interp.signature())
-    return _eval(term, interp, {})
+    return _eval(term, interp, Structure(interp.semiring), {})
 
 
-def _eval(term, interp: Interpretation, memo: dict) -> WRel:
+def _eval(term, interp: Interpretation, st: Structure, memo: dict) -> WRel:
     """Arrow of a typechecked term.  `memo` maps each sub-term this query has
     evaluated to its arrow; AST nodes are frozen, so structurally equal
-    sub-terms share one entry and are built once."""
+    sub-terms share one entry and are built once.  `st`, also local to the
+    query, builds the structural arrows of the id/copy/del/swap nodes and
+    of the dom/mass expansions once per word."""
     arrow = memo.get(term)
     if arrow is not None:
         return arrow
     sr = interp.semiring
     if isinstance(term, Id):
-        arrow = wrel_id(sr, interp.word(term.word))
+        arrow = st.id(interp.word(term.word))
     elif isinstance(term, Copy):
-        arrow = wrel_copy(sr, interp.word(term.word))
+        arrow = st.copy(interp.word(term.word))
     elif isinstance(term, Del):
-        arrow = wrel_del(sr, interp.word(term.word))
+        arrow = st.discard(interp.word(term.word))
     elif isinstance(term, Swap):
-        arrow = wrel_swap(sr, interp.word(term.left), interp.word(term.right))
+        arrow = st.swap(interp.word(term.left), interp.word(term.right))
     elif isinstance(term, Gen):
         arrow = interp.generators[term.name]
-    elif isinstance(term, Seq):
-        arrow = wrel_compose(sr, _eval(term.left, interp, memo), _eval(term.right, interp, memo))
-    elif isinstance(term, Tensor):
-        arrow = wrel_tensor(sr, _eval(term.left, interp, memo), _eval(term.right, interp, memo))
+    elif isinstance(term, (Seq, Tensor)):
+        op = wrel_compose if isinstance(term, Seq) else wrel_tensor
+        arrow = op(sr, _eval(term.left, interp, st, memo), _eval(term.right, interp, st, memo))
     elif isinstance(term, Dom):
-        arrow = wrel_dom(sr, _eval(term.term, interp, memo))
+        arrow = st.dom(_eval(term.term, interp, st, memo))
     elif isinstance(term, Mass):
-        arrow = wrel_mass(sr, _eval(term.term, interp, memo))
+        arrow = st.mass(_eval(term.term, interp, st, memo))
     else:
         raise TypeError(f"not a term: {term!r}")
     memo[term] = arrow
@@ -445,14 +492,16 @@ def _eval(term, interp: Interpretation, memo: dict) -> WRel:
 def check_term_equality(t1, t2, interp: Interpretation, law: str = "term-eq") -> LawReport:
     """Evaluate both terms and compare entrywise; boundary mismatch raises.
 
-    Both terms are typechecked first, then evaluated through one memo, so a
-    sub-term the two sides share is built once."""
+    Both terms are typechecked first, then evaluated through one memo and
+    one structure holder, so a sub-term or structural arrow the two sides
+    share is built once."""
     sig = interp.signature()
     typecheck_term(t1, sig)
     typecheck_term(t2, sig)
+    st = Structure(interp.semiring)
     memo: dict = {}
-    f = _eval(t1, interp, memo)
-    g = _eval(t2, interp, memo)
+    f = _eval(t1, interp, st, memo)
+    g = _eval(t2, interp, st, memo)
     if f.boundary() != g.boundary():
         raise TypecheckError(
             f"terms have different boundaries: {_word_str(f.dom)} -> {_word_str(f.cod)} vs "

@@ -245,6 +245,9 @@ def load_table_semiring(doc: Mapping) -> Semiring:
     Structural validation only (shapes, label uniqueness, closure); axioms
     are the job of check_semiring_laws.
     """
+    # `in` would search a list for the field names and fail on an int
+    if not isinstance(doc, Mapping):
+        raise TableFormatError("table document must be an object")
     for key in ("elements", "plus", "times", "zero", "one"):
         if key not in doc:
             raise TableFormatError(f"table document missing field {key!r}")

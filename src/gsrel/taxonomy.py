@@ -77,22 +77,14 @@ from .weightmap import (
     word_elements,
 )
 from .wrel import (
+    Structure,
     WRel,
     arrow_in_variant,
-    hom_scalar_mul,
-    canonical_semigroup_mul,
     variant_arrows,
-    wrel_classify,
     wrel_compose,
-    wrel_copy,
-    wrel_del,
-    wrel_dom,
     wrel_dom_closed,
     wrel_dom_via_kleisli_path,
     wrel_eq,
-    wrel_id,
-    wrel_mass,
-    wrel_swap,
     wrel_tensor,
     wrel_to_doc,
 )
@@ -520,9 +512,10 @@ def check_monad_laws(
 
     psi-natural evaluates each distinct f_*h, g_*k and psi(h, k) once per
     call and reuses it across its cases, and lax-assoc shares the same
-    psi(h, k) and psi(k, l) through it.  The pushforward along f x g and the
-    two outer pairings of lax-assoc, whose arguments differ in every case,
-    and every other law evaluate afresh.
+    psi(h, k) and psi(k, l) through it.  mu-natural shares mu(H) and the
+    inner f_*h in the same way.  The pushforward along f x g, the two outer
+    pairings of lax-assoc, the outer pushforward and mu of mu-natural, whose
+    arguments differ in every case, and every other law evaluate afresh.
     """
     sr, samples = _classify_args(variant, sr, sizes, budget, samples)
     words = _words(sizes)
@@ -545,6 +538,7 @@ def check_monad_laws(
     # key would never be seen twice
     push = _memo(ops.pushforward)
     psi = _memo(ops.psi)
+    mu = _memo(ops.mu)
 
     def per_word(tag):
         groups = [([pools[w]], exhaustive, f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
@@ -622,8 +616,8 @@ def check_monad_laws(
                 samples,
                 seed,
             ),
-            lambda c: ops.pushforward(sr, c[1], ops.mu(sr, c[2]))
-            == ops.mu(sr, ops.pushforward(sr, lambda h: ops.pushforward(sr, c[1], h), c[2])),
+            lambda c: ops.pushforward(sr, c[1], mu(sr, c[2]))
+            == ops.mu(sr, ops.pushforward(sr, lambda h: push(sr, c[1], h), c[2])),
             mdescribe,
         ),
         (
@@ -936,6 +930,7 @@ def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
     axioms at every given pair (u, v); the unit object gets one dedicated case.
     """
     sr = load_semiring(sr)
+    st = Structure(sr)
     words = [tuple(w) for w in words]
 
     def c(f, g):
@@ -946,29 +941,27 @@ def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
 
     unary = {
         "gsm/copy-coassoc": lambda w: wrel_eq(
-            c(wrel_copy(sr, w), t(wrel_copy(sr, w), wrel_id(sr, w))),
-            c(wrel_copy(sr, w), t(wrel_id(sr, w), wrel_copy(sr, w))),
+            c(st.copy(w), t(st.copy(w), st.id(w))),
+            c(st.copy(w), t(st.id(w), st.copy(w))),
         ),
-        "gsm/copy-cocomm": lambda w: wrel_eq(
-            c(wrel_copy(sr, w), wrel_swap(sr, w, w)), wrel_copy(sr, w)
-        ),
+        "gsm/copy-cocomm": lambda w: wrel_eq(c(st.copy(w), st.swap(w, w)), st.copy(w)),
         "gsm/copy-counit-right": lambda w: wrel_eq(
-            c(wrel_copy(sr, w), t(wrel_id(sr, w), wrel_del(sr, w))), wrel_id(sr, w)
+            c(st.copy(w), t(st.id(w), st.discard(w))), st.id(w)
         ),
         "gsm/copy-counit-left": lambda w: wrel_eq(
-            c(wrel_copy(sr, w), t(wrel_del(sr, w), wrel_id(sr, w))), wrel_id(sr, w)
+            c(st.copy(w), t(st.discard(w), st.id(w))), st.id(w)
         ),
     }
     binary = {
         "gsm/copy-tensor-mult": lambda u, v: wrel_eq(
-            wrel_copy(sr, u + v),
+            st.copy(u + v),
             c(
-                t(wrel_copy(sr, u), wrel_copy(sr, v)),
-                t(t(wrel_id(sr, u), wrel_swap(sr, u, v)), wrel_id(sr, v)),
+                t(st.copy(u), st.copy(v)),
+                t(t(st.id(u), st.swap(u, v)), st.id(v)),
             ),
         ),
         "gsm/del-tensor-mult": lambda u, v: wrel_eq(
-            wrel_del(sr, u + v), t(wrel_del(sr, u), wrel_del(sr, v))
+            st.discard(u + v), t(st.discard(u), st.discard(v))
         ),
     }
     reports = {
@@ -992,9 +985,9 @@ def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
     reports["gsm/unit-object"] = check_cases(
         "gsm/unit-object",
         [()],
-        lambda w: wrel_eq(wrel_copy(sr, ()), wrel_id(sr, ()))
-        and wrel_eq(wrel_del(sr, ()), wrel_id(sr, ()))
-        and wrel_eq(t(wrel_copy(sr, ()), wrel_del(sr, ())), wrel_id(sr, ())),
+        lambda w: wrel_eq(st.copy(()), st.id(()))
+        and wrel_eq(st.discard(()), st.id(()))
+        and wrel_eq(t(st.copy(()), st.discard(())), st.id(())),
         describe=lambda w: {"word": "I"},
         exhaustive=True,
     )
@@ -1052,6 +1045,7 @@ def classify_kleisli(
     sr, samples = _classify_args(variant, sr, sizes, budget, samples)
     size_list = _sizes(sizes)
     gsm_reports = _gsm_axiom_reports(sr, size_list)
+    st = Structure(sr)
 
     grid, exhaustive = _arrow_grid(
         sr, variant, size_list, seed, samples, "classify-{variant}-{ds}x{cs}"
@@ -1061,7 +1055,7 @@ def classify_kleisli(
     for (ds, cs), pool in grid.items():
         for f in pool:
             checks += 1
-            af = wrel_classify(sr, f)
+            af = st.classify(f)
             for equation, witness in witnesses.items():
                 if witness is None and not getattr(af, equation):
                     witnesses[equation] = {
@@ -1082,7 +1076,7 @@ def classify_kleisli(
         status = passed if witness is None else COUNTEREXAMPLE
         reports[flag] = LawReport("kleisli/" + flag.replace("_", "-"), status, checks, witness)
 
-    reports["weakly_markov"] = _weakly_markov_report(sr, variant, size_list, seed, samples)
+    reports["weakly_markov"] = _weakly_markov_report(st, variant, size_list, seed, samples)
     return KleisliClassification(
         variant=variant,
         semiring=sr.name,
@@ -1092,9 +1086,10 @@ def classify_kleisli(
     )
 
 
-def _weakly_markov_report(sr, variant, size_list, seed, samples):
+def _weakly_markov_report(st, variant, size_list, seed, samples):
     """Group check for the scalar hom-monoids: every arrow Y -> I needs an
     inverse under pointwise scalar multiplication."""
+    sr = st.sr
     cases = []
     exhaustive = True
     for ds in size_list:
@@ -1107,7 +1102,7 @@ def _weakly_markov_report(sr, variant, size_list, seed, samples):
     def holds(c):
         inverse = _hom_inverse(sr, variant, c[1])
         return inverse is not None and wrel_eq(
-            hom_scalar_mul(sr, c[1], inverse), wrel_del(sr, c[1].dom)
+            st.scalar_mul(c[1], inverse), st.discard(c[1].dom)
         )
 
     def describe(c):
@@ -1181,7 +1176,8 @@ def crosscheck_dom_paths(
     grid, exhaustive = _arrow_grid(
         sr, variant, _sizes(sizes), seed, samples, "domx-{variant}-{ds}x{cs}"
     )
-    dom = _memo(wrel_dom)
+    st = Structure(sr)
+    dom = _memo(lambda _sr, f: st.dom(f))
     closed, monad_path = _arrow_laws(
         sr,
         [f for pool in grid.values() for f in pool],
@@ -1213,7 +1209,8 @@ def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
         max(4, samples // max(1, len(size_list) ** 2)),
         "structural-{variant}-{ds}x{cs}",
     )
-    dom = _memo(wrel_dom)
+    st = Structure(sr)
+    dom = _memo(lambda _sr, f: st.dom(f))
     return _arrow_laws(
         sr,
         [f for pool in grid.values() for f in pool],
@@ -1221,20 +1218,16 @@ def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
         [
             (
                 "structural/dom-after-discharge",
-                lambda f: wrel_eq(wrel_dom(sr, wrel_mass(sr, f)), dom(sr, f)),
+                lambda f: wrel_eq(st.dom(st.mass(f)), dom(sr, f)),
             ),
             (
                 "structural/dom-after-copy",
-                lambda f: wrel_eq(
-                    wrel_dom(sr, wrel_compose(sr, f, wrel_copy(sr, f.cod))), dom(sr, f)
-                ),
+                lambda f: wrel_eq(st.dom(wrel_compose(sr, f, st.copy(f.cod))), dom(sr, f)),
             ),
             (
                 "structural/dom-before-copy" if domain_category else "gated/dom-before-copy",
                 lambda f: wrel_eq(
-                    wrel_dom(
-                        sr, wrel_compose(sr, wrel_copy(sr, f.dom), wrel_tensor(sr, f, f))
-                    ),
+                    st.dom(wrel_compose(sr, st.copy(f.dom), wrel_tensor(sr, f, f))),
                     dom(sr, f),
                 ),
             ),
@@ -1246,6 +1239,7 @@ def _hom_monoid_reports(sr, variant, size_list, seed, samples):
     """Monoid laws of the scalar hom-sets under pointwise multiplication."""
     n = max(4, samples // max(1, len(size_list)))
     site = f"{sr.name}-{variant}"
+    st = Structure(sr)
     pools = []
     for ds in size_list:
         dom = (FinSet("Y", ds),)
@@ -1263,7 +1257,7 @@ def _hom_monoid_reports(sr, variant, size_list, seed, samples):
         samples,
         seed,
     )
-    unit_cases = [(f, wrel_del(sr, dom)) for _, dom, pool, _ in pools for f in pool]
+    unit_cases = [(f, st.discard(dom)) for _, dom, pool, _ in pools for f in pool]
 
     def docs(c):
         return [wrel_to_doc(sr, f) for f in c]
@@ -1275,22 +1269,22 @@ def _hom_monoid_reports(sr, variant, size_list, seed, samples):
                 "homm/mul-assoc",
                 assoc_cases,
                 lambda c: wrel_eq(
-                    hom_scalar_mul(sr, hom_scalar_mul(sr, c[0], c[1]), c[2]),
-                    hom_scalar_mul(sr, c[0], hom_scalar_mul(sr, c[1], c[2])),
+                    st.scalar_mul(st.scalar_mul(c[0], c[1]), c[2]),
+                    st.scalar_mul(c[0], st.scalar_mul(c[1], c[2])),
                 ),
                 docs,
             ),
             (
                 "homm/mul-comm",
                 comm_cases,
-                lambda c: wrel_eq(hom_scalar_mul(sr, c[0], c[1]), hom_scalar_mul(sr, c[1], c[0])),
+                lambda c: wrel_eq(st.scalar_mul(c[0], c[1]), st.scalar_mul(c[1], c[0])),
                 docs,
             ),
             (
                 "homm/mul-unit",
                 unit_cases,
-                lambda c: wrel_eq(hom_scalar_mul(sr, c[1], c[0]), c[0])
-                and wrel_eq(hom_scalar_mul(sr, c[0], c[1]), c[0]),
+                lambda c: wrel_eq(st.scalar_mul(c[1], c[0]), c[0])
+                and wrel_eq(st.scalar_mul(c[0], c[1]), c[0]),
                 lambda c: wrel_to_doc(sr, c[0]),
             ),
         )
@@ -1298,6 +1292,7 @@ def _hom_monoid_reports(sr, variant, size_list, seed, samples):
 
 
 def _cansem_reports(sr, size_list):
+    st = Structure(sr)
     words = [()] + _words(size_list)
     if size_list:
         words.append((FinSet("X", size_list[-1]), FinSet("Y", size_list[0])))
@@ -1305,8 +1300,7 @@ def _cansem_reports(sr, size_list):
         "cansem/special-semigroup",
         words,
         lambda w: wrel_eq(
-            wrel_compose(sr, wrel_copy(sr, w), canonical_semigroup_mul(sr, w)),
-            wrel_id(sr, w),
+            wrel_compose(sr, st.copy(w), st.canonical_semigroup_mul(w)), st.id(w)
         ),
         describe=lambda w: {"word": _word_name(w)},
         exhaustive=True,
@@ -1314,9 +1308,9 @@ def _cansem_reports(sr, size_list):
     unit = check_cases(
         "cansem/unit-monoid",
         [()],
-        lambda w: wrel_eq(canonical_semigroup_mul(sr, ()), wrel_id(sr, ()))
-        and wrel_eq(wrel_copy(sr, ()), wrel_id(sr, ()))
-        and wrel_eq(wrel_del(sr, ()), wrel_id(sr, ())),
+        lambda w: wrel_eq(st.canonical_semigroup_mul(()), st.id(()))
+        and wrel_eq(st.copy(()), st.id(()))
+        and wrel_eq(st.discard(()), st.id(())),
         describe=lambda w: {"word": "I"},
         exhaustive=True,
     )

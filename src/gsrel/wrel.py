@@ -11,9 +11,15 @@ are strict: tensoring is tuple concatenation, so unitors and associators
 are identities on index tuples and never appear at runtime.
 
 Structural arrows: wrel_copy duplicates an index tuple, wrel_del maps it
-to (), wrel_swap exchanges two blocks.  wrel_dom is computed by its
-defining composite copy ; (id x (f ; del)); the closed form (the row total
-on the diagonal) is exposed separately as an independent oracle.
+to (), wrel_swap exchanges two blocks.  A Structure holder builds each of
+these once per word and keeps it for as long as the holder lives: one
+law-suite call or one diagram query.  Over its arrows it defines the
+composites that use them: wrel_dom is computed by its defining composite
+copy ; (id x (f ; del)), and mass, the scalar product of arrows into the
+unit, the canonical semigroup and the per-arrow flags likewise.  The
+module-level functions of those names run them on a fresh holder.  The
+closed form of dom (the row total on the diagonal) is exposed separately as
+an independent oracle.
 """
 from __future__ import annotations
 
@@ -179,20 +185,98 @@ def wrel_swap(sr: Semiring, left: Word, right: Word) -> WRel:
 
 
 # ---------------------------------------------------------------------------
-# domain and mass
+# the structure holder: domain, mass, scalar maps, canonical semigroup
+
+
+@dataclass(frozen=True)
+class ArrowFlags:
+    total: bool
+    copyable: bool
+    domain_eq: bool
+    mass_eq: bool
+
+
+class Structure:
+    """Structural arrows over one semiring, each word's built on first use.
+
+    Create one per law-suite call or diagram query and drop it with the
+    call: its dict holds every arrow it has built, one per distinct word.
+    The composites below are the defining ones, built over those arrows.
+    """
+
+    __slots__ = ("sr", "_arrows")
+
+    def __init__(self, sr: Semiring):
+        self.sr = sr
+        self._arrows: dict = {}
+
+    def _arrow(self, build, *words: Word) -> WRel:
+        key = (build, *words)
+        arrow = self._arrows.get(key)
+        if arrow is None:
+            arrow = self._arrows[key] = build(self.sr, *words)
+        return arrow
+
+    def copy(self, word: Word) -> WRel:
+        return self._arrow(wrel_copy, word)
+
+    def id(self, word: Word) -> WRel:
+        return self._arrow(wrel_id, word)
+
+    def discard(self, word: Word) -> WRel:
+        return self._arrow(wrel_del, word)
+
+    def swap(self, left: Word, right: Word) -> WRel:
+        return self._arrow(wrel_swap, left, right)
+
+    def mass(self, f: WRel) -> WRel:
+        """Discharge the codomain: f ; del."""
+        return wrel_compose(self.sr, f, self.discard(f.cod))
+
+    def dom(self, f: WRel) -> WRel:
+        """Defining composite copy ; (id x mass(f)); the right unitor is a
+        no-op because tensoring with the empty word does not change index
+        tuples."""
+        x = f.dom
+        spread = wrel_tensor(self.sr, self.id(x), self.mass(f))
+        return wrel_compose(self.sr, self.copy(x), spread)
+
+    def scalar_mul(self, f: WRel, g: WRel) -> WRel:
+        """Pointwise product of scalar maps Y -> I via copy ; (f x g)."""
+        if f.cod != () or g.cod != ():
+            raise BoundaryError("scalar multiplication needs arrows into the empty word")
+        if f.dom != g.dom:
+            raise BoundaryError("scalar multiplication needs a shared domain")
+        return wrel_compose(self.sr, self.copy(f.dom), wrel_tensor(self.sr, f, g))
+
+    def canonical_semigroup_mul(self, word: Word) -> WRel:
+        """First-projection multiplication (id x del); a one-sided inverse to copy."""
+        return wrel_tensor(self.sr, self.id(word), self.discard(word))
+
+    def classify(self, f: WRel) -> ArrowFlags:
+        """Evaluate the four per-arrow equations through their composites."""
+        sr = self.sr
+        dom_f = self.dom(f)
+        mass_f = self.mass(f)
+        return ArrowFlags(
+            total=wrel_eq(mass_f, self.discard(f.dom)),
+            copyable=wrel_eq(
+                wrel_compose(sr, f, self.copy(f.cod)),
+                wrel_compose(sr, self.copy(f.dom), wrel_tensor(sr, f, f)),
+            ),
+            domain_eq=wrel_eq(wrel_compose(sr, dom_f, f), f),
+            mass_eq=wrel_eq(wrel_compose(sr, dom_f, mass_f), mass_f),
+        )
 
 
 def wrel_mass(sr: Semiring, f: WRel) -> WRel:
-    """Discharge the codomain: f ; del."""
-    return wrel_compose(sr, f, wrel_del(sr, f.cod))
+    """Structure.mass on a fresh holder."""
+    return Structure(sr).mass(f)
 
 
 def wrel_dom(sr: Semiring, f: WRel) -> WRel:
-    """Defining composite copy ; (id x mass(f)); the right unitor is a no-op
-    because tensoring with the empty word does not change index tuples."""
-    x = f.dom
-    spread = wrel_tensor(sr, wrel_id(sr, x), wrel_mass(sr, f))
-    return wrel_compose(sr, wrel_copy(sr, x), spread)
+    """Structure.dom on a fresh holder."""
+    return Structure(sr).dom(f)
 
 
 def wrel_dom_closed(sr: Semiring, f: WRel) -> WRel:
@@ -220,51 +304,19 @@ def wrel_dom_via_kleisli_path(sr: Semiring, f: WRel) -> WRel:
     return WRel(f.dom, f.cod, rows)
 
 
-# ---------------------------------------------------------------------------
-# scalar maps and the canonical semigroup
-
-
 def hom_scalar_mul(sr: Semiring, f: WRel, g: WRel) -> WRel:
-    """Pointwise product of scalar maps Y -> I via copy ; (f x g)."""
-    if f.cod != () or g.cod != ():
-        raise BoundaryError("scalar multiplication needs arrows into the empty word")
-    if f.dom != g.dom:
-        raise BoundaryError("scalar multiplication needs a shared domain")
-    return wrel_compose(sr, wrel_copy(sr, f.dom), wrel_tensor(sr, f, g))
+    """Structure.scalar_mul on a fresh holder."""
+    return Structure(sr).scalar_mul(f, g)
 
 
 def canonical_semigroup_mul(sr: Semiring, word: Word) -> WRel:
-    """First-projection multiplication (id x del); a one-sided inverse to copy."""
-    return wrel_tensor(sr, wrel_id(sr, word), wrel_del(sr, word))
-
-
-# ---------------------------------------------------------------------------
-# per-arrow classification
-
-
-@dataclass(frozen=True)
-class ArrowFlags:
-    total: bool
-    copyable: bool
-    domain_eq: bool
-    mass_eq: bool
+    """Structure.canonical_semigroup_mul on a fresh holder."""
+    return Structure(sr).canonical_semigroup_mul(word)
 
 
 def wrel_classify(sr: Semiring, f: WRel) -> ArrowFlags:
-    """Evaluate the four per-arrow equations through their composites."""
-    dom_f = wrel_dom(sr, f)
-    mass_f = wrel_mass(sr, f)
-    copy_cod = wrel_copy(sr, f.cod)
-    copy_dom = wrel_copy(sr, f.dom)
-    return ArrowFlags(
-        total=wrel_eq(mass_f, wrel_del(sr, f.dom)),
-        copyable=wrel_eq(
-            wrel_compose(sr, f, copy_cod),
-            wrel_compose(sr, copy_dom, wrel_tensor(sr, f, f)),
-        ),
-        domain_eq=wrel_eq(wrel_compose(sr, dom_f, f), f),
-        mass_eq=wrel_eq(wrel_compose(sr, dom_f, mass_f), mass_f),
-    )
+    """Structure.classify on a fresh holder."""
+    return Structure(sr).classify(f)
 
 
 # ---------------------------------------------------------------------------

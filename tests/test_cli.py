@@ -14,6 +14,7 @@ from gsrel import (
     wm_pushforward,
 )
 from gsrel.cli import main
+from gsrel.diagram import MAX_TERM_DEPTH
 
 BROKEN_TABLE = {
     "name": "broken",
@@ -340,6 +341,54 @@ def test_eval_and_eq_read_no_environment(files, monkeypatch):
     monkeypatch.setenv("GSREL_BUDGET", "lots")
     assert run(["eval", files / "f.gsd", files / "interp_bool.json"]) == 0
     assert run(["eq", files / "domf.gsd", files / "f.gsd", files / "interp_bool.json"]) == 0
+
+
+# Deep terms: the parser refuses a term past MAX_TERM_DEPTH with exit 2, so
+# the recursive walks after it never run out of stack.
+
+
+def deep_terms(depth):
+    """A chain of compositions, and parentheses nested around the group of
+    dom(id[A]), each `depth` levels deep; both evaluate to f."""
+    return {
+        "chain": " ; ".join(["id[A]"] * (depth - 1) + ["f"]),
+        "parens": "(" * (depth - 1) + "dom(id[A]) ; f" + ")" * (depth - 1),
+    }
+
+
+def deep_argv(cmd, term_file, files):
+    interp = files / "interp_nat.json"
+    if cmd == "eval":
+        return ["eval", term_file, interp]
+    return ["eq", term_file, files / "f.gsd", interp]
+
+
+@pytest.mark.parametrize("cmd", ["eval", "eq"])
+@pytest.mark.parametrize("shape", ["chain", "parens"])
+@pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 601, 3000])
+def test_too_deep_terms_exit_2(files, tmp_path, capsys, cmd, shape, depth):
+    path = tmp_path / "deep.gsd"
+    path.write_text(deep_terms(depth)[shape])
+    assert run(deep_argv(cmd, path, files)) == 2
+    err = capsys.readouterr().err
+    assert f"more than {MAX_TERM_DEPTH} levels deep" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["eval", "eq"])
+@pytest.mark.parametrize("shape", ["chain", "parens"])
+def test_terms_at_the_depth_limit_evaluate(files, tmp_path, capsys, cmd, shape):
+    path = tmp_path / "deep.gsd"
+    path.write_text(deep_terms(MAX_TERM_DEPTH)[shape])
+    assert run(deep_argv(cmd, path, files)) == 0
+    if cmd == "eval":
+        # both shapes evaluate to f
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "boundary: [A] -> [C]",
+            "  (a) -> (c) : 2",
+        ]
+    # both sides equally deep: equal sub-terms are compared, not only hashed
+    assert run(["eq", path, path, files / "interp_nat.json"]) == 0
 
 
 def test_bad_sizes_exit_2(files):

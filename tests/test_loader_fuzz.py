@@ -1,7 +1,16 @@
 """Document loaders fail only with their own error family, whatever JSON they get."""
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gsrel import InterpFormatError, load_interpretation, load_semiring
+from gsrel import (
+    InterpFormatError,
+    ParseError,
+    TableFormatError,
+    load_interpretation,
+    load_semiring,
+    load_table_semiring,
+    parse_term_file,
+)
 from gsrel.wrel import BoundaryError, WRelFormatError, wrel_from_doc
 
 # Wrongly typed JSON values: scalars, and one level of lists and objects
@@ -92,4 +101,63 @@ def test_wrel_from_doc_raises_only_its_format_errors(semiring, doc):
     try:
         wrel_from_doc(load_semiring(semiring), doc)
     except (WRelFormatError, BoundaryError):
+        pass
+
+
+TABLE_FIELDS = ["elements", "plus", "times", "zero", "one"]
+ELEMENT = sometimes(st.sampled_from(["0", "1", "2"]))
+ROW = sometimes(st.lists(ELEMENT, min_size=1, max_size=3))
+TABLE = sometimes(st.lists(ROW, min_size=1, max_size=3))
+TABLE_DOC = (
+    st.fixed_dictionaries(
+        {"elements": sometimes(st.lists(ELEMENT, min_size=1, max_size=3)),
+         "plus": TABLE,
+         "times": TABLE,
+         "zero": ELEMENT,
+         "one": ELEMENT},
+        optional={"name": JSON},
+    )
+    # a missing field, or a whole document of the wrong type: a list that
+    # holds the field names must not pass the field-presence check
+    | st.dictionaries(st.sampled_from(TABLE_FIELDS), JSON, max_size=4)
+    | st.lists(st.sampled_from(TABLE_FIELDS), max_size=5)
+    | JSON
+)
+
+
+@given(TABLE_DOC)
+@FUZZ
+def test_load_table_semiring_raises_only_table_format_error(doc):
+    try:
+        load_table_semiring(doc)
+    except TableFormatError:
+        pass
+
+
+def test_load_table_semiring_rejects_documents_that_are_not_objects():
+    for doc in (TABLE_FIELDS, 5, "elements", None):
+        with pytest.raises(TableFormatError, match="must be an object"):
+            load_table_semiring(doc)
+
+
+# Term files: token soup from the term language, and deep nestings of the
+# three recursive shapes (parentheses, dom/mass and long chains), which must
+# be refused with a ParseError rather than exhaust the recursion limit.
+TOKEN = st.sampled_from(
+    ["f", "g", "A", "B", "id", "copy", "del", "swap", "dom", "mass", "let", "main",
+     ";", "*", "(", ")", "[", "]", ",", "=", "#", "\n", "$", "1"]
+)
+SOUP = st.lists(TOKEN, max_size=20).map(" ".join)
+DEEP = st.tuples(st.sampled_from(["(", "dom(", "mass(", "f ; ", "f * "]), st.integers(150, 3000)).map(
+    lambda p: p[0] * p[1] + "f" + ")" * (p[1] * p[0].count("("))
+)
+TERM_FILE = SOUP | DEEP | st.tuples(SOUP, DEEP).map(lambda p: "let main = " + p[1] + " " + p[0])
+
+
+@given(TERM_FILE)
+@FUZZ
+def test_parse_term_file_raises_only_parse_error(text):
+    try:
+        parse_term_file(text)
+    except ParseError:
         pass

@@ -33,6 +33,7 @@ from gsrel import (
     wrel_compose,
     wrel_dom,
 )
+from gsrel import FinSet, wrel
 from gsrel.taxonomy import _memo
 
 BOOL = load_semiring("bool")
@@ -224,6 +225,54 @@ def test_lax_assoc_shares_its_inner_pairings():
     # four pairings a case when evaluated afresh; only the two outer ones are
     # not shared
     assert calls["psi"] < 4 * lax.checks_performed, (calls, lax.checks_performed)
+
+
+def test_mu_natural_shares_its_mu_and_inner_pushforwards():
+    calls = {"mu": 0, "pushforward": 0}
+
+    def counted_mu(sr, H):
+        calls["mu"] += 1
+        return wm_mu(sr, H)
+
+    def counted_pushforward(sr, fn, h, cod=None):
+        calls["pushforward"] += 1
+        return wm_pushforward(sr, fn, h, cod)
+
+    ops = replace(DEFAULT_OPS, mu=counted_mu, pushforward=counted_pushforward)
+    reports = check_monad_laws("M", BOOL, sizes=(0, 1, 3), seed=11, ops=ops)
+    by_law = {r.law: r for r in reports}
+    natural = by_law["monad/mu-natural"]
+    assert natural.status == "exhaustive_pass"
+    # evaluated afresh, mu-natural alone takes two mu a case, and two
+    # pushforwards plus one per inner map; shared, mu(H) is taken once per
+    # distinct H and the inner images once per distinct (f, h)
+    assert calls["mu"] < 2 * natural.checks_performed, (calls, natural.checks_performed)
+    # psi-natural takes one unshared pushforward a case
+    bound = by_law["monad/psi-natural"].checks_performed + 3 * natural.checks_performed
+    assert calls["pushforward"] < bound, (calls, bound)
+
+
+def test_structural_arrows_are_built_once_per_word(monkeypatch):
+    built = []
+    for name in ("wrel_copy", "wrel_id", "wrel_del"):
+        def counted(sr, word, _name=name, _op=getattr(wrel, name)):
+            built.append((_name, word))
+            return _op(sr, word)
+
+        monkeypatch.setattr(wrel, name, counted)
+    xs = {(FinSet("X", n),) for n in (0, 1, 3)}
+    ys = {(FinSet("Y", n),) for n in (0, 1, 3)}
+
+    closed, monad_path = crosscheck_dom_paths(BOOL, "M", sizes=(0, 1, 3))
+    assert closed.passed and monad_path.passed
+    assert len(built) == len(set(built)), "an arrow was built twice"
+    assert {w for name, w in built if name == "wrel_copy"} == xs
+    assert {w for name, w in built if name == "wrel_id"} == xs
+    assert {w for name, w in built if name == "wrel_del"} == ys
+
+    built.clear()
+    classify_kleisli("M", BOOL, sizes=(0, 1, 3))
+    assert built and len(built) == len(set(built)), "an arrow was built twice"
 
 
 def test_memo_runs_op_once_per_distinct_arguments():

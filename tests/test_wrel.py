@@ -9,6 +9,7 @@ import pytest
 from gsrel import (
     BoundaryError,
     FinSet,
+    Structure,
     WRel,
     WRelFormatError,
     arrow_in_variant,
@@ -242,6 +243,28 @@ def test_hom_scalar_mul_rejects_bad_boundaries():
         hom_scalar_mul(NAT, f, s)
     with pytest.raises(BoundaryError):
         hom_scalar_mul(NAT, s, t)
+
+
+def test_structure_builds_each_word_once_and_composites_match():
+    st = Structure(NAT)
+    for build, arrow in ((wrel_copy, st.copy), (wrel_id, st.id), (wrel_del, st.discard)):
+        first = arrow(X + Y)
+        assert first == build(NAT, X + Y)
+        assert arrow(X + Y) is first
+        assert arrow(X) is not first
+    assert st.swap(X, Y) is st.swap(X, Y)
+    assert st.swap(X, Y) == wrel_swap(NAT, X, Y)
+    # one holder serves many arrows; each composite is its defining one
+    for i in range(10):
+        f = rand_arrow(NAT, X, Y, i, "st")
+        s = rand_arrow(NAT, X, I, i, "sc")
+        assert st.mass(f) == wrel_compose(NAT, f, wrel_del(NAT, Y))
+        assert st.dom(f) == wrel_dom_closed(NAT, f)
+        assert st.classify(f) == wrel_classify(NAT, f)
+        assert st.scalar_mul(s, s) == wrel_compose(
+            NAT, wrel_copy(NAT, X), wrel_tensor(NAT, s, s)
+        )
+    assert st.canonical_semigroup_mul(X) == wrel_tensor(NAT, wrel_id(NAT, X), wrel_del(NAT, X))
 
 
 # boundaries, zero-size sets, serialization
