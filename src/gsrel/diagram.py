@@ -23,7 +23,9 @@ line comment.
 The parser rejects a term whose syntax tree is more than MAX_TERM_DEPTH
 levels high, or whose parentheses (those of dom and mass included) nest
 deeper than that, with a ParseError: typechecking, evaluation and printing
-walk the tree recursively.
+walk the tree recursively.  evaluate_term and check_term_equality measure
+the height of the trees they are given, which need not come from the
+parser, and raise TermDepthError above the limit.
 
 A term file is either a single term or a sequence of 'let name = term'
 bindings.  An interpretation file carries a semiring reference, sort
@@ -73,6 +75,10 @@ class UnknownGeneratorError(TypecheckError):
 
 class InterpFormatError(DiagramError):
     pass
+
+
+class TermDepthError(DiagramError):
+    """A syntax tree handed to the evaluator is deeper than MAX_TERM_DEPTH."""
 
 
 # Deeper terms would exhaust Python's default recursion limit of 1000 in the
@@ -450,8 +456,15 @@ class Interpretation:
         return Signature(tuple(sorted(self.sorts)), dict(self.gen_sig))
 
 
+def _check_depth(term) -> None:
+    """Refuse a tree the recursive walks could not finish."""
+    if _height(term) > MAX_TERM_DEPTH:
+        raise TermDepthError(f"term is nested more than {MAX_TERM_DEPTH} levels deep")
+
+
 def evaluate_term(term, interp: Interpretation) -> WRel:
     """Evaluate after typechecking; dom/mass expand to defining composites."""
+    _check_depth(term)
     typecheck_term(term, interp.signature())
     return _eval(term, interp, Structure(interp.semiring), {})
 
@@ -495,6 +508,8 @@ def check_term_equality(t1, t2, interp: Interpretation, law: str = "term-eq") ->
     Both terms are typechecked first, then evaluated through one memo and
     one structure holder, so a sub-term or structural arrow the two sides
     share is built once."""
+    _check_depth(t1)
+    _check_depth(t2)
     sig = interp.signature()
     typecheck_term(t1, sig)
     typecheck_term(t2, sig)

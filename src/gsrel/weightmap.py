@@ -346,7 +346,9 @@ def sample_maps(
     doubled-unit point maps, rescaled and max-normalized random maps) so
     that the common membership patterns appear even when random draws
     would miss them; membership is always re-checked, never assumed.  The
-    stream is built lazily and stops at the n-th distinct member.
+    stream is built lazily and stops at the n-th distinct member.  A
+    repeated random draw yields nothing, because it would only repeat maps
+    already yielded.
     """
     # Small finite map spaces are enumerated outright; anything bigger falls
     # through to the seeded stream below, which works for finite carriers too.
@@ -373,9 +375,20 @@ def _sample_stream(sr: Semiring, keys: list, rng, n: int):
         yield WeightMap(sr, {keys[0]: v})
     if not values:
         return
+    # Keys and values are drawn by index: rng.choice(range(m)) uses the rng
+    # exactly as rng.choice on a length-m list does, so the draws are the
+    # same.  A repeated draw would only yield the three maps its first
+    # occurrence yielded, all of which _first_members has already seen, so
+    # it is skipped before any map is built.
+    slots, choices = range(len(keys)), range(len(values))
+    drawn = set()
     for _ in range(6 * n):
-        support = [k for k in keys if rng.random() < 0.6] or [rng.choice(keys)]
-        picked = {k: rng.choice(values) for k in support}
+        mask = tuple(i for i in slots if rng.random() < 0.6) or (rng.choice(slots),)
+        picks = tuple(rng.choice(choices) for _ in mask)
+        if (mask, picks) in drawn:
+            continue
+        drawn.add((mask, picks))
+        picked = {keys[i]: values[j] for i, j in zip(mask, picks)}
         h = WeightMap(sr, picked)
         yield h
         # Rescale by the inverse of the total when one exists, to land on
@@ -385,7 +398,7 @@ def _sample_stream(sr: Semiring, keys: list, rng, n: int):
         if inv is not None:
             yield WeightMap(sr, {k: sr.mul(v, inv) for k, v in picked.items()})
         forced = dict(picked)
-        forced[support[0]] = sr.one
+        forced[keys[mask[0]]] = sr.one
         yield WeightMap(sr, forced)
 
 

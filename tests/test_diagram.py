@@ -319,6 +319,43 @@ def test_evaluate_term_builds_a_repeated_sub_term_once(monkeypatch):
     assert arrow == wrel_tensor(NAT, fg, fg)
 
 
+def _chain(levels: int):
+    """A left-nested `id[A] ; id[A] ; ...` syntax tree `levels` levels high."""
+    term = Id(("A",))
+    for _ in range(levels - 1):
+        term = Seq(term, Id(("A",)))
+    return term
+
+
+def _dom_tower(levels: int):
+    """`dom(dom(... f))`, `levels` levels high."""
+    term = Gen("f")
+    for _ in range(levels - 1):
+        term = Dom(term)
+    return term
+
+
+@pytest.mark.parametrize("shape", [_chain, _dom_tower])
+def test_too_deep_syntax_trees_raise_a_diagram_error(shape):
+    # trees built in Python never pass through the parser's depth limit
+    deep, shallow = shape(1200), shape(1)
+    limit = f"more than {diagram.MAX_TERM_DEPTH} levels"
+    with pytest.raises(diagram.TermDepthError, match=limit):
+        evaluate_term(deep, INTERP)
+    for t1, t2 in ((deep, shallow), (shallow, deep)):
+        with pytest.raises(diagram.TermDepthError, match=limit):
+            check_term_equality(t1, t2, INTERP)
+    assert issubclass(diagram.TermDepthError, diagram.DiagramError)
+
+
+def test_syntax_trees_at_the_depth_limit_evaluate():
+    chain = _chain(diagram.MAX_TERM_DEPTH)
+    assert evaluate_term(chain, INTERP) == wrel_id(NAT, INTERP.word(("A",)))
+    assert check_term_equality(chain, Id(("A",)), INTERP).passed
+    tower = _dom_tower(diagram.MAX_TERM_DEPTH)
+    assert evaluate_term(tower, INTERP) == evaluate_term(Dom(Gen("f")), INTERP)
+
+
 def random_interpretation(sr_name, seed, a=2, b=2):
     """Two sorts and three generators with sampled entry tables."""
     sr = load_semiring(sr_name)

@@ -27,8 +27,9 @@ from gsrel import (
     word_elements,
     word_size,
 )
+from gsrel.semiring import CATALOG, mul_inverse
 from gsrel.taxonomy import _nested_pool
-from gsrel.weightmap import _first_members, _sort_token
+from gsrel.weightmap import _enumerable, _first_members, _sort_token, _word_tag
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -403,3 +404,81 @@ def test_first_members_skips_duplicates_and_non_members_in_stream_order():
     assert _first_members(NAT, iter(stream), "Ma", 2) == [b, a]
     assert _first_members(NAT, iter(stream), "Ma", 5) == [b, a]
     assert _first_members(NAT, iter(stream), "M", 5) == [two, b, c, a]
+
+
+def _reference_stream(sr, keys: list, rng, n: int):
+    """The candidate stream of sample_maps as it was before repeated draws
+    were skipped: every draw builds and yields its three maps."""
+    values = [v for v in sr.sample_elements(rng) if v != sr.zero]
+    two = sr.add(sr.one, sr.one)
+    yield wm_empty(sr)
+    if not keys:
+        return
+    yield wm_eta(sr, keys[0])
+    yield WeightMap(sr, {keys[0]: two})
+    for k in keys[1:]:
+        yield wm_eta(sr, k)
+    yield WeightMap(sr, {k: sr.one for k in keys})
+    for v in values[:4]:
+        yield WeightMap(sr, {keys[0]: v})
+    if not values:
+        return
+    for _ in range(6 * n):
+        support = [k for k in keys if rng.random() < 0.6] or [rng.choice(keys)]
+        picked = {k: rng.choice(values) for k in support}
+        h = WeightMap(sr, picked)
+        yield h
+        # Rescale by the inverse of the total when one exists, to land on
+        # normalized members; otherwise force the first value to one.
+        t = wm_total(sr, h)
+        inv = mul_inverse(sr, t) if t != sr.zero else None
+        if inv is not None:
+            yield WeightMap(sr, {k: sr.mul(v, inv) for k, v in picked.items()})
+        forced = dict(picked)
+        forced[support[0]] = sr.one
+        yield WeightMap(sr, forced)
+
+
+def _reference_sample(sr, word, variant, seed, n):
+    keys = list(word_elements(word))
+    rng = derive_rng(seed, "sample-maps", sr.name, variant, "maps", _word_tag(word), n)
+    return _first_members(sr, _reference_stream(sr, keys, rng, n), variant, n)
+
+
+# 1 to 4 keys, and 16 keys, where bool and gf(2) are sampled too
+SAMPLED_WORDS = (
+    (FinSet("A", 1),),
+    (FinSet("B", 2),),
+    (FinSet("C", 3),),
+    (FinSet("A", 2), FinSet("B", 2)),
+    (FinSet("D", 4), FinSet("E", 4)),
+)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_sample_maps_match_the_reference_stream(name):
+    sr = load_semiring(name)
+    for word, variant, seed, n in itertools.product(SAMPLED_WORDS, VARIANTS, (1, 11), (1, 5, 24)):
+        if _enumerable(sr, word_size(word)):
+            continue  # enumerated; the stream is not reached
+        assert sample_maps(sr, word, variant, seed, n) == _reference_sample(
+            sr, word, variant, seed, n
+        ), (word, variant, seed, n)
+
+
+def test_sample_maps_builds_no_map_for_a_repeated_draw(monkeypatch):
+    # Ma over two keys repeats most of its random draws at seed 11: every
+    # draw building three maps took 305 constructions, skipping repeats 133
+    word = (FinSet("B", 2),)
+    expected = _reference_sample(NAT, word, "Ma", 11, 24)
+    built = []
+    init = WeightMap.__init__
+
+    def counted(self, sr, items):
+        built.append(1)
+        init(self, sr, items)
+
+    monkeypatch.setattr(WeightMap, "__init__", counted)
+    pool = sample_maps(NAT, word, "Ma", seed=11, n=24)
+    assert len(built) < 200
+    assert pool == expected
