@@ -23,6 +23,7 @@ Sub-family membership (wm_classify):
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -47,6 +48,9 @@ class FinSet:
     def __post_init__(self):
         if self.size < 0:
             raise WeightMapError(f"{self.name}: negative size")
+        # range() and product() index their elements with C integers
+        if self.size > sys.maxsize:
+            raise WeightMapError(f"{self.name}: size {self.size} is above {sys.maxsize}")
         if self.labels is not None:
             if len(self.labels) != self.size:
                 raise WeightMapError(f"{self.name}: {len(self.labels)} labels for size {self.size}")

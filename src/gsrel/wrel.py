@@ -20,6 +20,15 @@ unit, the canonical semigroup and the per-arrow flags likewise.  The
 module-level functions of those names run them on a fresh holder.  The
 closed form of dom (the row total on the diagonal) is exposed separately as
 an independent oracle.
+
+Invariant: every row key of an arrow is an element of its domain word and
+every entry key an element of its codomain word.  Keys are checked once,
+where they enter: by WRel(...), which wrel_make, the dom oracles and any
+caller use, and by wrel_from_doc, whose label lookups prove each key.
+wrel_compose, wrel_tensor, the structural builders (id, copy, del, swap),
+enumerate_arrows and sample_arrows keep the invariant by construction, from
+keys of checked arrows or from word_elements, and build through
+WRel._canonical without checking again.
 """
 from __future__ import annotations
 
@@ -58,7 +67,15 @@ class WRelFormatError(ValueError):
 
 
 class WRel:
-    """Immutable arrow between words; rows are canonical and zero-free."""
+    """Immutable arrow between words; rows are canonical and zero-free.
+
+    Invariant: every row key is an element of the domain word and every
+    entry key of a row is an element of the codomain word.  WRel(...)
+    checks this for each key it is given, and wrel_from_doc for each label
+    it reads.  WRel._canonical skips the check and serves only builders
+    whose keys are elements by construction: wrel_compose, wrel_tensor,
+    the structural arrows and the arrow pools (see the module docstring).
+    """
 
     __slots__ = ("dom", "cod", "rows", "_index")
 
@@ -74,6 +91,18 @@ class WRel:
                     raise BoundaryError(f"entry key {y!r} is not an element of the codomain word")
             if len(h):
                 kept[x] = h
+        self._store(dom, cod, kept)
+
+    @classmethod
+    def _canonical(cls, dom: Word, cod: Word, rows: dict) -> WRel:
+        """The arrow of rows, a dict from elements of dom to WeightMaps over
+        cod, with no key checked; empty rows are dropped as WRel(...) drops
+        them, so the result equals the checked construction."""
+        f = object.__new__(cls)
+        f._store(dom, cod, {x: h for x, h in rows.items() if h.entries})
+        return f
+
+    def _store(self, dom: Word, cod: Word, kept: dict) -> None:
         object.__setattr__(self, "dom", tuple(dom))
         object.__setattr__(self, "cod", tuple(cod))
         object.__setattr__(self, "rows", tuple(sorted(kept.items())))
@@ -135,7 +164,7 @@ def _word_str(word: Word) -> str:
 
 
 def wrel_id(sr: Semiring, word: Word) -> WRel:
-    return WRel(word, word, {x: wm_eta(sr, x) for x in word_elements(word)})
+    return WRel._canonical(word, word, {x: wm_eta(sr, x) for x in word_elements(word)})
 
 
 def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
@@ -157,7 +186,7 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
                 acc[z] = sr.add(acc[z], term) if z in acc else term
         if acc:
             rows[x] = wm_make(sr, acc)
-    return WRel(f.dom, g.cod, rows)
+    return WRel._canonical(f.dom, g.cod, rows)
 
 
 def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
@@ -165,15 +194,15 @@ def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
     for xf, hf in f.rows:
         for xg, hg in g.rows:
             rows[xf + xg] = wm_psi(sr, hf, hg)
-    return WRel(f.dom + g.dom, f.cod + g.cod, rows)
+    return WRel._canonical(f.dom + g.dom, f.cod + g.cod, rows)
 
 
 def wrel_copy(sr: Semiring, word: Word) -> WRel:
-    return WRel(word, word + word, {x: wm_eta(sr, x + x) for x in word_elements(word)})
+    return WRel._canonical(word, word + word, {x: wm_eta(sr, x + x) for x in word_elements(word)})
 
 
 def wrel_del(sr: Semiring, word: Word) -> WRel:
-    return WRel(word, (), {x: wm_eta(sr, ()) for x in word_elements(word)})
+    return WRel._canonical(word, (), {x: wm_eta(sr, ()) for x in word_elements(word)})
 
 
 def wrel_swap(sr: Semiring, left: Word, right: Word) -> WRel:
@@ -181,7 +210,7 @@ def wrel_swap(sr: Semiring, left: Word, right: Word) -> WRel:
     rows = {}
     for x in word_elements(left + right):
         rows[x] = wm_eta(sr, x[cut:] + x[:cut])
-    return WRel(left + right, right + left, rows)
+    return WRel._canonical(left + right, right + left, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +356,10 @@ def enumerate_arrows(sr: Semiring, dom: Word, cod: Word, variant: str = "M") -> 
     """All arrows whose rows are variant members; finite carriers only."""
     keys = list(word_elements(dom))
     choices = enumerate_maps(sr, cod, variant)
-    return [WRel(dom, cod, dict(zip(keys, rows))) for rows in product(choices, repeat=len(keys))]
+    return [
+        WRel._canonical(dom, cod, dict(zip(keys, rows)))
+        for rows in product(choices, repeat=len(keys))
+    ]
 
 
 def sample_arrows(
@@ -347,7 +379,7 @@ def sample_arrows(
     out = []
     seen = set()
     for assignment in product(row_pool[:3], repeat=len(keys)):
-        arrow = WRel(dom, cod, dict(zip(keys, assignment)))
+        arrow = WRel._canonical(dom, cod, dict(zip(keys, assignment)))
         if arrow not in seen:
             seen.add(arrow)
             out.append(arrow)
@@ -357,7 +389,7 @@ def sample_arrows(
         return out
     rng = derive_rng(seed, "sample-arrows", sr.name, variant, tag, len(keys), n)
     while len(out) < n:
-        arrow = WRel(dom, cod, {k: rng.choice(row_pool) for k in keys})
+        arrow = WRel._canonical(dom, cod, {k: rng.choice(row_pool) for k in keys})
         if arrow not in seen:
             seen.add(arrow)
             out.append(arrow)
@@ -432,6 +464,10 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
             raise WRelFormatError(f"arrow field {key!r} must be a list")
     dom = tuple(finset_from_doc(d) for d in doc["dom"])
     cod = tuple(finset_from_doc(d) for d in doc["cod"])
+    # label -> index, one memo per distinct sort; filled from index_of on a miss
+    memos: dict = {}
+    dom_memos = [memos.setdefault(s, {}) for s in dom]
+    cod_memos = [memos.setdefault(s, {}) for s in cod]
     rows: dict = {}
     values: dict = {}  # value label -> parsed value; dense arrows repeat a few labels
     for item in doc["entries"]:
@@ -446,8 +482,8 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
         if not isinstance(value_label, str):
             raise WRelFormatError(f"value label {value_label!r} is not a string")
         try:
-            x = tuple(s.index_of(l) for s, l in zip(dom, row_labels))
-            y = tuple(s.index_of(l) for s, l in zip(cod, col_labels))
+            x = _indices(dom, dom_memos, row_labels)
+            y = _indices(cod, cod_memos, col_labels)
             if value_label not in values:
                 values[value_label] = sr.parse(value_label)
             v = values[value_label]
@@ -457,4 +493,24 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
         if y in cols:
             raise WRelFormatError(f"duplicate entry at {row_labels} {col_labels}")
         cols[y] = v
-    return wrel_make(sr, dom, cod, rows)
+    # index_of and the shape check above made every key a word element
+    return WRel._canonical(dom, cod, {x: wm_make(sr, cols) for x, cols in rows.items()})
+
+
+def _indices(word: Word, memos: list, labels: list) -> tuple:
+    """The element of word named by labels, through the per-sort memos.
+
+    A miss, or a label that cannot be a dict key, goes to index_of, which
+    raises for every label it refuses; only indices it returned are stored.
+    """
+    try:
+        return tuple([memo[l] for memo, l in zip(memos, labels)])
+    except (KeyError, TypeError):
+        pass
+    key = []
+    for s, memo, l in zip(word, memos, labels):
+        i = memo.get(l) if isinstance(l, str) else None
+        if i is None:
+            i = memo[l] = s.index_of(l)
+        key.append(i)
+    return tuple(key)

@@ -396,6 +396,27 @@ def test_bad_sizes_exit_2(files):
     assert run(["classify", "bool", "--variant", "M", "--sizes", "a,b"]) == 2
 
 
+OVERSIZED = 99999999999999999999  # above sys.maxsize, so no range() can index it
+
+
+@pytest.mark.parametrize("cmd", ["eq", "eval", "sizes"])
+def test_oversized_sizes_exit_2(files, tmp_path, capsys, cmd):
+    """A set size no C integer holds is bad input, not a refutation."""
+    interp = tmp_path / "huge.json"
+    interp.write_text(json.dumps({"semiring": "nat", "sorts": {"A": OVERSIZED}, "generators": {}}))
+    (tmp_path / "t1.gsd").write_text("id[A]\n")
+    (tmp_path / "t2.gsd").write_text("copy[A] ; (id[A] * del[A])\n")
+    argv = {
+        "eq": ["eq", tmp_path / "t1.gsd", tmp_path / "t2.gsd", interp],
+        "eval": ["eval", tmp_path / "t1.gsd", interp],
+        "sizes": ["taxonomy", "--semiring", "bool", "--variant", "M", "--sizes", str(OVERSIZED)],
+    }[cmd]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(OVERSIZED) in err
+    assert "Traceback" not in err
+
+
 def test_budget_must_be_positive(files):
     assert run(["check-semiring", "bool", "--budget", "0"]) == 2
 

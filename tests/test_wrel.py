@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import gsrel.wrel
 from gsrel import (
     BoundaryError,
     FinSet,
@@ -17,7 +18,11 @@ from gsrel import (
     derive_rng,
     enumerate_arrows,
     hom_scalar_mul,
+    check_term_equality,
+    load_interpretation,
     load_semiring,
+    load_table_semiring,
+    parse_term,
     sample_arrows,
     wm_eta,
     wm_make,
@@ -37,6 +42,7 @@ from gsrel import (
     wrel_tensor,
     wrel_to_doc,
 )
+from gsrel.diagram import gsm_axiom_pairs
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -442,12 +448,28 @@ def test_from_doc_bad_value_label_keeps_its_message(label, message):
         [[0], ["0"], "1"],
         [["0"], [False], "1"],
         [["0"], [None], "1"],
+        [["0"], [["0"]], "1"],
     ],
-    ids=["int-value", "float-value", "int-row", "bool-col", "null-col"],
+    ids=["int-value", "float-value", "int-row", "bool-col", "null-col", "list-col"],
 )
 def test_from_doc_labels_must_be_strings(entry):
     with pytest.raises(WRelFormatError, match="is not a string"):
         wrel_from_doc(QPLUS, _arrow_doc([entry]))
+
+
+def test_from_doc_label_memo_keeps_index_of_results():
+    """Each label means what index_of says, however often it repeats."""
+    seen = [[["0"], ["0"], "1"], [["1"], ["1"], "1"]]
+    for bad in ([0], ["0"]), (["0"], [["0"]]), (["1"], [True]):
+        with pytest.raises(WRelFormatError, match="is not a string"):
+            wrel_from_doc(NAT, _arrow_doc(seen + [[*bad, "1"]]))
+    f = wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["01"], ["1"], "3"], [["0"], ["1"], "4"]]))
+    assert f.value(NAT, (1,), (0,)) == 2 and f.value(NAT, (1,), (1,)) == 3
+    assert f.value(NAT, (0,), (1,)) == 4
+    with pytest.raises(WRelFormatError, match="duplicate entry"):
+        wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["01"], ["0"], "3"]]))
+    with pytest.raises(WRelFormatError, match="^X: label '2' out of range$"):
+        wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["2"], ["0"], "3"]]))
 
 
 def test_from_doc_sort_labels_must_be_strings():
@@ -455,3 +477,100 @@ def test_from_doc_sort_labels_must_be_strings():
     doc["dom"][0]["labels"] = [0, 1]
     with pytest.raises(WRelFormatError, match="labels must be a list of strings"):
         wrel_from_doc(NAT, doc)
+
+
+# Key checks: WRel(...) and wrel_from_doc check every key where it enters;
+# the builders below make keys that are word elements by construction.
+
+
+def test_builders_on_checked_arrows_check_no_key(monkeypatch):
+    calls = []
+    real = gsrel.wrel.word_contains
+
+    def counting(word, key):
+        calls.append(key)
+        return real(word, key)
+
+    monkeypatch.setattr(gsrel.wrel, "word_contains", counting)
+    f = wrel_make(NAT, X, Y, {(0,): {(0,): 2, (1,): 1}, (1,): {(1,): 3}})
+    g = wrel_make(NAT, Y, Z, {(0,): {(1,): 1}, (1,): {(0,): 5, (1,): 1}})
+    s = wrel_make(NAT, X, I, {(0,): {(): 2}, (1,): {(): 3}})
+    assert calls, "the public constructor checks its keys"
+    calls.clear()
+
+    st = Structure(NAT)
+    built = [
+        wrel_compose(NAT, f, g),
+        wrel_tensor(NAT, f, g),
+        wrel_id(NAT, X + Y),
+        wrel_copy(NAT, X),
+        wrel_del(NAT, X),
+        wrel_swap(NAT, X, Y),
+        st.dom(f),
+        st.mass(f),
+        st.scalar_mul(s, s),
+        st.canonical_semigroup_mul(X),
+        *enumerate_arrows(BOOL, X, Y, "Md"),
+        *sample_arrows(NAT, X, Y, "M", seed=11, n=12),
+    ]
+    st.classify(f)
+    assert calls == []
+    # each equals its rebuild through the checked constructor
+    assert all(h == WRel(h.dom, h.cod, dict(h.rows)) for h in built)
+
+    doc = {
+        "semiring": "nat",
+        "sorts": {"A": 2, "B": {"size": 2, "labels": ["p", "q"]}},
+        "generators": {"f": {"dom": ["A"], "cod": ["B"], "entries": [[["0"], ["p"], "2"]]}},
+    }
+    interp = load_interpretation(doc)
+    calls.clear()
+    for _, lhs, rhs in gsm_axiom_pairs("A", "B"):
+        report = check_term_equality(parse_term(lhs), parse_term(rhs), interp)
+        assert report.status != "counterexample"
+    # over nat, a weight-2 entry makes dom(f) ; f differ from f
+    report = check_term_equality(parse_term("dom(f) ; f"), parse_term("f"), interp)
+    assert report.status == "counterexample"
+    assert calls == []
+
+
+GF2 = load_semiring("gf(2)")
+# Z/4: 2 * 2 = 0, so products of nonzero weights vanish
+Z4 = load_table_semiring({
+    "name": "z4",
+    "elements": ["0", "1", "2", "3"],
+    "zero": "0",
+    "one": "1",
+    "plus": [[str((a + b) % 4) for b in range(4)] for a in range(4)],
+    "times": [[str(a * b % 4) for b in range(4)] for a in range(4)],
+})
+U = (FinSet("U", 1),)
+
+
+def _canonical_and_checked(f):
+    return all(len(h) for _, h in f.rows) and f == WRel(f.dom, f.cod, dict(f.rows))
+
+
+@pytest.mark.parametrize("sr", [GF2, Z4], ids=["gf2", "z4"])
+def test_results_stay_canonical_where_values_vanish(sr):
+    ins, outs = enumerate_arrows(sr, U, X), enumerate_arrows(sr, X, U)
+    for f in ins:
+        for g in outs:
+            assert _canonical_and_checked(wrel_compose(sr, f, g))
+            assert _canonical_and_checked(wrel_compose(sr, g, f))
+        for g in ins:
+            assert _canonical_and_checked(wrel_tensor(sr, f, g))
+    # sums and products that vanish leave no empty row
+    two = sr.add(sr.one, sr.one)
+    if sr is GF2:
+        one = sr.one
+        f = wrel_make(sr, U, X, {(0,): {(0,): one, (1,): one}})
+        g = wrel_make(sr, X, U, {(0,): {(0,): one}, (1,): {(0,): one}})
+        vanishing = [wrel_compose(sr, f, g)]
+    else:
+        f = wrel_make(sr, U, X, {(0,): {(0,): two, (1,): two}})
+        g = wrel_make(sr, X, U, {(0,): {(0,): two}, (1,): {(0,): two}})
+        vanishing = [wrel_compose(sr, f, g), wrel_compose(sr, g, f), wrel_tensor(sr, f, f)]
+    for h in vanishing:
+        assert h.rows == () and h == WRel(h.dom, h.cod, {})
+        assert _canonical_and_checked(h)
