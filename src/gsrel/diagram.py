@@ -30,6 +30,14 @@ parser, and raise TermDepthError above the limit.
 A term file is either a single term or a sequence of 'let name = term'
 bindings.  An interpretation file carries a semiring reference, sort
 sizes, and one serialized arrow per generator.
+
+LAW_TABLE, at the end of this module, writes the Kleisli-level laws as
+term equations: the gs-monoidal axioms (gsm/), the canonical semigroup
+(cansem/), the dom lemmas (structural/), the scalar hom-monoids (homm/)
+and the per-arrow equations behind the Kleisli flags (kleisli/).  The law
+suites in gsrel.taxonomy bind its sorts to whole words and its generators
+to arrows, case by case, and evaluate both sides with the evaluator that
+eval and eq use; gsm_axiom_pairs prints the gsm/ rows.
 """
 from __future__ import annotations
 
@@ -91,50 +99,67 @@ MAX_TERM_DEPTH = 200
 # AST
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass that computes its hash once.  Evaluation memos
+    hash each sub-term they meet, and the generated hash walks the whole
+    subtree on every call."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Id:
     word: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Gen:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Seq:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Tensor:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Swap:
     left: tuple
     right: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Copy:
     word: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Del:
     word: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Dom:
     term: object
 
 
-@dataclass(frozen=True)
+@_node
 class Mass:
     term: object
 
@@ -594,21 +619,104 @@ def load_interpretation(doc: Mapping) -> Interpretation:
 
 
 # ---------------------------------------------------------------------------
-# structural axiom schemas
+# the law table
+
+# The Kleisli-level laws as term equations: (law id, generator types, pairs).
+# A row holds where each of its (lhs, rhs) pairs evaluates to one arrow.  The
+# sorts A, B, X, Y stand for whole words, and a row's generators for arrows,
+# both bound per case by the law suites in taxonomy.  Scalar multiplication
+# of arrows Y -> I is copy[Y] ; (f * g).
+_ARROW = {"f": (("X",), ("Y",))}
+_SCALARS = {name: (("Y",), ()) for name in ("f", "g", "h")}
+_COUNIT_RIGHT = ("copy[A] ; (id[A] * del[A])", "id[A]")
+
+LAW_TABLE = (
+    ("gsm/copy-coassoc", {}, [("copy[A] ; (copy[A] * id[A])", "copy[A] ; (id[A] * copy[A])")]),
+    ("gsm/copy-cocomm", {}, [("copy[A] ; swap[A;A]", "copy[A]")]),
+    ("gsm/copy-counit-right", {}, [_COUNIT_RIGHT]),
+    ("gsm/copy-counit-left", {}, [("copy[A] ; (del[A] * id[A])", "id[A]")]),
+    (
+        "gsm/copy-tensor-mult",
+        {},
+        [("copy[A,B]", "(copy[A] * copy[B]) ; (id[A] * swap[A;B] * id[B])")],
+    ),
+    ("gsm/del-tensor-mult", {}, [("del[A,B]", "del[A] * del[B]")]),
+    ("gsm/unit-object", {}, [("copy[]", "id[]"), ("del[]", "id[]"), ("copy[] * del[]", "id[]")]),
+    # copy ; (id * del) = id: id * del is the canonical semigroup multiplication
+    ("cansem/special-semigroup", {}, [_COUNIT_RIGHT]),
+    ("cansem/unit-monoid", {}, [("id[] * del[]", "id[]"), ("copy[]", "id[]"), ("del[]", "id[]")]),
+    ("structural/dom-after-discharge", _ARROW, [("dom(mass(f))", "dom(f)")]),
+    ("structural/dom-after-copy", _ARROW, [("dom(f ; copy[Y])", "dom(f)")]),
+    ("structural/dom-before-copy", _ARROW, [("dom(copy[X] ; (f * f))", "dom(f)")]),
+    (
+        "homm/mul-assoc",
+        _SCALARS,
+        [("copy[Y] ; ((copy[Y] ; (f * g)) * h)", "copy[Y] ; (f * (copy[Y] ; (g * h)))")],
+    ),
+    ("homm/mul-comm", _SCALARS, [("copy[Y] ; (f * g)", "copy[Y] ; (g * f)")]),
+    ("homm/mul-unit", _SCALARS, [("copy[Y] ; (del[Y] * f)", "f"), ("copy[Y] ; (f * del[Y])", "f")]),
+    # the per-arrow equations; the suite binds g to the inverse of f in weakly-markov
+    ("kleisli/markov", _ARROW, [("mass(f)", "del[X]")]),
+    ("kleisli/restriction", _ARROW, [("f ; copy[Y]", "copy[X] ; (f * f)")]),
+    ("kleisli/domain-category", _ARROW, [("dom(f) ; f", "f")]),
+    ("kleisli/mass-category", _ARROW, [("dom(f) ; mass(f)", "mass(f)")]),
+    ("kleisli/weakly-markov", _SCALARS, [("copy[Y] ; (f * g)", "del[Y]")]),
+)
+
+_LAWS = {
+    law: tuple((parse_term(lhs), parse_term(rhs)) for lhs, rhs in pairs)
+    for law, _generators, pairs in LAW_TABLE
+}
+
+# ArrowFlags field -> the row that decides it
+_FLAG_LAWS = {
+    "total": "kleisli/markov",
+    "copyable": "kleisli/restriction",
+    "domain_eq": "kleisli/domain-category",
+    "mass_eq": "kleisli/mass-category",
+}
+
+
+class _LawCase:
+    """One case of the law table: sort names bound to whole words (a sort may
+    stand for a multi-set word or the empty word) and generators to arrows.
+
+    It offers _eval what an Interpretation does (semiring, generators,
+    word()), and keeps one memo, so the equations evaluated on the case
+    share their sub-terms; `st` is the law-suite call's structure holder."""
+
+    __slots__ = ("st", "semiring", "sorts", "generators", "memo")
+
+    def __init__(self, st: Structure, sorts: Mapping, generators: Mapping | None = None):
+        self.st = st
+        self.semiring = st.sr
+        self.sorts = sorts
+        self.generators = generators or {}
+        self.memo: dict = {}
+
+    def word(self, sort_word: tuple) -> tuple:
+        return tuple(s for name in sort_word for s in self.sorts[name])
+
+    def eval(self, term) -> WRel:
+        return _eval(term, self, self.st, self.memo)
+
+    def holds(self, law: str) -> bool:
+        return all(self.eval(lhs) == self.eval(rhs) for lhs, rhs in _LAWS[law])
+
+
+def _arrow_case(st: Structure, f: WRel) -> _LawCase:
+    """f bound as the generator f : X -> Y of the structural and kleisli rows."""
+    return _LawCase(st, {"X": f.dom, "Y": f.cod}, {"f": f})
 
 
 def gsm_axiom_pairs(a: str = "A", b: str = "B") -> list[tuple[str, str, str]]:
-    """The seven structural axiom schemas as printable term pairs."""
+    """The seven structural axiom schemas as printable term pairs, one per
+    gsm/ row of LAW_TABLE over the sort names a and b; unit-object prints
+    its last equation."""
+    # the rows' only capitals are the sort names A and B
+    rename = str.maketrans({"A": a, "B": b})
     return [
-        ("copy-coassoc", f"copy[{a}] ; (copy[{a}] * id[{a}])", f"copy[{a}] ; (id[{a}] * copy[{a}])"),
-        ("copy-cocomm", f"copy[{a}] ; swap[{a};{a}]", f"copy[{a}]"),
-        ("copy-counit-right", f"copy[{a}] ; (id[{a}] * del[{a}])", f"id[{a}]"),
-        ("copy-counit-left", f"copy[{a}] ; (del[{a}] * id[{a}])", f"id[{a}]"),
-        (
-            "copy-tensor-mult",
-            f"copy[{a},{b}]",
-            f"(copy[{a}] * copy[{b}]) ; (id[{a}] * swap[{a};{b}] * id[{b}])",
-        ),
-        ("del-tensor-mult", f"del[{a},{b}]", f"del[{a}] * del[{b}]"),
-        ("unit-object", "copy[] * del[]", "id[]"),
+        (law.removeprefix("gsm/"), *(side.translate(rename) for side in pairs[-1]))
+        for law, _generators, pairs in LAW_TABLE
+        if law.startswith("gsm/")
     ]

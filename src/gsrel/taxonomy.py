@@ -18,7 +18,9 @@ _IMPLICATIONS.  A law's cases come in groups, one per word, word pair,
 function pair or size triple; _grouped_cases gives each group an equal
 share of the samples, enumerating the group instead when its pools are
 exhaustive and the product is affordable.  Arrow pools over every pair of
-dom and cod sizes come from _arrow_grid.
+dom and cod sizes come from _arrow_grid.  The Kleisli-level rows (gsm/,
+cansem/, structural/, homm/ and the kleisli/ flags) are the term equations
+of diagram.LAW_TABLE, which the diagram evaluator decides case by case.
 
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
@@ -76,6 +78,7 @@ from .weightmap import (
     wm_total,
     word_elements,
 )
+from .diagram import _FLAG_LAWS, _arrow_case, _LawCase
 from .wrel import (
     Structure,
     WRel,
@@ -85,7 +88,6 @@ from .wrel import (
     wrel_dom_closed,
     wrel_dom_via_kleisli_path,
     wrel_eq,
-    wrel_tensor,
     wrel_to_doc,
 )
 
@@ -924,7 +926,8 @@ def classify_monad(
 
 
 def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
-    """Structural axioms of the copy/discard fragment at the given words.
+    """Structural axioms of the copy/discard fragment at the given words: the
+    gsm/ rows of the law table (diagram.LAW_TABLE).
 
     Unary axioms are checked at every word, the tensor-multiplicativity
     axioms at every given pair (u, v); the unit object gets one dedicated case.
@@ -932,66 +935,35 @@ def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
     sr = load_semiring(sr)
     st = Structure(sr)
     words = [tuple(w) for w in words]
-
-    def c(f, g):
-        return wrel_compose(sr, f, g)
-
-    def t(f, g):
-        return wrel_tensor(sr, f, g)
-
-    unary = {
-        "gsm/copy-coassoc": lambda w: wrel_eq(
-            c(st.copy(w), t(st.copy(w), st.id(w))),
-            c(st.copy(w), t(st.id(w), st.copy(w))),
-        ),
-        "gsm/copy-cocomm": lambda w: wrel_eq(c(st.copy(w), st.swap(w, w)), st.copy(w)),
-        "gsm/copy-counit-right": lambda w: wrel_eq(
-            c(st.copy(w), t(st.id(w), st.discard(w))), st.id(w)
-        ),
-        "gsm/copy-counit-left": lambda w: wrel_eq(
-            c(st.copy(w), t(st.discard(w), st.id(w))), st.id(w)
-        ),
-    }
-    binary = {
-        "gsm/copy-tensor-mult": lambda u, v: wrel_eq(
-            st.copy(u + v),
-            c(
-                t(st.copy(u), st.copy(v)),
-                t(t(st.id(u), st.swap(u, v)), st.id(v)),
-            ),
-        ),
-        "gsm/del-tensor-mult": lambda u, v: wrel_eq(
-            st.discard(u + v), t(st.discard(u), st.discard(v))
-        ),
-    }
-    reports = {
-        name: check_cases(
-            name,
-            words,
-            check,
-            describe=lambda w: {"word": _word_name(w)},
-            exhaustive=True,
-        )
-        for name, check in unary.items()
-    }
-    for name, check in binary.items():
-        reports[name] = check_cases(
-            name,
+    reports = {}
+    for law in (
+        "gsm/copy-coassoc",
+        "gsm/copy-cocomm",
+        "gsm/copy-counit-right",
+        "gsm/copy-counit-left",
+    ):
+        reports[law] = _word_law(st, law, words)
+    for law in ("gsm/copy-tensor-mult", "gsm/del-tensor-mult"):
+        reports[law] = check_cases(
+            law,
             pairs,
-            lambda p, chk=check: chk(p[0], p[1]),
+            lambda p, law=law: _LawCase(st, {"A": p[0], "B": p[1]}).holds(law),
             describe=lambda p: {"words": [_word_name(p[0]), _word_name(p[1])]},
             exhaustive=True,
         )
-    reports["gsm/unit-object"] = check_cases(
-        "gsm/unit-object",
-        [()],
-        lambda w: wrel_eq(st.copy(()), st.id(()))
-        and wrel_eq(st.discard(()), st.id(()))
-        and wrel_eq(t(st.copy(()), st.discard(())), st.id(())),
-        describe=lambda w: {"word": "I"},
+    reports["gsm/unit-object"] = _word_law(st, "gsm/unit-object", [()])
+    return reports
+
+
+def _word_law(st, law, words):
+    """A law-table row over words bound to the sort A, witnessed by the word."""
+    return check_cases(
+        law,
+        words,
+        lambda w: _LawCase(st, {"A": w}).holds(law),
+        describe=lambda w: {"word": _word_name(w)},
         exhaustive=True,
     )
-    return reports
 
 
 def _gsm_axiom_reports(sr: Semiring, sizes: Sequence[int]) -> dict[str, LawReport]:
@@ -1019,12 +991,18 @@ def _arrow_grid(sr, variant, size_list, seed, n, tag):
     return grid, exhaustive
 
 
-def _arrow_laws(sr, arrows, exhaustive, laws):
-    """One report per (law, holds) over the same arrows, witnessed by the arrow."""
-    return [
-        check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f), exhaustive=exhaustive)
-        for law, holds in laws
-    ]
+def _first_failures(st, arrows, laws):
+    """For each law, the 1-based index and the arrow of its first failure
+    over arrows, or None where it holds throughout.  The laws of an arrow
+    share one case, so dom(f) and mass(f) are built once and the case's memo
+    dies with the arrow; a law is not evaluated past its first failure."""
+    first = dict.fromkeys(laws)
+    for i, f in enumerate(arrows, 1):
+        case = _arrow_case(st, f)
+        for law, failure in first.items():
+            if failure is None and not case.holds(law):
+                first[law] = (i, f)
+    return first
 
 
 def classify_kleisli(
@@ -1050,31 +1028,22 @@ def classify_kleisli(
     grid, exhaustive = _arrow_grid(
         sr, variant, size_list, seed, samples, "classify-{variant}-{ds}x{cs}"
     )
-    witnesses = dict.fromkeys(("total", "copyable", "domain_eq", "mass_eq"))
-    checks = 0
-    for (ds, cs), pool in grid.items():
-        for f in pool:
-            checks += 1
-            af = st.classify(f)
-            for equation, witness in witnesses.items():
-                if witness is None and not getattr(af, equation):
-                    witnesses[equation] = {
-                        "equation": equation,
-                        "sizes": [ds, cs],
-                        "arrow": wrel_to_doc(sr, f),
-                    }
-
+    arrows = [f for pool in grid.values() for f in pool]
+    first = _first_failures(st, arrows, _FLAG_LAWS.values())
     passed = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
     reports = {}
-    for flag, equation in (
-        ("markov", "total"),
-        ("restriction", "copyable"),
-        ("domain_category", "domain_eq"),
-        ("mass_category", "mass_eq"),
-    ):
-        witness = witnesses[equation]
-        status = passed if witness is None else COUNTEREXAMPLE
-        reports[flag] = LawReport("kleisli/" + flag.replace("_", "-"), status, checks, witness)
+    for equation, law in _FLAG_LAWS.items():
+        status, witness = passed, None
+        if first[law] is not None:
+            f = first[law][1]
+            status = COUNTEREXAMPLE
+            witness = {
+                "equation": equation,
+                "sizes": [f.dom[0].size, f.cod[0].size],
+                "arrow": wrel_to_doc(sr, f),
+            }
+        flag = law.removeprefix("kleisli/").replace("-", "_")
+        reports[flag] = LawReport(law, status, len(arrows), witness)
 
     reports["weakly_markov"] = _weakly_markov_report(st, variant, size_list, seed, samples)
     return KleisliClassification(
@@ -1100,9 +1069,9 @@ def _weakly_markov_report(st, variant, size_list, seed, samples):
         exhaustive = exhaustive and full
 
     def holds(c):
-        inverse = _hom_inverse(sr, variant, c[1])
-        return inverse is not None and wrel_eq(
-            st.scalar_mul(c[1], inverse), st.discard(c[1].dom)
+        f, g = c[1], _hom_inverse(sr, variant, c[1])
+        return g is not None and _LawCase(st, {"Y": f.dom}, {"f": f, "g": g}).holds(
+            "kleisli/weakly-markov"
         )
 
     def describe(c):
@@ -1178,11 +1147,10 @@ def crosscheck_dom_paths(
     )
     st = Structure(sr)
     dom = _memo(lambda _sr, f: st.dom(f))
-    closed, monad_path = _arrow_laws(
-        sr,
-        [f for pool in grid.values() for f in pool],
-        exhaustive,
-        [
+    arrows = [f for pool in grid.values() for f in pool]
+    return tuple(
+        check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f), exhaustive=exhaustive)
+        for law, holds in (
             (
                 "crosscheck/dom-closed-form",
                 lambda f: wrel_eq(dom(sr, f), wrel_dom_closed(sr, f)),
@@ -1193,14 +1161,14 @@ def crosscheck_dom_paths(
                     wrel_compose(sr, dom(sr, f), f), wrel_dom_via_kleisli_path(sr, f)
                 ),
             ),
-        ],
+        )
     )
-    return closed, monad_path
 
 
 def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
     """dom is invariant under post-discharge and post-copy for every arrow;
-    the pre-copy variant is a lemma whose hypothesis is domain_category."""
+    the pre-copy variant is a lemma whose hypothesis is domain_category.
+    The reports are those check_cases gives, law by law, over the arrows."""
     grid, exhaustive = _arrow_grid(
         sr,
         variant,
@@ -1209,30 +1177,24 @@ def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
         max(4, samples // max(1, len(size_list) ** 2)),
         "structural-{variant}-{ds}x{cs}",
     )
-    st = Structure(sr)
-    dom = _memo(lambda _sr, f: st.dom(f))
-    return _arrow_laws(
-        sr,
-        [f for pool in grid.values() for f in pool],
-        exhaustive,
-        [
-            (
-                "structural/dom-after-discharge",
-                lambda f: wrel_eq(st.dom(st.mass(f)), dom(sr, f)),
-            ),
-            (
-                "structural/dom-after-copy",
-                lambda f: wrel_eq(st.dom(wrel_compose(sr, f, st.copy(f.cod))), dom(sr, f)),
-            ),
-            (
-                "structural/dom-before-copy" if domain_category else "gated/dom-before-copy",
-                lambda f: wrel_eq(
-                    st.dom(wrel_compose(sr, st.copy(f.dom), wrel_tensor(sr, f, f))),
-                    dom(sr, f),
-                ),
-            ),
-        ],
+    arrows = [f for pool in grid.values() for f in pool]
+    before_copy = "structural/dom-before-copy"
+    first = _first_failures(
+        Structure(sr),
+        arrows,
+        ("structural/dom-after-discharge", "structural/dom-after-copy", before_copy),
     )
+    reports = []
+    for law, failure in first.items():
+        if law == before_copy and not domain_category:
+            law = "gated/dom-before-copy"
+        if failure is None:
+            status = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
+            reports.append(LawReport(law, status, len(arrows)))
+        else:
+            index, f = failure
+            reports.append(LawReport(law, COUNTEREXAMPLE, index, wrel_to_doc(sr, f)))
+    return reports
 
 
 def _hom_monoid_reports(sr, variant, size_list, seed, samples):
@@ -1242,79 +1204,54 @@ def _hom_monoid_reports(sr, variant, size_list, seed, samples):
     st = Structure(sr)
     pools = []
     for ds in size_list:
-        dom = (FinSet("Y", ds),)
-        pool, full = variant_arrows(sr, dom, (), variant, seed, n, tag=f"homm-{variant}-{ds}")
-        pools.append((ds, dom, pool, full))
+        pool, full = variant_arrows(
+            sr, (FinSet("Y", ds),), (), variant, seed, n, tag=f"homm-{variant}-{ds}"
+        )
+        pools.append((ds, pool, full))
     assoc_cases, assoc_full = _grouped_cases(
-        [([pool] * 3, full, f"homm-assoc-{site}-{ds}", (), ()) for ds, _, pool, full in pools],
+        [([pool] * 3, full, f"homm-assoc-{site}-{ds}", (), ()) for ds, pool, full in pools],
         4,
         samples,
         seed,
     )
     comm_cases, comm_full = _grouped_cases(
-        [([pool] * 2, full, f"homm-comm-{site}-{ds}", (), ()) for ds, _, pool, full in pools],
+        [([pool] * 2, full, f"homm-comm-{site}-{ds}", (), ()) for ds, pool, full in pools],
         4,
         samples,
         seed,
     )
-    unit_cases = [(f, st.discard(dom)) for _, dom, pool, _ in pools for f in pool]
+    unit_cases = [(f,) for _, pool, _ in pools for f in pool]
 
     def docs(c):
         return [wrel_to_doc(sr, f) for f in c]
 
     return [
-        check_cases(law, cases, holds, describe, exhaustive=assoc_full and comm_full)
-        for law, cases, holds, describe in (
-            (
-                "homm/mul-assoc",
-                assoc_cases,
-                lambda c: wrel_eq(
-                    st.scalar_mul(st.scalar_mul(c[0], c[1]), c[2]),
-                    st.scalar_mul(c[0], st.scalar_mul(c[1], c[2])),
-                ),
-                docs,
-            ),
-            (
-                "homm/mul-comm",
-                comm_cases,
-                lambda c: wrel_eq(st.scalar_mul(c[0], c[1]), st.scalar_mul(c[1], c[0])),
-                docs,
-            ),
-            (
-                "homm/mul-unit",
-                unit_cases,
-                lambda c: wrel_eq(st.scalar_mul(c[1], c[0]), c[0])
-                and wrel_eq(st.scalar_mul(c[0], c[1]), c[0]),
-                lambda c: wrel_to_doc(sr, c[0]),
-            ),
+        check_cases(
+            law,
+            cases,
+            lambda c, law=law: _LawCase(st, {"Y": c[0].dom}, dict(zip("fgh", c))).holds(law),
+            describe,
+            exhaustive=assoc_full and comm_full,
+        )
+        for law, cases, describe in (
+            ("homm/mul-assoc", assoc_cases, docs),
+            ("homm/mul-comm", comm_cases, docs),
+            ("homm/mul-unit", unit_cases, lambda c: wrel_to_doc(sr, c[0])),
         )
     ]
 
 
 def _cansem_reports(sr, size_list):
+    """The canonical semigroup id x del: special over every word, the
+    two-set word included, and the identity on the unit object."""
     st = Structure(sr)
     words = [()] + _words(size_list)
     if size_list:
         words.append((FinSet("X", size_list[-1]), FinSet("Y", size_list[0])))
-    special = check_cases(
-        "cansem/special-semigroup",
-        words,
-        lambda w: wrel_eq(
-            wrel_compose(sr, st.copy(w), st.canonical_semigroup_mul(w)), st.id(w)
-        ),
-        describe=lambda w: {"word": _word_name(w)},
-        exhaustive=True,
+    return (
+        _word_law(st, "cansem/special-semigroup", words),
+        _word_law(st, "cansem/unit-monoid", [()]),
     )
-    unit = check_cases(
-        "cansem/unit-monoid",
-        [()],
-        lambda w: wrel_eq(st.canonical_semigroup_mul(()), st.id(()))
-        and wrel_eq(st.copy(()), st.id(()))
-        and wrel_eq(st.discard(()), st.id(())),
-        describe=lambda w: {"word": "I"},
-        exhaustive=True,
-    )
-    return special, unit
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,14 @@ are identities on index tuples and never appear at runtime.
 Structural arrows: wrel_copy duplicates an index tuple, wrel_del maps it
 to (), wrel_swap exchanges two blocks.  A Structure holder builds each of
 these once per word and keeps it for as long as the holder lives: one
-law-suite call or one diagram query.  Over its arrows it defines the
-composites that use them: wrel_dom is computed by its defining composite
-copy ; (id x (f ; del)), and mass, the scalar product of arrows into the
-unit, the canonical semigroup and the per-arrow flags likewise.  The
-module-level functions of those names run them on a fresh holder.  The
-closed form of dom (the row total on the diagonal) is exposed separately as
-an independent oracle.
+law-suite call or one diagram query.  Over its arrows it defines dom by
+its defining composite copy ; (id x (f ; del)), and mass as f ; del;
+wrel_dom and wrel_mass run them on a fresh holder.  The closed form of dom
+(the row total on the diagonal) is exposed separately as an independent
+oracle.  The scalar product of arrows into the unit, the canonical
+semigroup and the per-arrow flags are terms and equations of the law table
+in gsrel.diagram: hom_scalar_mul, canonical_semigroup_mul and wrel_classify
+evaluate them there.
 
 Invariant: every row key of an arrow is an element of its domain word and
 every entry key an element of its codomain word.  Keys are checked once,
@@ -72,18 +73,23 @@ class WRel:
     Invariant: every row key is an element of the domain word and every
     entry key of a row is an element of the codomain word.  WRel(...)
     checks this for each key it is given, and wrel_from_doc for each label
-    it reads.  WRel._canonical skips the check and serves only builders
-    whose keys are elements by construction: wrel_compose, wrel_tensor,
-    the structural arrows and the arrow pools (see the module docstring).
+    it reads; WRel(...) also refuses a row key given twice, empty or not.
+    WRel._canonical skips the check and serves only builders whose keys
+    are elements by construction: wrel_compose, wrel_tensor, the
+    structural arrows and the arrow pools (see the module docstring).
     """
 
     __slots__ = ("dom", "cod", "rows", "_index")
 
     def __init__(self, dom: Word, cod: Word, rows):
         kept = {}
+        seen = set()  # every key of a pair list, empty rows included
         for x, h in rows.items() if hasattr(rows, "items") else rows:
             if not word_contains(dom, x):
                 raise BoundaryError(f"row key {x!r} is not an element of the domain word")
+            if x in seen:
+                raise BoundaryError(f"duplicate row key {x!r}")
+            seen.add(x)
             if not isinstance(h, WeightMap):
                 raise BoundaryError(f"row {x!r} is not a WeightMap")
             for y, _ in h.entries:
@@ -139,11 +145,12 @@ class WRel:
 
 
 def wrel_make(sr: Semiring, dom: Word, cod: Word, entries) -> WRel:
-    """Build an arrow from {row_key: {col_key: value}} style entries."""
-    rows = {}
-    for x, cols in (entries.items() if hasattr(entries, "items") else entries):
-        rows[x] = cols if isinstance(cols, WeightMap) else wm_make(sr, cols)
-    return WRel(dom, cod, rows)
+    """Build an arrow from {row_key: {col_key: value}} style entries, or
+    from (row_key, cols) pairs, whose keys WRel(...) checks for repeats."""
+    pairs = entries.items() if hasattr(entries, "items") else entries
+    return WRel(
+        dom, cod, [(x, h if isinstance(h, WeightMap) else wm_make(sr, h)) for x, h in pairs]
+    )
 
 
 def wrel_eq(f: WRel, g: WRel) -> bool:
@@ -214,15 +221,7 @@ def wrel_swap(sr: Semiring, left: Word, right: Word) -> WRel:
 
 
 # ---------------------------------------------------------------------------
-# the structure holder: domain, mass, scalar maps, canonical semigroup
-
-
-@dataclass(frozen=True)
-class ArrowFlags:
-    total: bool
-    copyable: bool
-    domain_eq: bool
-    mass_eq: bool
+# the structure holder: structural arrows, domain and mass
 
 
 class Structure:
@@ -230,7 +229,7 @@ class Structure:
 
     Create one per law-suite call or diagram query and drop it with the
     call: its dict holds every arrow it has built, one per distinct word.
-    The composites below are the defining ones, built over those arrows.
+    mass and dom are the defining composites, built over those arrows.
     """
 
     __slots__ = ("sr", "_arrows")
@@ -270,33 +269,6 @@ class Structure:
         spread = wrel_tensor(self.sr, self.id(x), self.mass(f))
         return wrel_compose(self.sr, self.copy(x), spread)
 
-    def scalar_mul(self, f: WRel, g: WRel) -> WRel:
-        """Pointwise product of scalar maps Y -> I via copy ; (f x g)."""
-        if f.cod != () or g.cod != ():
-            raise BoundaryError("scalar multiplication needs arrows into the empty word")
-        if f.dom != g.dom:
-            raise BoundaryError("scalar multiplication needs a shared domain")
-        return wrel_compose(self.sr, self.copy(f.dom), wrel_tensor(self.sr, f, g))
-
-    def canonical_semigroup_mul(self, word: Word) -> WRel:
-        """First-projection multiplication (id x del); a one-sided inverse to copy."""
-        return wrel_tensor(self.sr, self.id(word), self.discard(word))
-
-    def classify(self, f: WRel) -> ArrowFlags:
-        """Evaluate the four per-arrow equations through their composites."""
-        sr = self.sr
-        dom_f = self.dom(f)
-        mass_f = self.mass(f)
-        return ArrowFlags(
-            total=wrel_eq(mass_f, self.discard(f.dom)),
-            copyable=wrel_eq(
-                wrel_compose(sr, f, self.copy(f.cod)),
-                wrel_compose(sr, self.copy(f.dom), wrel_tensor(sr, f, f)),
-            ),
-            domain_eq=wrel_eq(wrel_compose(sr, dom_f, f), f),
-            mass_eq=wrel_eq(wrel_compose(sr, dom_f, mass_f), mass_f),
-        )
-
 
 def wrel_mass(sr: Semiring, f: WRel) -> WRel:
     """Structure.mass on a fresh holder."""
@@ -333,19 +305,47 @@ def wrel_dom_via_kleisli_path(sr: Semiring, f: WRel) -> WRel:
     return WRel(f.dom, f.cod, rows)
 
 
+# The functions below read terms and equations of diagram.LAW_TABLE, which
+# diagram evaluates over the arrows of this module; hence the local imports.
+
+
+@dataclass(frozen=True)
+class ArrowFlags:
+    total: bool
+    copyable: bool
+    domain_eq: bool
+    mass_eq: bool
+
+
 def hom_scalar_mul(sr: Semiring, f: WRel, g: WRel) -> WRel:
-    """Structure.scalar_mul on a fresh holder."""
-    return Structure(sr).scalar_mul(f, g)
+    """Pointwise product of scalar maps Y -> I: copy[Y] ; (f * g), the left
+    side of the homm/mul-comm row."""
+    from .diagram import _LAWS, _LawCase
+
+    if f.cod != () or g.cod != ():
+        raise BoundaryError("scalar multiplication needs arrows into the empty word")
+    if f.dom != g.dom:
+        raise BoundaryError("scalar multiplication needs a shared domain")
+    product_term, _ = _LAWS["homm/mul-comm"][0]
+    return _LawCase(Structure(sr), {"Y": f.dom}, {"f": f, "g": g}).eval(product_term)
 
 
 def canonical_semigroup_mul(sr: Semiring, word: Word) -> WRel:
-    """Structure.canonical_semigroup_mul on a fresh holder."""
-    return Structure(sr).canonical_semigroup_mul(word)
+    """First-projection multiplication id x del, a one-sided inverse to copy:
+    the right factor of copy[A] ; (id[A] * del[A]) in cansem/special-semigroup."""
+    from .diagram import _LAWS, _LawCase
+
+    special, _ = _LAWS["cansem/special-semigroup"][0]
+    return _LawCase(Structure(sr), {"A": word}).eval(special.right)
 
 
 def wrel_classify(sr: Semiring, f: WRel) -> ArrowFlags:
-    """Structure.classify on a fresh holder."""
-    return Structure(sr).classify(f)
+    """The four per-arrow equations, the kleisli/ rows of the law table other
+    than weakly-markov, on one case: they share dom(f) and mass(f)."""
+    from .diagram import _FLAG_LAWS, _arrow_case
+
+    case = _arrow_case(Structure(sr), f)
+    return ArrowFlags(**{flag: case.holds(law) for flag, law in _FLAG_LAWS.items()})
 
 
 # ---------------------------------------------------------------------------

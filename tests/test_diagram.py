@@ -13,11 +13,13 @@ from gsrel import (
     Mass,
     ParseError,
     Seq,
+    Signature,
     Swap,
     Tensor,
     TypecheckError,
     UnknownGeneratorError,
     check_term_equality,
+    classify_kleisli,
     derive_rng,
     evaluate_term,
     gsm_axiom_pairs,
@@ -389,6 +391,46 @@ def test_gsm_axioms_hold_in_every_catalog_semiring():
         for name, lhs, rhs in gsm_axiom_pairs("A", "B"):
             rep = check_term_equality(parse_term(lhs), parse_term(rhs), interp, law=name)
             assert rep.passed, (sr_name, name, rep.witness)
+
+
+# the law table
+
+GSM_AXIOM_PAIRS = [
+    ("copy-coassoc", "copy[A] ; (copy[A] * id[A])", "copy[A] ; (id[A] * copy[A])"),
+    ("copy-cocomm", "copy[A] ; swap[A;A]", "copy[A]"),
+    ("copy-counit-right", "copy[A] ; (id[A] * del[A])", "id[A]"),
+    ("copy-counit-left", "copy[A] ; (del[A] * id[A])", "id[A]"),
+    ("copy-tensor-mult", "copy[A,B]", "(copy[A] * copy[B]) ; (id[A] * swap[A;B] * id[B])"),
+    ("del-tensor-mult", "del[A,B]", "del[A] * del[B]"),
+    ("unit-object", "copy[] * del[]", "id[]"),
+]
+
+
+def test_gsm_axiom_pairs_print_the_seven_schemas():
+    assert gsm_axiom_pairs("A", "B") == GSM_AXIOM_PAIRS
+    assert gsm_axiom_pairs("B", "A")[4] == (
+        "copy-tensor-mult", "copy[B,A]", "(copy[B] * copy[A]) ; (id[B] * swap[B;A] * id[A])"
+    )
+
+
+def test_law_table_sides_typecheck_to_one_boundary():
+    for law, generators, pairs in diagram.LAW_TABLE:
+        sig = Signature(("A", "B", "X", "Y"), generators)
+        assert pairs, law
+        for lhs, rhs in pairs:
+            left = typecheck_term(parse_term(lhs), sig)
+            assert left == typecheck_term(parse_term(rhs), sig), (law, lhs, rhs)
+
+
+def test_law_table_ids_are_report_rows(catalog_suite):
+    """Every row is a row of the catalog report, but the per-arrow kleisli/
+    equations, which decide the Kleisli flags and are reports of
+    classify_kleisli."""
+    table = {law for law, _generators, _pairs in diagram.LAW_TABLE}
+    assert len(table) == len(diagram.LAW_TABLE)
+    flags = classify_kleisli("M", "bool", sizes=(0, 1)).reports.values()
+    kleisli = {report.law for report in flags}
+    assert table - {entry.law for entry in catalog_suite} == kleisli
 
 
 # interpretation loading errors

@@ -8,6 +8,7 @@ import pytest
 
 import gsrel.wrel
 from gsrel import (
+    ArrowFlags,
     BoundaryError,
     FinSet,
     Structure,
@@ -260,17 +261,25 @@ def test_structure_builds_each_word_once_and_composites_match():
         assert arrow(X) is not first
     assert st.swap(X, Y) is st.swap(X, Y)
     assert st.swap(X, Y) == wrel_swap(NAT, X, Y)
-    # one holder serves many arrows; each composite is its defining one
+    # one holder serves many arrows; each composite is its defining one, and
+    # the readers of the law table give the composites written out by hand
     for i in range(10):
         f = rand_arrow(NAT, X, Y, i, "st")
         s = rand_arrow(NAT, X, I, i, "sc")
         assert st.mass(f) == wrel_compose(NAT, f, wrel_del(NAT, Y))
         assert st.dom(f) == wrel_dom_closed(NAT, f)
-        assert st.classify(f) == wrel_classify(NAT, f)
-        assert st.scalar_mul(s, s) == wrel_compose(
+        dom_f = wrel_compose(NAT, wrel_copy(NAT, X), wrel_tensor(NAT, wrel_id(NAT, X), st.mass(f)))
+        assert wrel_classify(NAT, f) == ArrowFlags(
+            total=st.mass(f) == wrel_del(NAT, X),
+            copyable=wrel_compose(NAT, f, wrel_copy(NAT, Y))
+            == wrel_compose(NAT, wrel_copy(NAT, X), wrel_tensor(NAT, f, f)),
+            domain_eq=wrel_compose(NAT, dom_f, f) == f,
+            mass_eq=wrel_compose(NAT, dom_f, st.mass(f)) == st.mass(f),
+        )
+        assert hom_scalar_mul(NAT, s, s) == wrel_compose(
             NAT, wrel_copy(NAT, X), wrel_tensor(NAT, s, s)
         )
-    assert st.canonical_semigroup_mul(X) == wrel_tensor(NAT, wrel_id(NAT, X), wrel_del(NAT, X))
+    assert canonical_semigroup_mul(NAT, X) == wrel_tensor(NAT, wrel_id(NAT, X), wrel_del(NAT, X))
 
 
 # boundaries, zero-size sets, serialization
@@ -327,6 +336,20 @@ def test_empty_rows_are_dropped():
     f = WRel(X, Y, {(0,): wm_make(NAT, {})})
     assert f.rows == ()
     assert f == wrel_make(NAT, X, Y, {})
+
+
+@pytest.mark.parametrize("repeat", ["nonempty", "empty"])
+def test_repeated_row_keys_are_refused(repeat):
+    """A pair list that names a row twice is refused, in either order and
+    whether or not the repeated row is empty, as WeightMap refuses a key."""
+    first = wm_eta(NAT, (0,))
+    again = wm_eta(NAT, (1,)) if repeat == "nonempty" else wm_make(NAT, {})
+    for rows in ([((0,), first), ((0,), again)], [((0,), again), ((0,), first)]):
+        with pytest.raises(BoundaryError, match="duplicate row key"):
+            WRel(X, Y, rows)
+    cols = {(1,): 2} if repeat == "nonempty" else {}
+    with pytest.raises(BoundaryError, match="duplicate row key"):
+        wrel_make(NAT, X, Y, [((0,), {(0,): 1}), ((0,), cols)])
 
 
 def test_zero_size_sets():
@@ -508,12 +531,12 @@ def test_builders_on_checked_arrows_check_no_key(monkeypatch):
         wrel_swap(NAT, X, Y),
         st.dom(f),
         st.mass(f),
-        st.scalar_mul(s, s),
-        st.canonical_semigroup_mul(X),
+        hom_scalar_mul(NAT, s, s),
+        canonical_semigroup_mul(NAT, X),
         *enumerate_arrows(BOOL, X, Y, "Md"),
         *sample_arrows(NAT, X, Y, "M", seed=11, n=12),
     ]
-    st.classify(f)
+    wrel_classify(NAT, f)
     assert calls == []
     # each equals its rebuild through the checked constructor
     assert all(h == WRel(h.dom, h.cod, dict(h.rows)) for h in built)
