@@ -332,7 +332,12 @@ def cmd_taxonomy(args) -> int:
 
 def _add_common(p, laws=True, sizes=True):
     if laws:
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max checks per law")
+        budget = (
+            "upper bound on --samples"
+            if sizes
+            else "enumerate a finite carrier's triples up to this many, else sample"
+        )
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget)
         p.add_argument("--seed", type=int, default=0, help="base seed for sampled checks")
     if sizes:
         p.add_argument("--sizes", default=None, help="comma-separated set sizes, default 0,1,2")

@@ -683,7 +683,7 @@ class _LawCase:
 
     It offers _eval what an Interpretation does (semiring, generators,
     word()), and keeps one memo, so the equations evaluated on the case
-    share their sub-terms; `st` is the law-suite call's structure holder."""
+    share their sub-terms; `st` is the run's structure holder."""
 
     __slots__ = ("st", "semiring", "sorts", "generators", "memo")
 

@@ -15,12 +15,23 @@ call per spec.  classify_monad reads a table of (flag, law stem, pointwise
 cases and predicate, diagram cases and predicate).  The theorem and
 implication rows of each pair come from the module tables _THEOREMS and
 _IMPLICATIONS.  A law's cases come in groups, one per word, word pair,
-function pair or size triple; _grouped_cases gives each group an equal
-share of the samples, enumerating the group instead when its pools are
-exhaustive and the product is affordable.  Arrow pools over every pair of
-dom and cod sizes come from _arrow_grid.  The Kleisli-level rows (gsm/,
-cansem/, structural/, homm/ and the kleisli/ flags) are the term equations
-of diagram.LAW_TABLE, which the diagram evaluator decides case by case.
+function pair or size triple; _Run.grouped_cases gives each group an
+equal share of the samples, enumerating the group instead when its pools
+are exhaustive and the product is affordable.  Arrow pools over every pair
+of dom and cod sizes come from _Run.arrow_grid.  The Kleisli-level rows
+(gsm/, cansem/, structural/, homm/ and the kleisli/ flags) are the term
+equations of diagram.LAW_TABLE, which the diagram evaluator decides case
+by case.
+
+One run context per semiring: a _Run holds the checked arguments (the
+loaded semiring, the sorted sizes, the seed, samples clamped once to the
+budget, the ops), one Structure, and the gsm/ reports, which depend on the
+semiring and the sizes but on no variant.  Its constructor is the one
+argument check.  run_theorem_suite makes one per semiring and drops it
+before the next, so every variant's rows read the same structural arrows
+and the same gsm/ reports; each public law suite is a thin call on a
+fresh one, as wrel_dom is on Structure.  Memos of monad operations stay
+local to one check_monad_laws call.
 
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
@@ -41,6 +52,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
@@ -54,7 +66,7 @@ from .report import (
     check_cases,
     derive_rng,
 )
-from .semiring import CATALOG, Semiring, classify_semiring, load_semiring, mul_inverse
+from .semiring import CATALOG, classify_semiring, load_semiring, mul_inverse
 from .weightmap import (
     VARIANTS,
     FinSet,
@@ -231,24 +243,6 @@ def _word_name(word: Word) -> str:
     return "*".join(f"{s.name}{s.size}" for s in word)
 
 
-def _sizes(sizes: Sequence[int]) -> list[int]:
-    return sorted(set(int(v) for v in sizes))
-
-
-def _words(sizes: Sequence[int], name: str = "X") -> list[Word]:
-    return [(FinSet(name, s),) for s in _sizes(sizes)]
-
-
-def _map_pools(sr, variant, words, seed, n, tag):
-    pools = {}
-    exhaustive = True
-    for w in words:
-        pool, full = variant_maps(sr, w, variant, seed, n, tag=f"{tag}-{_word_name(w)}")
-        pools[w] = pool
-        exhaustive = exhaustive and full
-    return pools, exhaustive
-
-
 def _nested_pool(sr, variant, inner, seed, n, tag, max_support=None):
     """Variant maps keyed by the given inner maps.
 
@@ -377,21 +371,92 @@ def _cases(pools, exhaustive, samples, seed, tag, targeted=()):
     return out, False
 
 
-def _grouped_cases(groups, floor, samples, seed):
-    """One law's cases over groups (pools, full, tag, prefix, suffix[, targeted]).
+class _Run:
+    """One semiring's run of the law suites: the checked arguments, one
+    Structure and the gsm/ reports, the last two built on first use.
 
-    Each group gets max(floor, samples // len(groups)) cases from _cases, each
-    case wrapped as prefix + case + suffix; the flag is True when every group
-    was enumerated in full.
+    Construction is the one argument check of every entry point: each
+    variant is known, the semiring loads, sizes is nonempty (kept sorted,
+    without repeats) and budget positive; samples is clamped once to the
+    budget and to at least one, so a sampled pass is never a pass over no
+    cases.  Drop the holder with the run: its Structure keeps every arrow it
+    has built.
     """
-    n = max(floor, samples // max(1, len(groups)))
-    cases = []
-    exhaustive = True
-    for pools, full, tag, prefix, suffix, *targeted in groups:
-        group, enumerated = _cases(pools, full, n, seed, tag, *targeted)
-        cases += [prefix + c + suffix for c in group]
-        exhaustive = exhaustive and enumerated
-    return cases, exhaustive
+
+    def __init__(self, variants, sr, sizes, budget, seed, samples, ops=DEFAULT_OPS):
+        for variant in variants:
+            if variant not in VARIANTS:
+                raise ValueError(f"unknown variant {variant!r}")
+        self.sr = load_semiring(sr)
+        if not sizes:
+            raise ValueError("sizes must be nonempty")
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        self.sizes = sorted({int(v) for v in sizes})
+        self.seed = seed
+        self.samples = max(1, min(samples, budget))
+        self.ops = ops
+
+    @cached_property
+    def st(self) -> Structure:
+        return Structure(self.sr)
+
+    @cached_property
+    def gsm(self) -> dict[str, LawReport]:
+        """The gsm/ rows at the unit and every size; they depend on no variant."""
+        words = self.words("A")
+        pairs = [(u, v) for u in words for v in self.words("B")]
+        return _gsm_reports(self.st, [()] + words, pairs)
+
+    def words(self, name: str = "X") -> list[Word]:
+        return [(FinSet(name, s),) for s in self.sizes]
+
+    def map_pools(self, variant, words, tag):
+        """Variant map pools over each word, plus an exhaustiveness marker."""
+        pools = {}
+        exhaustive = True
+        for w in words:
+            pools[w], full = variant_maps(
+                self.sr, w, variant, self.seed, self.samples, tag=f"{tag}-{_word_name(w)}"
+            )
+            exhaustive = exhaustive and full
+        return pools, exhaustive
+
+    def grouped_cases(self, groups, floor):
+        """One law's cases over groups (pools, full, tag, prefix, suffix[, targeted]).
+
+        Each group gets max(floor, samples // len(groups)) cases from _cases,
+        each case wrapped as prefix + case + suffix; the flag is True when
+        every group was enumerated in full.
+        """
+        n = max(floor, self.samples // len(groups))
+        cases = []
+        exhaustive = True
+        for pools, full, tag, prefix, suffix, *targeted in groups:
+            group, enumerated = _cases(pools, full, n, self.seed, tag, *targeted)
+            cases += [prefix + c + suffix for c in group]
+            exhaustive = exhaustive and enumerated
+        return cases, exhaustive
+
+    def arrow_grid(self, variant, n, tag):
+        """Variant arrows X(ds) -> Y(cs) for every pair of sizes, keyed by
+        (ds, cs), plus an exhaustiveness marker.  `tag` is formatted with
+        variant, ds, cs."""
+        grid = {}
+        exhaustive = True
+        for ds in self.sizes:
+            for cs in self.sizes:
+                grid[ds, cs], full = variant_arrows(
+                    self.sr,
+                    (FinSet("X", ds),),
+                    (FinSet("Y", cs),),
+                    variant,
+                    self.seed,
+                    n,
+                    tag=tag.format(variant=variant, ds=ds, cs=cs),
+                )
+                exhaustive = exhaustive and full
+        return grid, exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +477,20 @@ def variant_closure_reports(
     which is a finding the suite surfaces rather than hides.  At least one
     sample is drawn, so a sampled pass is never a pass over no cases.
     """
-    sr, samples = _classify_args(variant, sr, sizes, DEFAULT_BUDGET, samples)
-    words = [()] + _words(sizes)
-    pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"closure-{variant}")
+    return _closure_reports(_Run([variant], sr, sizes, DEFAULT_BUDGET, seed, samples), variant)
+
+
+def _closure_reports(run, variant):
+    sr = run.sr
+    words = [()] + run.words()
+    pools, exhaustive = run.map_pools(variant, words, f"closure-{variant}")
     site = f"{sr.name}-{variant}"
     pairs = [(u, v, f"{_word_name(u)}-{_word_name(v)}") for u in words for v in words]
     mu_cases = []
     mu_exhaustive = exhaustive
     for w in words:
         nested, full = _nested_pool(
-            sr, variant, pools[w], seed, samples, f"mu-{_word_name(w)}", max_support=3
+            sr, variant, pools[w], run.seed, run.samples, f"mu-{_word_name(w)}", max_support=3
         )
         mu_cases.extend((w, H) for H in nested)
         mu_exhaustive = mu_exhaustive and full
@@ -436,14 +505,12 @@ def variant_closure_reports(
         ),
         (
             "psi",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     ([pools[u], pools[v]], exhaustive, f"psi-{site}-{uv}", (u, v), ())
                     for u, v, uv in pairs
                 ],
                 4,
-                samples,
-                seed,
             ),
             lambda c: in_variant(sr, wm_psi(sr, c[2], c[3]), variant),
             lambda c: {
@@ -456,14 +523,12 @@ def variant_closure_reports(
         (
             # pairs with no functions (into an empty word) are empty groups
             "pushforward",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     ([_functions(u, v), pools[u]], exhaustive, f"push-{site}-{uv}", (u, v), ())
                     for u, v, uv in pairs
                 ],
                 4,
-                samples,
-                seed,
             ),
             lambda c: in_variant(sr, wm_pushforward(sr, c[2], c[3]), variant),
             lambda c: {
@@ -519,19 +584,24 @@ def check_monad_laws(
     pairings of lax-assoc, the outer pushforward and mu of mu-natural, whose
     arguments differ in every case, and every other law evaluate afresh.
     """
-    sr, samples = _classify_args(variant, sr, sizes, budget, samples)
-    words = _words(sizes)
-    pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"laws-{variant}")
+    return _monad_laws(_Run([variant], sr, sizes, budget, seed, samples, ops), variant)
+
+
+def _monad_laws(run, variant):
+    sr, ops = run.sr, run.ops
+    words = run.words()
+    pools, exhaustive = run.map_pools(variant, words, f"laws-{variant}")
     nested = {}
     nested_full = {}
     outer = {}
     outer_full = {}
+    per_pool = max(8, run.samples // 4)
     for w in words:
         nested[w], nested_full[w] = _nested_pool(
-            sr, variant, pools[w], seed, max(8, samples // 4), f"L2-{_word_name(w)}"
+            sr, variant, pools[w], run.seed, per_pool, f"L2-{_word_name(w)}"
         )
         outer[w], outer_full[w] = _nested_pool(
-            sr, variant, nested[w], seed, max(8, samples // 4), f"L3-{_word_name(w)}", max_support=3
+            sr, variant, nested[w], run.seed, per_pool, f"L3-{_word_name(w)}", max_support=3
         )
     site = f"{sr.name}-{variant}"
     name = _word_name
@@ -544,7 +614,7 @@ def check_monad_laws(
 
     def per_word(tag):
         groups = [([pools[w]], exhaustive, f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
-        return _grouped_cases(groups, 4, samples, seed)
+        return run.grouped_cases(groups, 4)
 
     def mdescribe(c):
         parts = {"word": name(c[0])}
@@ -574,7 +644,7 @@ def check_monad_laws(
         # associativity of mu over triple nestings
         (
             "monad/mu-assoc",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     (
                         [outer[w]],
@@ -586,8 +656,6 @@ def check_monad_laws(
                     for w in words
                 ],
                 4,
-                samples,
-                seed,
             ),
             lambda c: ops.mu(sr, ops.mu(sr, c[1]))
             == ops.mu(sr, ops.pushforward(sr, lambda H: ops.mu(sr, H), c[1])),
@@ -603,7 +671,7 @@ def check_monad_laws(
         ),
         (
             "monad/mu-natural",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     (
                         [nested[u]],
@@ -615,8 +683,6 @@ def check_monad_laws(
                     for u, v, fn in fn_pairs
                 ],
                 2,
-                samples,
-                seed,
             ),
             lambda c: ops.pushforward(sr, c[1], mu(sr, c[2]))
             == ops.mu(sr, ops.pushforward(sr, lambda h: push(sr, c[1], h), c[2])),
@@ -625,7 +691,7 @@ def check_monad_laws(
         (
             # the last case item is fn x gn, built once per group
             "monad/psi-natural",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     (
                         [pools[u1], pools[u2]],
@@ -638,8 +704,6 @@ def check_monad_laws(
                     for u2, v2, gn in fn_pairs
                 ],
                 1,
-                samples,
-                seed,
             ),
             lambda c: psi(sr, push(sr, c[1], c[3]), push(sr, c[2], c[4]))
             == ops.pushforward(sr, c[5], psi(sr, c[3], c[4])),
@@ -654,7 +718,7 @@ def check_monad_laws(
         # lax structure: associativity, unit squares, symmetry
         (
             "monad/lax-assoc",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     (
                         [pools[a], pools[b], pools[c]],
@@ -668,8 +732,6 @@ def check_monad_laws(
                     for c in words
                 ],
                 1,
-                samples,
-                seed,
             ),
             lambda c: ops.psi(sr, psi(sr, c[1], c[2]), c[3])
             == ops.psi(sr, c[1], psi(sr, c[2], c[3])),
@@ -689,7 +751,7 @@ def check_monad_laws(
         ),
         (
             "monad/symmetry",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     (
                         [pools[u], pools[v]],
@@ -702,8 +764,6 @@ def check_monad_laws(
                     for v in words
                 ],
                 2,
-                samples,
-                seed,
             ),
             lambda c: ops.psi(sr, c[1], c[2])
             == ops.pushforward(
@@ -727,7 +787,7 @@ def check_monad_laws(
         ),
         (
             "monad/commutative-2",
-            *_grouped_cases(
+            *run.grouped_cases(
                 [
                     (
                         [nested[w], nested[w]],
@@ -740,8 +800,6 @@ def check_monad_laws(
                     for w in words
                 ],
                 4,
-                samples,
-                seed,
             ),
             lambda c: ops.mu(
                 sr,
@@ -784,19 +842,6 @@ def _collision_pair(sr, variant, pool):
     return ()
 
 
-def _classify_args(variant, sr, sizes, budget, samples):
-    """Checked arguments of every law-suite entry point: the loaded semiring
-    and the sample count clamped to the budget and to at least one."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    sr = load_semiring(sr)
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    return sr, max(1, min(samples, budget))
-
-
 # ---------------------------------------------------------------------------
 # monad-level classification
 
@@ -817,12 +862,16 @@ def classify_monad(
     expected to agree whenever the sub-family is closed under the structure
     the diagram uses; `well_posed` records that precondition per flag.
     """
-    sr, samples = _classify_args(variant, sr, sizes, budget, samples)
-    words = [()] + _words(sizes)
-    pools, exhaustive = _map_pools(sr, variant, words, seed, samples, f"flags-{variant}")
+    return _classify_monad(_Run([variant], sr, sizes, budget, seed, samples, ops), variant)
+
+
+def _classify_monad(run, variant):
+    sr, ops = run.sr, run.ops
+    words = [()] + run.words()
+    pools, exhaustive = run.map_pools(variant, words, f"flags-{variant}")
     all_cases = [(w, h) for w in words for h in pools[w]]
     unit_cases = [((), h) for h in pools[()]]
-    closure = variant_closure_reports(variant, sr, sizes, seed, samples)
+    closure = _closure_reports(run, variant)
 
     def idempotent_total(c):
         t = wm_total(sr, c[1])
@@ -932,9 +981,10 @@ def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
     Unary axioms are checked at every word, the tensor-multiplicativity
     axioms at every given pair (u, v); the unit object gets one dedicated case.
     """
-    sr = load_semiring(sr)
-    st = Structure(sr)
-    words = [tuple(w) for w in words]
+    return _gsm_reports(Structure(load_semiring(sr)), [tuple(w) for w in words], pairs)
+
+
+def _gsm_reports(st, words, pairs):
     reports = {}
     for law in (
         "gsm/copy-coassoc",
@@ -966,31 +1016,6 @@ def _word_law(st, law, words):
     )
 
 
-def _gsm_axiom_reports(sr: Semiring, sizes: Sequence[int]) -> dict[str, LawReport]:
-    pairs = [(u, v) for u in _words(sizes, "A") for v in _words(sizes, "B")]
-    return check_gsm_axioms(sr, [()] + _words(sizes, "A"), pairs)
-
-
-def _arrow_grid(sr, variant, size_list, seed, n, tag):
-    """Variant arrows X(ds) -> Y(cs) for every pair of sizes, keyed by (ds, cs),
-    plus an exhaustiveness marker.  `tag` is formatted with variant, ds, cs."""
-    grid = {}
-    exhaustive = True
-    for ds in size_list:
-        for cs in size_list:
-            grid[ds, cs], full = variant_arrows(
-                sr,
-                (FinSet("X", ds),),
-                (FinSet("Y", cs),),
-                variant,
-                seed,
-                n,
-                tag=tag.format(variant=variant, ds=ds, cs=cs),
-            )
-            exhaustive = exhaustive and full
-    return grid, exhaustive
-
-
 def _first_failures(st, arrows, laws):
     """For each law, the 1-based index and the arrow of its first failure
     over arrows, or None where it holds throughout.  The laws of an arrow
@@ -1020,16 +1045,13 @@ def classify_kleisli(
     be groups, building each inverse row by row through mul_inverse.  Every
     flag is the verdict of its report.
     """
-    sr, samples = _classify_args(variant, sr, sizes, budget, samples)
-    size_list = _sizes(sizes)
-    gsm_reports = _gsm_axiom_reports(sr, size_list)
-    st = Structure(sr)
+    return _classify_kleisli(_Run([variant], sr, sizes, budget, seed, samples), variant)
 
-    grid, exhaustive = _arrow_grid(
-        sr, variant, size_list, seed, samples, "classify-{variant}-{ds}x{cs}"
-    )
+
+def _classify_kleisli(run, variant):
+    grid, exhaustive = run.arrow_grid(variant, run.samples, "classify-{variant}-{ds}x{cs}")
     arrows = [f for pool in grid.values() for f in pool]
-    first = _first_failures(st, arrows, _FLAG_LAWS.values())
+    first = _first_failures(run.st, arrows, _FLAG_LAWS.values())
     passed = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
     reports = {}
     for equation, law in _FLAG_LAWS.items():
@@ -1040,37 +1062,43 @@ def classify_kleisli(
             witness = {
                 "equation": equation,
                 "sizes": [f.dom[0].size, f.cod[0].size],
-                "arrow": wrel_to_doc(sr, f),
+                "arrow": wrel_to_doc(run.sr, f),
             }
         flag = law.removeprefix("kleisli/").replace("-", "_")
         reports[flag] = LawReport(law, status, len(arrows), witness)
 
-    reports["weakly_markov"] = _weakly_markov_report(st, variant, size_list, seed, samples)
+    reports["weakly_markov"] = _weakly_markov_report(run, variant)
     return KleisliClassification(
         variant=variant,
-        semiring=sr.name,
+        semiring=run.sr.name,
         reports=reports,
-        gsm_reports=gsm_reports,
-        composition_closure=_composition_closure_report(sr, variant, size_list, seed, samples),
+        gsm_reports=run.gsm,
+        composition_closure=_composition_closure_report(run, variant),
     )
 
 
-def _weakly_markov_report(st, variant, size_list, seed, samples):
+def _weakly_markov_report(run, variant):
     """Group check for the scalar hom-monoids: every arrow Y -> I needs an
     inverse under pointwise scalar multiplication."""
-    sr = st.sr
+    sr = run.sr
     cases = []
     exhaustive = True
-    for ds in size_list:
+    for ds in run.sizes:
         pool, full = variant_arrows(
-            sr, (FinSet("Y", ds),), (), variant, seed, samples, tag=f"wmarkov-{variant}-{ds}"
+            sr,
+            (FinSet("Y", ds),),
+            (),
+            variant,
+            run.seed,
+            run.samples,
+            tag=f"wmarkov-{variant}-{ds}",
         )
         cases += [(ds, f) for f in pool]
         exhaustive = exhaustive and full
 
     def holds(c):
         f, g = c[1], _hom_inverse(sr, variant, c[1])
-        return g is not None and _LawCase(st, {"Y": f.dom}, {"f": f, "g": g}).holds(
+        return g is not None and _LawCase(run.st, {"Y": f.dom}, {"f": f, "g": g}).holds(
             "kleisli/weakly-markov"
         )
 
@@ -1097,20 +1125,25 @@ def _hom_inverse(sr, variant, f: WRel):
     return g if arrow_in_variant(sr, g, variant) else None
 
 
-def _composition_closure_report(sr, variant, size_list, seed, samples):
+def _composition_closure_report(run, variant):
     """Composites of variant arrows should have variant rows."""
-    triples = [(a, b, c) for a in size_list for b in size_list for c in size_list]
-    per_triple = max(2, samples // max(1, len(triples)))
+    sr = run.sr
+    triples = list(product(run.sizes, repeat=3))
+    per_triple = max(2, run.samples // len(triples))
     groups = []
     for a, b, c in triples:
         wa = (FinSet("X", a),)
         wb = (FinSet("Y", b),)
         wc = (FinSet("Z", c),)
-        fs, full_f = variant_arrows(sr, wa, wb, variant, seed, per_triple, tag=f"compclo-f-{a}{b}{c}")
-        gs, full_g = variant_arrows(sr, wb, wc, variant, seed, per_triple, tag=f"compclo-g-{a}{b}{c}")
+        fs, full_f = variant_arrows(
+            sr, wa, wb, variant, run.seed, per_triple, tag=f"compclo-f-{a}{b}{c}"
+        )
+        gs, full_g = variant_arrows(
+            sr, wb, wc, variant, run.seed, per_triple, tag=f"compclo-g-{a}{b}{c}"
+        )
         tag = f"compclo-{sr.name}-{variant}-{a}{b}{c}"
         groups.append(([fs, gs], full_f and full_g, tag, (), ()))
-    cases, exhaustive = _grouped_cases(groups, 2, samples, seed)
+    cases, exhaustive = run.grouped_cases(groups, 2)
     return check_cases(
         "closure/composition",
         cases,
@@ -1141,12 +1174,13 @@ def crosscheck_dom_paths(
     totals.  monad-path: dom(f);f computed by matrix composition equals the
     same arrow computed through psi and pushforwards row by row.
     """
-    sr, samples = _classify_args(variant, sr, sizes, DEFAULT_BUDGET, samples)
-    grid, exhaustive = _arrow_grid(
-        sr, variant, _sizes(sizes), seed, samples, "domx-{variant}-{ds}x{cs}"
-    )
-    st = Structure(sr)
-    dom = _memo(lambda _sr, f: st.dom(f))
+    return _crosscheck(_Run([variant], sr, sizes, DEFAULT_BUDGET, seed, samples), variant)
+
+
+def _crosscheck(run, variant):
+    sr = run.sr
+    grid, exhaustive = run.arrow_grid(variant, run.samples, "domx-{variant}-{ds}x{cs}")
+    dom = _memo(lambda _sr, f: run.st.dom(f))
     arrows = [f for pool in grid.values() for f in pool]
     return tuple(
         check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f), exhaustive=exhaustive)
@@ -1165,22 +1199,17 @@ def crosscheck_dom_paths(
     )
 
 
-def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
+def _structural_reports(run, variant, domain_category):
     """dom is invariant under post-discharge and post-copy for every arrow;
     the pre-copy variant is a lemma whose hypothesis is domain_category.
     The reports are those check_cases gives, law by law, over the arrows."""
-    grid, exhaustive = _arrow_grid(
-        sr,
-        variant,
-        size_list,
-        seed,
-        max(4, samples // max(1, len(size_list) ** 2)),
-        "structural-{variant}-{ds}x{cs}",
+    grid, exhaustive = run.arrow_grid(
+        variant, max(4, run.samples // len(run.sizes) ** 2), "structural-{variant}-{ds}x{cs}"
     )
     arrows = [f for pool in grid.values() for f in pool]
     before_copy = "structural/dom-before-copy"
     first = _first_failures(
-        Structure(sr),
+        run.st,
         arrows,
         ("structural/dom-after-discharge", "structural/dom-after-copy", before_copy),
     )
@@ -1193,32 +1222,26 @@ def _structural_reports(sr, variant, size_list, seed, samples, domain_category):
             reports.append(LawReport(law, status, len(arrows)))
         else:
             index, f = failure
-            reports.append(LawReport(law, COUNTEREXAMPLE, index, wrel_to_doc(sr, f)))
+            reports.append(LawReport(law, COUNTEREXAMPLE, index, wrel_to_doc(run.sr, f)))
     return reports
 
 
-def _hom_monoid_reports(sr, variant, size_list, seed, samples):
+def _hom_monoid_reports(run, variant):
     """Monoid laws of the scalar hom-sets under pointwise multiplication."""
-    n = max(4, samples // max(1, len(size_list)))
+    sr = run.sr
+    n = max(4, run.samples // len(run.sizes))
     site = f"{sr.name}-{variant}"
-    st = Structure(sr)
     pools = []
-    for ds in size_list:
+    for ds in run.sizes:
         pool, full = variant_arrows(
-            sr, (FinSet("Y", ds),), (), variant, seed, n, tag=f"homm-{variant}-{ds}"
+            sr, (FinSet("Y", ds),), (), variant, run.seed, n, tag=f"homm-{variant}-{ds}"
         )
         pools.append((ds, pool, full))
-    assoc_cases, assoc_full = _grouped_cases(
-        [([pool] * 3, full, f"homm-assoc-{site}-{ds}", (), ()) for ds, pool, full in pools],
-        4,
-        samples,
-        seed,
+    assoc_cases, assoc_full = run.grouped_cases(
+        [([pool] * 3, full, f"homm-assoc-{site}-{ds}", (), ()) for ds, pool, full in pools], 4
     )
-    comm_cases, comm_full = _grouped_cases(
-        [([pool] * 2, full, f"homm-comm-{site}-{ds}", (), ()) for ds, pool, full in pools],
-        4,
-        samples,
-        seed,
+    comm_cases, comm_full = run.grouped_cases(
+        [([pool] * 2, full, f"homm-comm-{site}-{ds}", (), ()) for ds, pool, full in pools], 4
     )
     unit_cases = [(f,) for _, pool, _ in pools for f in pool]
 
@@ -1229,7 +1252,7 @@ def _hom_monoid_reports(sr, variant, size_list, seed, samples):
         check_cases(
             law,
             cases,
-            lambda c, law=law: _LawCase(st, {"Y": c[0].dom}, dict(zip("fgh", c))).holds(law),
+            lambda c, law=law: _LawCase(run.st, {"Y": c[0].dom}, dict(zip("fgh", c))).holds(law),
             describe,
             exhaustive=assoc_full and comm_full,
         )
@@ -1241,16 +1264,13 @@ def _hom_monoid_reports(sr, variant, size_list, seed, samples):
     ]
 
 
-def _cansem_reports(sr, size_list):
+def _cansem_reports(run):
     """The canonical semigroup id x del: special over every word, the
     two-set word included, and the identity on the unit object."""
-    st = Structure(sr)
-    words = [()] + _words(size_list)
-    if size_list:
-        words.append((FinSet("X", size_list[-1]), FinSet("Y", size_list[0])))
+    words = [()] + run.words() + [(FinSet("X", run.sizes[-1]), FinSet("Y", run.sizes[0]))]
     return (
-        _word_law(st, "cansem/special-semigroup", words),
-        _word_law(st, "cansem/unit-monoid", [()]),
+        _word_law(run.st, "cansem/special-semigroup", words),
+        _word_law(run.st, "cansem/unit-monoid", [()]),
     )
 
 
@@ -1349,39 +1369,32 @@ def run_theorem_suite(
     fail at a pair (sub-family closure, ambient domain category) are
     emitted under the gated/ prefix with the observed values instead.
     The check_monad_laws rows of each pair are folded in, which is what
-    routes an injected broken operation into a blocking entry.
+    routes an injected broken operation into a blocking entry.  Every law
+    family draws `samples` clamped to `budget`.
     """
     entries: list[SuiteEntry] = []
-    size_list = _sizes(sizes)
     for spec in semirings:
-        sr = load_semiring(spec)
+        run = _Run(variants, spec, sizes, budget, seed, samples, ops)
+        sr = run.sr
         profile = classify_semiring(sr, seed=seed)
-        shared = [*_gsm_axiom_reports(sr, size_list).values(), *_cansem_reports(sr, size_list)]
+        shared = [*run.gsm.values(), *_cansem_reports(run)]
         entries.extend(_entry(report, "-", sr.name) for report in shared)
 
         per_variant: dict[str, tuple[MonadClassification, KleisliClassification]] = {}
         for variant in variants:
-            mc = classify_monad(
-                variant, sr, sizes=size_list, budget=budget, seed=seed, samples=samples, ops=ops
-            )
-            kc = classify_kleisli(
-                variant, sr, sizes=size_list, budget=budget, seed=seed, samples=samples
-            )
+            mc = _classify_monad(run, variant)
+            kc = _classify_kleisli(run, variant)
             per_variant[variant] = (mc, kc)
-            monad = check_monad_laws(
-                variant, sr, sizes=size_list, budget=budget, seed=seed, samples=samples, ops=ops
-            )
-            entries.extend(_entry(report, variant, sr.name) for report in monad)
-            entries.extend(_pair_entries(sr, variant, size_list, seed, samples, mc, kc))
+            entries.extend(_entry(report, variant, sr.name) for report in _monad_laws(run, variant))
+            entries.extend(_pair_entries(run, variant, mc, kc))
 
         if profile.distributive_lattice and "M" in per_variant and "Md" in per_variant:
-            entries.append(
-                _coincidence_entry(sr, size_list, seed, samples, per_variant["M"], per_variant["Md"])
-            )
+            entries.append(_coincidence_entry(run, per_variant["M"], per_variant["Md"]))
     return entries
 
 
-def _pair_entries(sr, variant, size_list, seed, samples, mc, kc) -> list[SuiteEntry]:
+def _pair_entries(run, variant, mc, kc) -> list[SuiteEntry]:
+    sr = run.sr
     closure = {**mc.closure, "composition": kc.composition_closure}
     names = ("eta", "psi", "mu", "pushforward", "composition")
     entries = [_entry(closure[name], variant, sr.name) for name in names]
@@ -1453,21 +1466,22 @@ def _pair_entries(sr, variant, size_list, seed, samples, mc, kc) -> list[SuiteEn
     entries.extend(
         _entry(report, variant, sr.name)
         for report in (
-            *_hom_monoid_reports(sr, variant, size_list, seed, samples),
-            *_structural_reports(sr, variant, size_list, seed, samples, flags["domain_category"]),
-            *crosscheck_dom_paths(sr, variant, size_list, seed, samples),
+            *_hom_monoid_reports(run, variant),
+            *_structural_reports(run, variant, flags["domain_category"]),
+            *_crosscheck(run, variant),
         )
     )
     return entries
 
 
-def _coincidence_entry(sr, size_list, seed, samples, m_pair, md_pair) -> SuiteEntry:
+def _coincidence_entry(run, m_pair, md_pair) -> SuiteEntry:
     """Distributive lattices collapse the absorptive sub-family onto the
     whole monad: same arrows, same classifications."""
+    sr = run.sr
     mc_m, kc_m = m_pair
     mc_md, kc_md = md_pair
-    grid_m, full_m = _arrow_grid(sr, "M", size_list, seed, samples, "coin-m-{ds}{cs}")
-    grid_md, full_md = _arrow_grid(sr, "Md", size_list, seed, samples, "coin-md-{ds}{cs}")
+    grid_m, full_m = run.arrow_grid("M", run.samples, "coin-m-{ds}{cs}")
+    grid_md, full_md = run.arrow_grid("Md", run.samples, "coin-md-{ds}{cs}")
     checks = 0
 
     def scan_arrows():

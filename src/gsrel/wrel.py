@@ -13,14 +13,14 @@ are identities on index tuples and never appear at runtime.
 Structural arrows: wrel_copy duplicates an index tuple, wrel_del maps it
 to (), wrel_swap exchanges two blocks.  A Structure holder builds each of
 these once per word and keeps it for as long as the holder lives: one
-law-suite call or one diagram query.  Over its arrows it defines dom by
-its defining composite copy ; (id x (f ; del)), and mass as f ; del;
-wrel_dom and wrel_mass run them on a fresh holder.  The closed form of dom
-(the row total on the diagonal) is exposed separately as an independent
-oracle.  The scalar product of arrows into the unit, the canonical
-semigroup and the per-arrow flags are terms and equations of the law table
-in gsrel.diagram: hom_scalar_mul, canonical_semigroup_mul and wrel_classify
-evaluate them there.
+semiring's run of the law suites, or one diagram query.  Over its arrows
+it defines dom by its defining composite copy ; (id x (f ; del)), and mass
+as f ; del; wrel_dom and wrel_mass run them on a fresh holder.  The closed
+form of dom (the row total on the diagonal) is exposed separately as an
+independent oracle.  The scalar product of arrows into the unit, the
+canonical semigroup and the per-arrow flags are terms and equations of the
+law table in gsrel.diagram: hom_scalar_mul, canonical_semigroup_mul and
+wrel_classify evaluate them there.
 
 Invariant: every row key of an arrow is an element of its domain word and
 every entry key an element of its codomain word.  Keys are checked once,
@@ -227,9 +227,10 @@ def wrel_swap(sr: Semiring, left: Word, right: Word) -> WRel:
 class Structure:
     """Structural arrows over one semiring, each word's built on first use.
 
-    Create one per law-suite call or diagram query and drop it with the
-    call: its dict holds every arrow it has built, one per distinct word.
-    mass and dom are the defining composites, built over those arrows.
+    Create one per semiring's run of the law suites, or one diagram query,
+    and drop it with the run: its dict holds every arrow it has built, one
+    per distinct word.  mass and dom are the defining composites, built over
+    those arrows.
     """
 
     __slots__ = ("sr", "_arrows")

@@ -1,8 +1,9 @@
 """Call-local sharing is the one caching pattern: no module-level cache.
 
-A memo lives in a dict that dies with its call (a law-suite call, one
-diagram query, one Structure holder).  A process-wide cache would carry
-state from one call, or one test, into the next.
+A memo lives in a dict that dies with its call or its holder (one
+semiring's run of the law suites, or one diagram query; one Structure
+holder).  A process-wide cache would carry state from one call, or one
+test, into the next.
 """
 import re
 from pathlib import Path

@@ -33,7 +33,7 @@ from gsrel import (
     wrel_compose,
     wrel_dom,
 )
-from gsrel import FinSet, wrel
+from gsrel import FinSet, diagram, wrel
 from gsrel.taxonomy import _memo
 
 BOOL = load_semiring("bool")
@@ -275,6 +275,44 @@ def test_structural_arrows_are_built_once_per_word(monkeypatch):
     assert built and len(built) == len(set(built)), "an arrow was built twice"
 
 
+def test_suite_shares_one_structure_and_one_gsm_check_per_semiring(monkeypatch):
+    structures = []
+    init = wrel.Structure.__init__
+
+    def counted_init(self, sr):
+        structures.append(sr.name)
+        init(self, sr)
+
+    monkeypatch.setattr(wrel.Structure, "__init__", counted_init)
+    built = []
+    for name in ("wrel_copy", "wrel_id", "wrel_del"):
+        def counted(sr, word, _name=name, _op=getattr(wrel, name)):
+            built.append((sr.name, _name, word))
+            return _op(sr, word)
+
+        monkeypatch.setattr(wrel, name, counted)
+    evaluated = []
+    holds = diagram._LawCase.holds
+
+    def counted_holds(self, law):
+        if law.startswith("gsm/"):
+            evaluated.append((self.semiring.name, law, tuple(self.sorts.values())))
+        return holds(self, law)
+
+    monkeypatch.setattr(diagram._LawCase, "holds", counted_holds)
+
+    entries = run_theorem_suite(["bool", "nat"], ["M", "Md"], sizes=(0, 1))
+    assert sorted(structures) == ["bool", "nat"]
+    assert built and len(built) == len(set(built)), "an arrow was built twice"
+    assert len(evaluated) == len(set(evaluated)), "a gsm/ law was evaluated twice"
+    # per semiring: four unary laws at I, A0 and A1, two over the four (Ai, Bj)
+    # pairs, and the unit object once
+    for semiring in ("bool", "nat"):
+        assert sum(e[0] == semiring for e in evaluated) == 4 * 3 + 2 * 4 + 1
+        gsm = [e for e in entries if e.semiring == semiring and e.law.startswith("gsm/")]
+        assert len(gsm) == 7 and all(e.status == "exhaustive_pass" for e in gsm)
+
+
 def test_memo_runs_op_once_per_distinct_arguments():
     seen = []
 
@@ -429,17 +467,48 @@ def test_weakly_markov_table_matches_builtin_gf17():
     )
 
 
+EMPTY = "sizes must be nonempty"
+UNKNOWN = "unknown variant 'Mx'"
+BUDGET = "budget must be positive"
+
+
+# every entry point checks its arguments in one place: empty sizes, an
+# unknown variant and, where it takes one, a nonpositive budget
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: crosscheck_dom_paths("nat", sizes=()),
-        lambda: check_monad_laws("M", "bool", sizes=()),
-        lambda: variant_closure_reports("M", "nat", sizes=()),
+        pytest.param(
+            lambda: crosscheck_dom_paths("nat", sizes=()), EMPTY, id="crosscheck_dom_paths"
+        ),
+        pytest.param(
+            lambda: check_monad_laws("M", "bool", sizes=()), EMPTY, id="check_monad_laws"
+        ),
+        pytest.param(
+            lambda: variant_closure_reports("M", "nat", sizes=()),
+            EMPTY,
+            id="variant_closure_reports",
+        ),
+        pytest.param(lambda: classify_monad("M", "nat", sizes=()), EMPTY, id="classify_monad"),
+        pytest.param(lambda: classify_kleisli("M", "nat", sizes=()), EMPTY, id="classify_kleisli"),
+        pytest.param(
+            lambda: run_theorem_suite(["bool"], ["M"], sizes=()), EMPTY, id="run_theorem_suite"
+        ),
+        pytest.param(lambda: crosscheck_dom_paths("nat", "Mx"), UNKNOWN, id="crosscheck-variant"),
+        pytest.param(lambda: check_monad_laws("Mx", "bool"), UNKNOWN, id="laws-variant"),
+        pytest.param(lambda: variant_closure_reports("Mx", "nat"), UNKNOWN, id="closure-variant"),
+        pytest.param(lambda: classify_monad("Mx", "nat"), UNKNOWN, id="monad-variant"),
+        pytest.param(lambda: classify_kleisli("Mx", "nat"), UNKNOWN, id="kleisli-variant"),
+        pytest.param(lambda: run_theorem_suite(["bool"], ["M", "Mx"]), UNKNOWN, id="suite-variant"),
+        pytest.param(lambda: check_monad_laws("M", "bool", budget=0), BUDGET, id="laws-budget"),
+        pytest.param(lambda: classify_monad("M", "nat", budget=0), BUDGET, id="monad-budget"),
+        pytest.param(lambda: classify_kleisli("M", "nat", budget=0), BUDGET, id="kleisli-budget"),
+        pytest.param(
+            lambda: run_theorem_suite(["bool"], ["M"], budget=0), BUDGET, id="suite-budget"
+        ),
     ],
-    ids=["crosscheck_dom_paths", "check_monad_laws", "variant_closure_reports"],
 )
-def test_law_suites_reject_empty_sizes(call):
-    with pytest.raises(ValueError, match="sizes must be nonempty"):
+def test_law_suites_reject_empty_sizes(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -523,6 +592,17 @@ def test_suite_with_planted_bug_fails():
     # bool alone cannot see this bug
     entries = run_theorem_suite(semirings=("bool",), variants=("M",), ops=broken_ops())
     assert suite_failures(entries) == []
+
+
+@pytest.mark.parametrize(
+    "semirings, variants",
+    [(["nat"], ["M"]), (["fuzzy-max-min"], ["M", "Md"])],
+    ids=["nat-M", "fuzzy-max-min-M-Md"],
+)
+def test_suite_budget_caps_samples_in_every_family(semirings, variants):
+    capped = run_theorem_suite(semirings, variants, sizes=(0, 1), seed=11, budget=3, samples=24)
+    three = run_theorem_suite(semirings, variants, sizes=(0, 1), seed=11, samples=3)
+    assert entries_to_jsonl(capped) == entries_to_jsonl(three)
 
 
 def test_suite_gated_rows_never_block(catalog_suite):
