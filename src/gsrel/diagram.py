@@ -491,57 +491,61 @@ def evaluate_term(term, interp: Interpretation) -> WRel:
     """Evaluate after typechecking; dom/mass expand to defining composites."""
     _check_depth(term)
     typecheck_term(term, interp.signature())
-    return _eval(term, interp, Structure(interp.semiring), {})
+    return _query_case(interp).eval(term)
 
 
-def _eval(term, interp: Interpretation, st: Structure, memo: dict) -> WRel:
-    """Arrow of a typechecked term.  `memo` maps each sub-term this query has
-    evaluated to its arrow; AST nodes are frozen, so structurally equal
-    sub-terms share one entry and are built once.  `st`, also local to the
-    query, builds the structural arrows of the id/copy/del/swap nodes and
-    of the dom/mass expansions once per word."""
-    arrow = memo.get(term)
+def _query_case(interp: Interpretation) -> _LawCase:
+    """The interpretation as one evaluation case: each sort a one-set word."""
+    sorts = {name: (s,) for name, s in interp.sorts.items()}
+    return _LawCase(Structure(interp.semiring), sorts, interp.generators)
+
+
+def _eval(term, case: _LawCase) -> WRel:
+    """Arrow of a typechecked term.  `case.memo` maps each sub-term evaluated
+    on the case to its arrow; AST nodes are frozen, so structurally equal
+    sub-terms share one entry and are built once.  `case.st` builds the
+    structural arrows of the id/copy/del/swap nodes and of the dom/mass
+    expansions once per word."""
+    arrow = case.memo.get(term)
     if arrow is not None:
         return arrow
-    sr = interp.semiring
+    st = case.st
     if isinstance(term, Id):
-        arrow = st.id(interp.word(term.word))
+        arrow = st.id(case.word(term.word))
     elif isinstance(term, Copy):
-        arrow = st.copy(interp.word(term.word))
+        arrow = st.copy(case.word(term.word))
     elif isinstance(term, Del):
-        arrow = st.discard(interp.word(term.word))
+        arrow = st.discard(case.word(term.word))
     elif isinstance(term, Swap):
-        arrow = st.swap(interp.word(term.left), interp.word(term.right))
+        arrow = st.swap(case.word(term.left), case.word(term.right))
     elif isinstance(term, Gen):
-        arrow = interp.generators[term.name]
+        arrow = case.generators[term.name]
     elif isinstance(term, (Seq, Tensor)):
         op = wrel_compose if isinstance(term, Seq) else wrel_tensor
-        arrow = op(sr, _eval(term.left, interp, st, memo), _eval(term.right, interp, st, memo))
+        arrow = op(st.sr, _eval(term.left, case), _eval(term.right, case))
     elif isinstance(term, Dom):
-        arrow = st.dom(_eval(term.term, interp, st, memo))
+        arrow = st.dom(_eval(term.term, case))
     elif isinstance(term, Mass):
-        arrow = st.mass(_eval(term.term, interp, st, memo))
+        arrow = st.mass(_eval(term.term, case))
     else:
         raise TypeError(f"not a term: {term!r}")
-    memo[term] = arrow
+    case.memo[term] = arrow
     return arrow
 
 
 def check_term_equality(t1, t2, interp: Interpretation, law: str = "term-eq") -> LawReport:
     """Evaluate both terms and compare entrywise; boundary mismatch raises.
 
-    Both terms are typechecked first, then evaluated through one memo and
-    one structure holder, so a sub-term or structural arrow the two sides
-    share is built once."""
+    Both terms are typechecked first, then evaluated on one case, so a
+    sub-term or structural arrow the two sides share is built once."""
     _check_depth(t1)
     _check_depth(t2)
     sig = interp.signature()
     typecheck_term(t1, sig)
     typecheck_term(t2, sig)
-    st = Structure(interp.semiring)
-    memo: dict = {}
-    f = _eval(t1, interp, st, memo)
-    g = _eval(t2, interp, st, memo)
+    case = _query_case(interp)
+    f = case.eval(t1)
+    g = case.eval(t2)
     if f.boundary() != g.boundary():
         raise TypecheckError(
             f"terms have different boundaries: {_word_str(f.dom)} -> {_word_str(f.cod)} vs "
@@ -678,18 +682,17 @@ _FLAG_LAWS = {
 
 
 class _LawCase:
-    """One case of the law table: sort names bound to whole words (a sort may
-    stand for a multi-set word or the empty word) and generators to arrows.
+    """One evaluation case: sort names bound to whole words (a sort may stand
+    for a multi-set word or the empty word) and generators to arrows.
 
-    It offers _eval what an Interpretation does (semiring, generators,
-    word()), and keeps one memo, so the equations evaluated on the case
-    share their sub-terms; `st` is the run's structure holder."""
+    A law-table row and a diagram query are both evaluated on one.  It keeps
+    one memo, so the terms evaluated on the case share their sub-terms; `st`
+    is the structure holder of the run or of the query."""
 
-    __slots__ = ("st", "semiring", "sorts", "generators", "memo")
+    __slots__ = ("st", "sorts", "generators", "memo")
 
     def __init__(self, st: Structure, sorts: Mapping, generators: Mapping | None = None):
         self.st = st
-        self.semiring = st.sr
         self.sorts = sorts
         self.generators = generators or {}
         self.memo: dict = {}
@@ -698,7 +701,7 @@ class _LawCase:
         return tuple(s for name in sort_word for s in self.sorts[name])
 
     def eval(self, term) -> WRel:
-        return _eval(term, self, self.st, self.memo)
+        return _eval(term, self)
 
     def holds(self, law: str) -> bool:
         return all(self.eval(lhs) == self.eval(rhs) for lhs, rhs in _LAWS[law])

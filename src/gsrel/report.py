@@ -3,14 +3,16 @@
 A law check walks a case stream and stops at the first violation.  The
 resulting LawReport records how the stream was produced (exhaustive or
 sampled), how many cases ran, and, for a failure, a witness that can be
-re-evaluated independently of the checker that found it.
+re-evaluated independently of the checker that found it.  Laws that share
+their cases are checked in one pass (check_laws), which gives each law the
+report check_cases would give it alone.
 """
 from __future__ import annotations
 
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 EXHAUSTIVE_PASS = "exhaustive_pass"
 SAMPLED_PASS = "sampled_pass"
@@ -57,6 +59,31 @@ def check_cases(
         if not holds(case):
             return LawReport(law, COUNTEREXAMPLE, n, describe(case))
     return LawReport(law, EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS, n)
+
+
+def check_laws(
+    laws: Collection[str],
+    cases: Iterable,
+    holds_for: Callable[[object], Callable[[str], bool]],
+    describe: Callable[[object], object],
+    exhaustive: bool = True,
+) -> list[LawReport]:
+    """check_cases for several laws over one walk of `cases`, in law order.
+
+    `holds_for(case)` is the case's predicate on a law, so the laws share
+    whatever the case builds.  Each law stops at its first violation."""
+    failed = {}
+    n = 0
+    for case in cases:
+        n += 1
+        holds = holds_for(case)
+        for law in laws:
+            if law not in failed and not holds(law):
+                failed[law] = LawReport(law, COUNTEREXAMPLE, n, describe(case))
+        if len(failed) == len(laws):
+            break
+    status = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
+    return [failed.get(law) or LawReport(law, status, n) for law in laws]
 
 
 def derive_rng(seed: int, *tags) -> random.Random:

@@ -5,14 +5,17 @@ Three layers:
                      comes from variant_closure_reports, which
                      classify_monad runs
   classify_monad     functor-class flags, each decided by two oracles: a
-                     pointwise scalar criterion and the literal commuting
-                     diagram evaluated with psi and pushforwards
+                     pointwise criterion and the literal commuting diagram
+                     evaluated with psi and pushforwards
   classify_kleisli   per-arrow category flags quantified over variant arrows
 
 Laws are data.  check_monad_laws and variant_closure_reports build a list
 of specs (law, cases, exhaustive, holds, describe) and make one check_cases
 call per spec.  classify_monad reads a table of (flag, law stem, pointwise
-cases and predicate, diagram cases and predicate).  The theorem and
+cases and predicate, diagram cases and predicate).  Four pointwise
+predicates are sub-family memberships, asked through in_variant: affine
+asks the unit-word maps to be in Ma, domain_preserving asks Md, and
+mass_preserving and unital_domain_preserving ask Mm.  The theorem and
 implication rows of each pair come from the module tables _THEOREMS and
 _IMPLICATIONS.  A law's cases come in groups, one per word, word pair,
 function pair or size triple; _Run.grouped_cases gives each group an
@@ -21,7 +24,11 @@ are exhaustive and the product is affordable.  Arrow pools over every pair
 of dom and cod sizes come from _Run.arrow_grid.  The Kleisli-level rows
 (gsm/, cansem/, structural/, homm/ and the kleisli/ flags) are the term
 equations of diagram.LAW_TABLE, which the diagram evaluator decides case
-by case.
+by case.  The gsm/, cansem/ and structural/ rows and the four per-arrow
+kleisli/ flags go through report.check_laws, which takes the rows over
+one list of cases in one pass: it builds each case once for all of them
+and stops each row at its first failure, so every row gets the report
+check_cases would give it alone.
 
 One run context per semiring: a _Run holds the checked arguments (the
 loaded semiring, the sorted sizes, the seed, samples clamped once to the
@@ -64,6 +71,7 @@ from .report import (
     SAMPLED_PASS,
     LawReport,
     check_cases,
+    check_laws,
     derive_rng,
 )
 from .semiring import CATALOG, classify_semiring, load_semiring, mul_inverse
@@ -873,9 +881,8 @@ def _classify_monad(run, variant):
     unit_cases = [((), h) for h in pools[()]]
     closure = _closure_reports(run, variant)
 
-    def idempotent_total(c):
-        t = wm_total(sr, c[1])
-        return sr.mul(t, t) == t
+    def member(family):
+        return lambda c: in_variant(sr, c[1], family)
 
     def relevant_pointwise(c):
         entries = c[1].entries
@@ -906,7 +913,7 @@ def _classify_monad(run, variant):
             "affine",
             "affine",
             unit_cases,
-            lambda c: c[1] == wm_eta(sr, ()),
+            member("Ma"),
             all_cases,
             lambda c: ops.pushforward(sr, lambda _k: (), c[1]) == ops.eta(sr, ()),
         ),
@@ -922,7 +929,7 @@ def _classify_monad(run, variant):
             "domain_preserving",
             "domain-preserving",
             all_cases,
-            lambda c: all(sr.mul(v, wm_total(sr, c[1])) == v for _, v in c[1].entries),
+            member("Md"),
             all_cases,
             lambda c: ops.pushforward(sr, lambda k, n=len(c[0]): k[:n], ops.psi(sr, c[1], c[1]))
             == c[1],
@@ -931,7 +938,7 @@ def _classify_monad(run, variant):
             "mass_preserving",
             "mass-preserving",
             all_cases,
-            idempotent_total,
+            member("Mm"),
             all_cases,
             lambda c: ops.pushforward(sr, lambda _k: (), ops.psi(sr, c[1], c[1]))
             == ops.pushforward(sr, lambda _k: (), c[1]),
@@ -940,7 +947,7 @@ def _classify_monad(run, variant):
             "unital_domain_preserving",
             "unital",
             unit_cases,
-            idempotent_total,
+            member("Mm"),
             unit_cases,
             lambda c: ops.psi(sr, c[1], c[1]) == c[1],
         ),
@@ -985,49 +992,33 @@ def check_gsm_axioms(sr, words: Sequence[Word], pairs) -> dict[str, LawReport]:
 
 
 def _gsm_reports(st, words, pairs):
-    reports = {}
-    for law in (
-        "gsm/copy-coassoc",
-        "gsm/copy-cocomm",
-        "gsm/copy-counit-right",
-        "gsm/copy-counit-left",
-    ):
-        reports[law] = _word_law(st, law, words)
-    for law in ("gsm/copy-tensor-mult", "gsm/del-tensor-mult"):
-        reports[law] = check_cases(
-            law,
+    reports = [
+        *_word_reports(
+            st,
+            (
+                "gsm/copy-coassoc",
+                "gsm/copy-cocomm",
+                "gsm/copy-counit-right",
+                "gsm/copy-counit-left",
+            ),
+            words,
+        ),
+        *check_laws(
+            ("gsm/copy-tensor-mult", "gsm/del-tensor-mult"),
             pairs,
-            lambda p, law=law: _LawCase(st, {"A": p[0], "B": p[1]}).holds(law),
-            describe=lambda p: {"words": [_word_name(p[0]), _word_name(p[1])]},
-            exhaustive=True,
-        )
-    reports["gsm/unit-object"] = _word_law(st, "gsm/unit-object", [()])
-    return reports
+            lambda p: _LawCase(st, {"A": p[0], "B": p[1]}).holds,
+            lambda p: {"words": [_word_name(p[0]), _word_name(p[1])]},
+        ),
+        *_word_reports(st, ("gsm/unit-object",), [()]),
+    ]
+    return {r.law: r for r in reports}
 
 
-def _word_law(st, law, words):
-    """A law-table row over words bound to the sort A, witnessed by the word."""
-    return check_cases(
-        law,
-        words,
-        lambda w: _LawCase(st, {"A": w}).holds(law),
-        describe=lambda w: {"word": _word_name(w)},
-        exhaustive=True,
+def _word_reports(st, laws, words):
+    """Law-table rows over words bound to the sort A, witnessed by the word."""
+    return check_laws(
+        laws, words, lambda w: _LawCase(st, {"A": w}).holds, lambda w: {"word": _word_name(w)}
     )
-
-
-def _first_failures(st, arrows, laws):
-    """For each law, the 1-based index and the arrow of its first failure
-    over arrows, or None where it holds throughout.  The laws of an arrow
-    share one case, so dom(f) and mass(f) are built once and the case's memo
-    dies with the arrow; a law is not evaluated past its first failure."""
-    first = dict.fromkeys(laws)
-    for i, f in enumerate(arrows, 1):
-        case = _arrow_case(st, f)
-        for law, failure in first.items():
-            if failure is None and not case.holds(law):
-                first[law] = (i, f)
-    return first
 
 
 def classify_kleisli(
@@ -1051,21 +1042,18 @@ def classify_kleisli(
 def _classify_kleisli(run, variant):
     grid, exhaustive = run.arrow_grid(variant, run.samples, "classify-{variant}-{ds}x{cs}")
     arrows = [f for pool in grid.values() for f in pool]
-    first = _first_failures(run.st, arrows, _FLAG_LAWS.values())
-    passed = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
+    flag_reports = check_laws(
+        _FLAG_LAWS.values(),
+        arrows,
+        lambda f: _arrow_case(run.st, f).holds,
+        lambda f: {"sizes": [f.dom[0].size, f.cod[0].size], "arrow": wrel_to_doc(run.sr, f)},
+        exhaustive,
+    )
     reports = {}
-    for equation, law in _FLAG_LAWS.items():
-        status, witness = passed, None
-        if first[law] is not None:
-            f = first[law][1]
-            status = COUNTEREXAMPLE
-            witness = {
-                "equation": equation,
-                "sizes": [f.dom[0].size, f.cod[0].size],
-                "arrow": wrel_to_doc(run.sr, f),
-            }
-        flag = law.removeprefix("kleisli/").replace("-", "_")
-        reports[flag] = LawReport(law, status, len(arrows), witness)
+    for equation, r in zip(_FLAG_LAWS, flag_reports):
+        if not r.passed:
+            r.witness = {"equation": equation, **r.witness}
+        reports[r.law.removeprefix("kleisli/").replace("-", "_")] = r
 
     reports["weakly_markov"] = _weakly_markov_report(run, variant)
     return KleisliClassification(
@@ -1201,28 +1189,24 @@ def _crosscheck(run, variant):
 
 def _structural_reports(run, variant, domain_category):
     """dom is invariant under post-discharge and post-copy for every arrow;
-    the pre-copy variant is a lemma whose hypothesis is domain_category.
-    The reports are those check_cases gives, law by law, over the arrows."""
+    the pre-copy variant is a lemma whose hypothesis is domain_category, so
+    it is reported under gated/ where that flag fails."""
     grid, exhaustive = run.arrow_grid(
         variant, max(4, run.samples // len(run.sizes) ** 2), "structural-{variant}-{ds}x{cs}"
     )
-    arrows = [f for pool in grid.values() for f in pool]
-    before_copy = "structural/dom-before-copy"
-    first = _first_failures(
-        run.st,
-        arrows,
-        ("structural/dom-after-discharge", "structural/dom-after-copy", before_copy),
+    reports = check_laws(
+        (
+            "structural/dom-after-discharge",
+            "structural/dom-after-copy",
+            "structural/dom-before-copy",
+        ),
+        [f for pool in grid.values() for f in pool],
+        lambda f: _arrow_case(run.st, f).holds,
+        lambda f: wrel_to_doc(run.sr, f),
+        exhaustive,
     )
-    reports = []
-    for law, failure in first.items():
-        if law == before_copy and not domain_category:
-            law = "gated/dom-before-copy"
-        if failure is None:
-            status = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
-            reports.append(LawReport(law, status, len(arrows)))
-        else:
-            index, f = failure
-            reports.append(LawReport(law, COUNTEREXAMPLE, index, wrel_to_doc(run.sr, f)))
+    if not domain_category:
+        reports[-1].law = "gated/dom-before-copy"
     return reports
 
 
@@ -1269,8 +1253,8 @@ def _cansem_reports(run):
     two-set word included, and the identity on the unit object."""
     words = [()] + run.words() + [(FinSet("X", run.sizes[-1]), FinSet("Y", run.sizes[0]))]
     return (
-        _word_law(run.st, "cansem/special-semigroup", words),
-        _word_law(run.st, "cansem/unit-monoid", [()]),
+        *_word_reports(run.st, ("cansem/special-semigroup",), words),
+        *_word_reports(run.st, ("cansem/unit-monoid",), [()]),
     )
 
 

@@ -14,7 +14,7 @@ The monad operations:
   wm_psi(h, k)         = (x, y) -> h(x) * k(y), keys concatenated
   wm_total(h)          = sum of all values
 
-Sub-family membership (wm_classify):
+Sub-family membership (in_variant):
   Mr: at most one support key and every value v has v*v = v
   Ma: total = 1
   Mm: t*t = t for t = total
@@ -261,20 +261,6 @@ def wm_antipode(sr: Semiring, h: WeightMap) -> WeightMap:
 # sub-family membership
 
 
-@dataclass(frozen=True)
-class MapFlags:
-    in_Mr: bool
-    in_Ma: bool
-    in_Mm: bool
-    in_Md: bool
-    in_Mi: bool
-
-    def member(self, variant: str) -> bool:
-        if variant == "M":
-            return True
-        return getattr(self, f"in_{variant}")
-
-
 def _in_Mr(sr: Semiring, h: WeightMap) -> bool:
     return len(h.entries) <= 1 and all(sr.mul(v, v) == v for _, v in h.entries)
 
@@ -299,10 +285,6 @@ def _in_Mi(sr: Semiring, h: WeightMap) -> bool:
 
 # The one predicate of each proper sub-family; every map is in M.
 _MEMBERSHIP = {"Mr": _in_Mr, "Ma": _in_Ma, "Mm": _in_Mm, "Md": _in_Md, "Mi": _in_Mi}
-
-
-def wm_classify(sr: Semiring, h: WeightMap) -> MapFlags:
-    return MapFlags(**{f"in_{v}": member(sr, h) for v, member in _MEMBERSHIP.items()})
 
 
 def in_variant(sr: Semiring, h: WeightMap, variant: str) -> bool:

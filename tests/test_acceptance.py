@@ -22,13 +22,13 @@ from gsrel import (
     enumerate_arrows,
     gsm_axiom_pairs,
     hom_scalar_mul,
+    in_variant,
     load_interpretation,
     load_semiring,
     parse_term,
     print_term,
     sample_arrows,
     suite_failures,
-    wm_classify,
     wrel_classify,
     wrel_compose,
     wrel_del,
@@ -234,7 +234,7 @@ def test_c9_distributive_lattice_coincidence(catalog_suite):
         else:
             for f in sample_arrows(sr, X, Y, "M", seed=1, n=120):
                 flags = all(
-                    wm_classify(sr, h).in_Md for _x, h in f.rows
+                    in_variant(sr, h, "Md") for _x, h in f.rows
                 )
                 ok = ok and flags
         km = classify_kleisli("M", sr)

@@ -211,6 +211,34 @@ def test_eval_parse_error_exits_2_with_location(files, capsys):
     assert "1:" in capsys.readouterr().err
 
 
+FUZZY_ABOVE_ONE = {
+    "semiring": "fuzzy-max-min",
+    "sorts": {"A": 1},
+    "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["0"], ["0"], "3/2"]]}},
+}
+
+
+@pytest.mark.parametrize(
+    "term, interp, message",
+    [
+        ("f", FUZZY_ABOVE_ONE, "generator 'f': label outside [0,1]: '3/2'"),
+        ("f", [FUZZY_ABOVE_ONE], "interpretation document must be an object"),
+        ("let a = f\nlet b = (let)", None, "2:10: 'let' is only allowed at the top of a term file"),
+        ("id[copy]", None, "1:4: 'copy' is reserved and cannot name a sort"),
+    ],
+    ids=["fuzzy-label-above-one", "interpretation-is-an-array", "nested-let", "copy-as-sort"],
+)
+def test_eval_error_names_the_fault(files, tmp_path, capsys, term, interp, message):
+    # a term that fails to parse is read against a well-formed interpretation
+    path = files / "interp_bool.json"
+    if interp is not None:
+        path = tmp_path / "interp.json"
+        path.write_text(json.dumps(interp))
+    (tmp_path / "t.gsd").write_text(term + "\n")
+    assert run(["eval", tmp_path / "t.gsd", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # eq
 
 

@@ -4,13 +4,18 @@ A refactor that moves a function between modules must keep it exported;
 this list fails the suite when a re-export is dropped or one is added
 without updating it.
 """
+import importlib
+import inspect
+import json
+from pathlib import Path
+
 import gsrel
 
 PUBLIC = [
     "ArrowFlags", "BoundaryError", "CATALOG", "COUNTEREXAMPLE", "Copy",
     "DEFAULT_BUDGET", "DEFAULT_OPS", "Del", "DiagramError", "Dom", "EXHAUSTIVE_PASS",
     "FinSet", "FlagVerdict", "Gen", "Id", "InterpFormatError", "Interpretation",
-    "KleisliClassification", "LawReport", "MONAD_FLAGS", "MapFlags", "Mass",
+    "KleisliClassification", "LawReport", "MONAD_FLAGS", "Mass",
     "MonadClassification", "MonadOps", "ParseError", "SAMPLED_PASS", "Semiring",
     "SemiringError", "SemiringProfile", "Seq", "Signature", "Structure", "SuiteEntry",
     "Swap", "TableFormatError", "Tensor", "TypecheckError", "UnknownGeneratorError",
@@ -26,7 +31,7 @@ PUBLIC = [
     "report", "run_theorem_suite", "sample_arrows", "sample_maps", "semiring",
     "suite_failures", "taxonomy", "typecheck_term", "variant_arrows",
     "variant_closure_reports", "variant_maps", "weightmap", "wm_antipode",
-    "wm_classify", "wm_empty", "wm_eta", "wm_make", "wm_mu", "wm_psi", "wm_psi0",
+    "wm_empty", "wm_eta", "wm_make", "wm_mu", "wm_psi", "wm_psi0",
     "wm_pushforward", "wm_total", "word_elements", "word_labels", "word_size", "wrel",
     "wrel_classify", "wrel_compose", "wrel_copy", "wrel_del", "wrel_dom",
     "wrel_dom_closed", "wrel_dom_via_kleisli_path", "wrel_eq", "wrel_from_doc",
@@ -37,3 +42,30 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert sorted(gsrel.__all__) == PUBLIC
 
+
+
+def test_benchmark_span_names_are_traced():
+    """Each per-layer span that BENCHMARK.json reads is one that
+    perfbench/tracer.py records: WeightMap, WRel, or a public function
+    defined in the module of its layer.  A function moved to another module,
+    or made private, would leave its span missing from every traced run."""
+    doc = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    spans = [
+        m["name"].rsplit(".", 1)[0]
+        for m in doc["per_layer"]
+        if m["name"].endswith((".calls", ".s", ".constructed"))
+    ]
+    assert spans
+    missing = []
+    for span in spans:
+        layer, attr = span.split(".", 1)
+        module = importlib.import_module(f"gsrel.{layer}")
+        fn = getattr(module, attr, None)
+        traced = span in ("weightmap.WeightMap", "wrel.WRel") or (
+            not attr.startswith("_")
+            and inspect.isfunction(fn)
+            and fn.__module__ == module.__name__
+        )
+        if not traced:
+            missing.append(span)
+    assert missing == []

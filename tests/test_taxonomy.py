@@ -19,11 +19,11 @@ from gsrel import (
     crosscheck_dom_paths,
     entries_to_jsonl,
     entries_to_table,
+    in_variant,
     load_semiring,
     run_theorem_suite,
     suite_failures,
     variant_closure_reports,
-    wm_classify,
     wm_eta,
     wm_make,
     wm_mu,
@@ -34,7 +34,8 @@ from gsrel import (
     wrel_dom,
 )
 from gsrel import FinSet, diagram, wrel
-from gsrel.taxonomy import _memo
+from gsrel.report import DEFAULT_BUDGET, check_cases, check_laws
+from gsrel.taxonomy import _classify_kleisli, _classify_monad, _coincidence_entry, _memo, _Run
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -296,7 +297,7 @@ def test_suite_shares_one_structure_and_one_gsm_check_per_semiring(monkeypatch):
 
     def counted_holds(self, law):
         if law.startswith("gsm/"):
-            evaluated.append((self.semiring.name, law, tuple(self.sorts.values())))
+            evaluated.append((self.st.sr.name, law, tuple(self.sorts.values())))
         return holds(self, law)
 
     monkeypatch.setattr(diagram._LawCase, "holds", counted_holds)
@@ -370,19 +371,19 @@ def test_mm_mu_refutation_replayed_by_hand():
     empty = wm_make(QPLUS, {})
     point = wm_eta(QPLUS, ())
     H = wm_make(QPLUS, {empty: half, point: half})
-    assert wm_classify(QPLUS, empty).in_Mm
-    assert wm_classify(QPLUS, point).in_Mm
-    assert wm_classify(QPLUS, H).in_Mm
+    assert in_variant(QPLUS, empty, "Mm")
+    assert in_variant(QPLUS, point, "Mm")
+    assert in_variant(QPLUS, H, "Mm")
     flat = wm_mu(QPLUS, H)
-    assert not wm_classify(QPLUS, flat).in_Mm
+    assert not in_variant(QPLUS, flat, "Mm")
 
 
 def test_mi_pushforward_refutation_replayed_by_hand():
     # collapsing two invertible weights adds them; 1+1=2 has no inverse in nat
     h = wm_make(NAT, {(0,): 1, (1,): 1})
-    assert wm_classify(NAT, h).in_Mi
+    assert in_variant(NAT, h, "Mi")
     g = wm_pushforward(NAT, lambda k: (1,), h)
-    assert not wm_classify(NAT, g).in_Mi
+    assert not in_variant(NAT, g, "Mi")
 
 
 # classification oracles
@@ -443,6 +444,65 @@ def test_kleisli_flags_frozen_table():
         assert all(got[name] is r.passed for name, r in kc.reports.items())
         assert got.pop("gsm_axioms") is True
         assert got == want, (variant, sr.name)
+
+
+def test_failed_kleisli_flags_count_checks_to_their_first_failure():
+    # every flag, weakly_markov included, stops at its first failing arrow
+    want = {
+        "nat": dict(markov=4, restriction=7, domain_category=7, mass_category=7, weakly_markov=2),
+        "bool": dict(markov=4, restriction=10, domain_category=31, mass_category=31,
+                     weakly_markov=2),
+    }
+    for name, counts in want.items():
+        kc = classify_kleisli("M", name)
+        assert {flag: r.checks_performed for flag, r in kc.reports.items()} == counts
+        assert [r.passed for r in kc.reports.values()] == [
+            name == "bool" and flag.endswith("category") for flag in counts
+        ]
+
+
+def test_check_laws_gives_each_law_its_check_cases_report():
+    preds = {
+        "even": lambda n: n % 2 == 0,
+        "small": lambda n: n < 3,
+        "always": lambda n: True,
+        "never": lambda n: False,
+    }
+    asked = []
+
+    def holds_for(n):
+        return lambda law: asked.append((law, n)) or preds[law](n)
+
+    for exhaustive in (True, False):
+        got = check_laws(list(preds), iter(range(1, 8)), holds_for, lambda n: {"n": n}, exhaustive)
+        assert got == [
+            check_cases(law, range(1, 8), holds, lambda n: {"n": n}, exhaustive)
+            for law, holds in preds.items()
+        ]
+    # a law is not asked again after its first failure
+    assert ("small", 3) in asked and ("small", 4) not in asked
+    assert ("never", 1) in asked and ("never", 2) not in asked
+    # the walk ends once every law has failed
+    assert check_laws(["even", "never"], range(1, 8), holds_for, str)[0].checks_performed == 1
+    assert asked[-1] == ("never", 1)
+
+
+def test_coincidence_row_names_an_arrow_missing_from_md():
+    # nat is not a distributive lattice, so the suite never emits this row
+    # there: the weight-2 arrow X1 -> Y1 is in M but not in Md, as 2 * 2 != 2
+    run = _Run(["M", "Md"], "nat", (0, 1), DEFAULT_BUDGET, 11, 24)
+    pairs = [(_classify_monad(run, v), _classify_kleisli(run, v)) for v in ("M", "Md")]
+    entry = _coincidence_entry(run, *pairs)
+    assert (entry.status, entry.checks_performed) == ("counterexample", 9)
+    assert entry.witness == {
+        "sizes": [1, 1],
+        "missing_from": "Md",
+        "arrow": {
+            "dom": [{"name": "X", "size": 1}],
+            "cod": [{"name": "Y", "size": 1}],
+            "entries": [[["0"], ["0"], "2"]],
+        },
+    }
 
 
 def test_weakly_markov_table_matches_builtin_gf17():

@@ -15,7 +15,6 @@ from gsrel import (
     load_semiring,
     sample_maps,
     wm_antipode,
-    wm_classify,
     wm_empty,
     wm_eta,
     wm_make,
@@ -239,23 +238,24 @@ def test_total_of_empty_is_zero():
 # sub-family membership
 
 
+def _memberships(sr, h):
+    """Membership of h in Mr, Ma, Mm, Md and Mi, in that order."""
+    return tuple(in_variant(sr, h, v) for v in ("Mr", "Ma", "Mm", "Md", "Mi"))
+
+
 def test_classify_known_maps():
-    f = wm_classify(BOOL, wm_empty(BOOL))
-    assert (f.in_Mr, f.in_Ma, f.in_Mm, f.in_Md, f.in_Mi) == (True, False, True, True, False)
+    assert _memberships(BOOL, wm_empty(BOOL)) == (True, False, True, True, False)
 
     for sr in (BOOL, NAT, QPLUS, GF2, FMM):
-        f = wm_classify(sr, wm_eta(sr, (0,)))
-        assert (f.in_Mr, f.in_Ma, f.in_Mm, f.in_Md, f.in_Mi) == (True, True, True, True, True)
+        assert _memberships(sr, wm_eta(sr, (0,))) == (True, True, True, True, True)
 
-    f = wm_classify(NAT, wm_make(NAT, {(0,): 2}))
-    assert (f.in_Mr, f.in_Ma, f.in_Mm, f.in_Md, f.in_Mi) == (False, False, False, False, False)
+    assert _memberships(NAT, wm_make(NAT, {(0,): 2})) == (False, False, False, False, False)
 
     half = Fraction(1, 2)
-    f = wm_classify(QPLUS, wm_make(QPLUS, {(0,): half, (1,): half}))
-    assert (f.in_Mr, f.in_Ma, f.in_Mm, f.in_Md, f.in_Mi) == (False, True, True, True, True)
+    h = wm_make(QPLUS, {(0,): half, (1,): half})
+    assert _memberships(QPLUS, h) == (False, True, True, True, True)
 
-    f = wm_classify(FMM, wm_make(FMM, {(0,): half}))
-    assert (f.in_Mr, f.in_Ma, f.in_Mm, f.in_Md, f.in_Mi) == (True, False, True, True, False)
+    assert _memberships(FMM, wm_make(FMM, {(0,): half})) == (True, False, True, True, False)
 
 
 Z3_TABLE = {
@@ -276,9 +276,8 @@ def test_member_and_in_variant_agree():
         nested, _ = _nested_pool(sr, "M", flat, 3, 40, "agree")
         assert nested and all(isinstance(g, WeightMap) for H in nested for g in H.support)
         for h in flat + nested:
-            flags = wm_classify(sr, h)
-            for variant in VARIANTS:
-                assert in_variant(sr, h, variant) == flags.member(variant)
+            assert in_variant(sr, h, "M")
+            assert all(isinstance(in_variant(sr, h, v), bool) for v in VARIANTS)
             with pytest.raises(WeightMapError):
                 in_variant(sr, h, "Mx")
 
@@ -295,7 +294,7 @@ def test_enumerate_matches_classify():
     for sr in (BOOL, GF2):
         all_maps = enumerate_maps(sr, X2, "M")
         for variant in VARIANTS[1:]:
-            expected = {h for h in all_maps if wm_classify(sr, h).member(variant)}
+            expected = {h for h in all_maps if in_variant(sr, h, variant)}
             assert set(enumerate_maps(sr, X2, variant)) == expected
 
 
@@ -304,13 +303,12 @@ def test_variant_inclusions_sampled():
     for name in ("bool", "nat", "q+", "fuzzy-max-min", "fuzzy-max-times", "gf(2)"):
         sr = load_semiring(name)
         for h in sample_maps(sr, X2, "M", seed=11, n=60):
-            f = wm_classify(sr, h)
-            if f.in_Mr:
-                assert f.in_Mm
-            if f.in_Ma:
-                assert f.in_Md
-            if f.in_Md:
-                assert f.in_Mm
+            if in_variant(sr, h, "Mr"):
+                assert in_variant(sr, h, "Mm")
+            if in_variant(sr, h, "Ma"):
+                assert in_variant(sr, h, "Md")
+            if in_variant(sr, h, "Md"):
+                assert in_variant(sr, h, "Mm")
 
 
 def test_sample_maps_respects_variant():
