@@ -316,6 +316,10 @@ def cmd_eq(args) -> int:
 def cmd_taxonomy(args) -> int:
     semirings = args.semiring if args.semiring else list(CATALOG)
     loaded = [_load_semiring_arg(s) for s in semirings]
+    names = [sr.name for sr in loaded]
+    for name in names:
+        if names.count(name) > 1:
+            raise UsageError(f"--semiring {name!r} is given twice")
     variants = args.variant if args.variant else list(VARIANTS)
     kwargs = _suite_kwargs(args, variants)
     entries = run_theorem_suite(loaded, variants, ops=args.ops, **kwargs)

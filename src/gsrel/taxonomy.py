@@ -9,13 +9,16 @@ Three layers:
                      evaluated with psi and pushforwards
   classify_kleisli   per-arrow category flags quantified over variant arrows
 
-Laws are data.  check_monad_laws and variant_closure_reports build a list
-of specs (law, cases, exhaustive, holds, describe) and make one check_cases
-call per spec.  classify_monad reads a table of (flag, law stem, pointwise
-cases and predicate, diagram cases and predicate).  Four pointwise
-predicates are sub-family memberships, asked through in_variant: affine
-asks the unit-word maps to be in Ma, domain_preserving asks Md, and
-mass_preserving and unital_domain_preserving ask Mm.  The theorem and
+Laws are data.  Each monad/* law and each equational monadflag/*-diagram
+oracle is one row of _EQUATIONS: a predicate over the slots of its case,
+evaluated through a _BoundOps, the run's ops bound to its semiring for one
+call, whose memoized applications are named *_once.  _FLAG_TABLE declares
+each monad flag once: its law stem, pointwise criterion, case sets and
+closure preconditions.  Four pointwise criteria are sub-family
+memberships, asked through in_variant: affine asks the unit-word maps to
+be in Ma, domain_preserving asks Md, and mass_preserving and
+unital_domain_preserving ask Mm.  check_monad_laws, classify_monad and
+variant_closure_reports make one check_cases call per law.  The theorem and
 implication rows of each pair come from the module tables _THEOREMS and
 _IMPLICATIONS.  A law's cases come in groups, one per word, word pair,
 function pair or size triple; _Run.grouped_cases gives each group an
@@ -34,11 +37,12 @@ One run context per semiring: a _Run holds the checked arguments (the
 loaded semiring, the sorted sizes, the seed, samples clamped once to the
 budget, the ops), one Structure, and the gsm/ reports, which depend on the
 semiring and the sizes but on no variant.  Its constructor is the one
-argument check.  run_theorem_suite makes one per semiring and drops it
-before the next, so every variant's rows read the same structural arrows
-and the same gsm/ reports; each public law suite is a thin call on a
-fresh one, as wrel_dom is on Structure.  Memos of monad operations stay
-local to one check_monad_laws call.
+argument check of a semiring's run; run_theorem_suite adds the one check
+across runs, that no semiring name repeats.  It makes one _Run per
+semiring and drops it before the next, so every variant's rows read the
+same structural arrows and the same gsm/ reports; each public law suite
+is a thin call on a fresh one, as wrel_dom is on Structure.  Memos of
+monad operations live on a _BoundOps and stay local to one law-suite call.
 
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
@@ -59,7 +63,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
@@ -110,26 +114,6 @@ from .wrel import (
     wrel_eq,
     wrel_to_doc,
 )
-
-MONAD_FLAGS = (
-    "affine",
-    "relevant",
-    "domain_preserving",
-    "mass_preserving",
-    "unital_domain_preserving",
-    "weakly_affine",
-)
-
-# Closure reports each flag's diagram oracle relies on; agreement between the
-# two oracles is asserted only when these hold at the pair under test.
-_FLAG_PRECONDITIONS = {
-    "affine": ("eta", "psi", "pushforward"),
-    "relevant": ("psi", "pushforward"),
-    "domain_preserving": ("psi", "pushforward"),
-    "mass_preserving": ("psi", "pushforward"),
-    "unital_domain_preserving": ("psi",),
-    "weakly_affine": ("eta", "psi"),
-}
 
 _CASE_CAP = 20000
 
@@ -309,20 +293,20 @@ def _nested_stream(sr, inner, rng, n, max_support):
 
 
 def _memo(op):
-    """op(sr, *args), evaluated once per distinct args.
+    """op(*args), evaluated once per distinct args.
 
     The dict lives only as long as the returned function, which a law suite
-    builds inside one call over one semiring; so sr is not part of the key.
-    Keys are maps, arrows and _TableFns, which outlive the call's cases.
+    builds inside one call.  Keys are maps, arrows and _TableFns, which
+    outlive the call's cases.
     """
     seen = {}
     missing = object()
 
-    def call(sr, *args):
+    def call(*args):
         # one lookup on a hit: hashing args hashes every map in it
         out = seen.get(args, missing)
         if out is missing:
-            out = seen[args] = op(sr, *args)
+            out = seen[args] = op(*args)
         return out
 
     return call
@@ -568,6 +552,71 @@ def _closure_reports(run, variant):
 # monad laws
 
 
+class _BoundOps:
+    """A run's MonadOps bound to its semiring for one law-suite call.
+
+    eta(x), mu(H), psi(h, k) and push(f, h) evaluate afresh; psi0 is the
+    unit pairing.  mu_once, psi_once and push_once evaluate each distinct
+    application once per call, so the equations use them only on arguments
+    that recur across cases: pool maps and the _TableFns of the call's
+    function pairs, never a per-case lambda.
+    """
+
+    def __init__(self, sr, ops):
+        self.eta = partial(ops.eta, sr)
+        self.mu = partial(ops.mu, sr)
+        self.psi = partial(ops.psi, sr)
+        self.push = partial(ops.pushforward, sr)
+        self.psi0 = wm_psi0(sr)
+        self.mu_once = _memo(self.mu)
+        self.psi_once = _memo(self.psi)
+        self.push_once = _memo(self.push)
+
+
+# The monad-level equations, one per report row: a predicate over the row's
+# case slots, evaluated through the call's _BoundOps m.  A case is a word
+# (u, w) followed by maps (h, k, h1, h2, h3), nested maps (H, K), _TableFns
+# (f, g, and fg = f x g), keys (x, y) or a word length n.
+_EQUATIONS = {
+    # unit laws and associativity of mu (H a triple nesting)
+    "monad/mu-unit-left": lambda m, w, h: m.mu(m.eta(h)) == h,
+    "monad/mu-unit-right": lambda m, w, h: m.mu(m.push(m.eta, h)) == h,
+    "monad/mu-assoc": lambda m, w, H: m.mu(m.mu(H)) == m.mu(m.push(m.mu, H)),
+    # naturality
+    "monad/eta-natural": lambda m, u, f, x: m.push(f, m.eta(x)) == m.eta(f(x)),
+    "monad/mu-natural": lambda m, u, f, H: (
+        m.push(f, m.mu_once(H)) == m.mu(m.push(lambda h: m.push_once(f, h), H))
+    ),
+    "monad/psi-natural": lambda m, u, f, g, h, k, fg: (
+        m.psi_once(m.push_once(f, h), m.push_once(g, k)) == m.push(fg, m.psi_once(h, k))
+    ),
+    # lax structure: associativity, unit squares, symmetry
+    "monad/lax-assoc": lambda m, w, h1, h2, h3: (
+        m.psi(m.psi_once(h1, h2), h3) == m.psi(h1, m.psi_once(h2, h3))
+    ),
+    "monad/lax-unit-left": lambda m, w, h: m.psi(m.psi0, h) == h,
+    "monad/lax-unit-right": lambda m, w, h: m.psi(h, m.psi0) == h,
+    "monad/symmetry": lambda m, u, h, k, n: (
+        m.psi(h, k) == m.push(lambda key: key[n:] + key[:n], m.psi(k, h))
+    ),
+    # commutative-monad squares
+    "monad/commutative-1": lambda m, u, x, y: m.psi(m.eta(x), m.eta(y)) == m.eta(x + y),
+    "monad/commutative-2": lambda m, w, H, K: (
+        m.mu(m.push(lambda hk: m.psi(hk[0], hk[1]), m.psi(H, K))) == m.psi(m.mu(H), m.mu(K))
+    ),
+    # the commuting diagrams of the monad flags, over (word, map)
+    "monadflag/affine-diagram": lambda m, w, h: m.push(lambda _: (), h) == m.eta(()),
+    "monadflag/relevant-diagram": lambda m, w, h: m.psi(h, h) == m.push(lambda k: k + k, h),
+    "monadflag/domain-preserving-diagram": lambda m, w, h: (
+        m.push(lambda k, n=len(w): k[:n], m.psi(h, h)) == h
+    ),
+    "monadflag/mass-preserving-diagram": lambda m, w, h: (
+        m.push(lambda _: (), m.psi(h, h)) == m.push(lambda _: (), h)
+    ),
+    "monadflag/unital-diagram": lambda m, w, h: m.psi(h, h) == h,
+}
+
+
 def check_monad_laws(
     variant: str,
     sr,
@@ -585,18 +634,17 @@ def check_monad_laws(
     is caught by the corresponding law.  Sub-family closure does not go
     through `ops`; its rows come from variant_closure_reports.
 
-    psi-natural evaluates each distinct f_*h, g_*k and psi(h, k) once per
-    call and reuses it across its cases, and lax-assoc shares the same
-    psi(h, k) and psi(k, l) through it.  mu-natural shares mu(H) and the
-    inner f_*h in the same way.  The pushforward along f x g, the two outer
-    pairings of lax-assoc, the outer pushforward and mu of mu-natural, whose
-    arguments differ in every case, and every other law evaluate afresh.
+    Each law is its row of _EQUATIONS, and the sharing is written there:
+    an application spelled *_once is evaluated once per distinct arguments
+    per call.  So psi-natural and lax-assoc share psi_once, psi-natural and
+    mu-natural share push_once, and mu-natural takes each mu_once(H) once;
+    every other application is evaluated afresh.
     """
     return _monad_laws(_Run([variant], sr, sizes, budget, seed, samples, ops), variant)
 
 
 def _monad_laws(run, variant):
-    sr, ops = run.sr, run.ops
+    sr = run.sr
     words = run.words()
     pools, exhaustive = run.map_pools(variant, words, f"laws-{variant}")
     nested = {}
@@ -614,11 +662,6 @@ def _monad_laws(run, variant):
     site = f"{sr.name}-{variant}"
     name = _word_name
     fn_pairs = [(u, v, fn) for u in words for v in words for fn in _functions(u, v)]
-    # keyed on pool maps and the _TableFns of fn_pairs; a per-case lambda as a
-    # key would never be seen twice
-    push = _memo(ops.pushforward)
-    psi = _memo(ops.psi)
-    mu = _memo(ops.mu)
 
     def per_word(tag):
         groups = [([pools[w]], exhaustive, f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
@@ -635,21 +678,10 @@ def _monad_laws(run, variant):
                 parts[f"arg{i}"] = _json_safe(item)
         return parts
 
+    # (law, cases, exhaustive, describe), in report order
     specs = [
-        # unit laws of mu
-        (
-            "monad/mu-unit-left",
-            *per_word("mu-unit-left"),
-            lambda c: ops.mu(sr, ops.eta(sr, c[1])) == c[1],
-            mdescribe,
-        ),
-        (
-            "monad/mu-unit-right",
-            *per_word("mu-unit-right"),
-            lambda c: ops.mu(sr, ops.pushforward(sr, lambda x: ops.eta(sr, x), c[1])) == c[1],
-            mdescribe,
-        ),
-        # associativity of mu over triple nestings
+        ("monad/mu-unit-left", *per_word("mu-unit-left"), mdescribe),
+        ("monad/mu-unit-right", *per_word("mu-unit-right"), mdescribe),
         (
             "monad/mu-assoc",
             *run.grouped_cases(
@@ -665,16 +697,12 @@ def _monad_laws(run, variant):
                 ],
                 4,
             ),
-            lambda c: ops.mu(sr, ops.mu(sr, c[1]))
-            == ops.mu(sr, ops.pushforward(sr, lambda H: ops.mu(sr, H), c[1])),
             mdescribe,
         ),
-        # naturality
         (
             "monad/eta-natural",
-            [(u, fn, x, v) for u, v, fn in fn_pairs for x in word_elements(u)],
+            [(u, fn, x) for u, _, fn in fn_pairs for x in word_elements(u)],
             True,
-            lambda c: ops.pushforward(sr, c[1], ops.eta(sr, c[2])) == ops.eta(sr, c[1](c[2])),
             lambda c: {"word": name(c[0]), "function": c[1].describe(), "key": list(c[2])},
         ),
         (
@@ -692,8 +720,6 @@ def _monad_laws(run, variant):
                 ],
                 2,
             ),
-            lambda c: ops.pushforward(sr, c[1], mu(sr, c[2]))
-            == ops.mu(sr, ops.pushforward(sr, lambda h: push(sr, c[1], h), c[2])),
             mdescribe,
         ),
         (
@@ -713,8 +739,6 @@ def _monad_laws(run, variant):
                 ],
                 1,
             ),
-            lambda c: psi(sr, push(sr, c[1], c[3]), push(sr, c[2], c[4]))
-            == ops.pushforward(sr, c[5], psi(sr, c[3], c[4])),
             lambda c: {
                 "word": name(c[0]),
                 "left_fn": c[1].describe(),
@@ -723,7 +747,6 @@ def _monad_laws(run, variant):
                 "right": render_map(sr, c[4]),
             },
         ),
-        # lax structure: associativity, unit squares, symmetry
         (
             "monad/lax-assoc",
             *run.grouped_cases(
@@ -741,22 +764,10 @@ def _monad_laws(run, variant):
                 ],
                 1,
             ),
-            lambda c: ops.psi(sr, psi(sr, c[1], c[2]), c[3])
-            == ops.psi(sr, c[1], psi(sr, c[2], c[3])),
             mdescribe,
         ),
-        (
-            "monad/lax-unit-left",
-            *per_word("lax-unit"),
-            lambda c: ops.psi(sr, wm_psi0(sr), c[1]) == c[1],
-            mdescribe,
-        ),
-        (
-            "monad/lax-unit-right",
-            *per_word("lax-unit-right"),
-            lambda c: ops.psi(sr, c[1], wm_psi0(sr)) == c[1],
-            mdescribe,
-        ),
+        ("monad/lax-unit-left", *per_word("lax-unit"), mdescribe),
+        ("monad/lax-unit-right", *per_word("lax-unit-right"), mdescribe),
         (
             "monad/symmetry",
             *run.grouped_cases(
@@ -773,13 +784,8 @@ def _monad_laws(run, variant):
                 ],
                 2,
             ),
-            lambda c: ops.psi(sr, c[1], c[2])
-            == ops.pushforward(
-                sr, lambda key, n=c[3]: key[n:] + key[:n], ops.psi(sr, c[2], c[1])
-            ),
             mdescribe,
         ),
-        # commutative-monad squares
         (
             "monad/commutative-1",
             [
@@ -790,7 +796,6 @@ def _monad_laws(run, variant):
                 for y in word_elements(v)
             ],
             True,
-            lambda c: ops.psi(sr, ops.eta(sr, c[1]), ops.eta(sr, c[2])) == ops.eta(sr, c[1] + c[2]),
             lambda c: {"word": name(c[0]), "left_key": list(c[1]), "right_key": list(c[2])},
         ),
         (
@@ -809,29 +814,24 @@ def _monad_laws(run, variant):
                 ],
                 4,
             ),
-            lambda c: ops.mu(
-                sr,
-                ops.pushforward(
-                    sr, lambda pair: ops.psi(sr, pair[0], pair[1]), ops.psi(sr, c[1], c[2])
-                ),
-            )
-            == ops.psi(sr, ops.mu(sr, c[1]), ops.mu(sr, c[2])),
             mdescribe,
         ),
     ]
+    m = _BoundOps(sr, run.ops)
     return [
-        check_cases(law, cases, holds, describe, exhaustive=full)
-        for law, cases, full, holds, describe in specs
+        check_cases(law, cases, lambda c, eq=_EQUATIONS[law]: eq(m, *c), describe, exhaustive=full)
+        for law, cases, full, describe in specs
     ]
 
 
 def _collision_pair(sr, variant, pool):
-    """A (H, K) pair whose psi image collides two distinct key pairs.
+    """A (H, H) pair whose psi image collides two distinct key pairs.
 
-    Two outer maps built from h and 2h produce the same pairing, so the
-    pushforward along psi merges their weights; a mu that ignores outer
-    weights then disagrees with psi of the flattenings.  Only available
-    when 2 differs from 1 and all four maps are variant members.
+    H = {h: 1, 2h: 1} pairs h with 2h both ways round, and both pairings
+    give the same map, so the pushforward along psi merges their weights; a
+    mu that ignores outer weights then disagrees with psi of the
+    flattenings.  Only available when 2 differs from 1 and 2h and H are
+    variant members.
     """
     two = sr.add(sr.one, sr.one)
     if two == sr.one or two == sr.zero or not pool:
@@ -839,19 +839,50 @@ def _collision_pair(sr, variant, pool):
     base = next((h for h in pool if len(h) == 1 and h.entries[0][1] == sr.one), None)
     if base is None:
         return ()
-    key = base.entries[0][0]
-    h1, h2 = base, WeightMap(sr, {key: two})
-    if not (in_variant(sr, h2, variant)):
-        return ()
-    H = WeightMap(sr, {h1: sr.one, h2: sr.one})
-    K = WeightMap(sr, {h2: sr.one, h1: sr.one})
-    if in_variant(sr, H, variant) and in_variant(sr, K, variant):
-        return ((H, K),)
+    doubled = WeightMap(sr, {base.entries[0][0]: two})
+    H = WeightMap(sr, {base: sr.one, doubled: sr.one})
+    if in_variant(sr, doubled, variant) and in_variant(sr, H, variant):
+        return ((H, H),)
     return ()
 
 
 # ---------------------------------------------------------------------------
 # monad-level classification
+
+
+def _idempotent_orthogonal(sr, h, variant):
+    """Pointwise criterion of relevant: idempotent, pairwise orthogonal values."""
+    return all(sr.mul(v, v) == v for _, v in h.entries) and all(
+        sr.mul(v, w) == sr.zero for (x, v), (y, w) in product(h.entries, repeat=2) if x != y
+    )
+
+
+def _invertible_total(sr, h, variant):
+    """Pointwise criterion of weakly_affine: the total has an inverse whose
+    unit-word map is a variant member."""
+    inv = mul_inverse(sr, wm_total(sr, h))
+    return inv is not None and in_variant(sr, WeightMap(sr, {(): inv}), variant)
+
+
+# Each monad flag once: flag -> (law stem, pointwise criterion, pointwise
+# cases, diagram cases, closure preconditions).  The criterion is a
+# sub-family the map must belong to, or a test asked like in_variant with
+# the run's variant.  Cases are the pool maps over the unit word ("unit")
+# or over every word ("all").  The diagram oracle is the
+# monadflag/<stem>-diagram row of _EQUATIONS, except weakly-affine's, which
+# asks for an antipode in the sub-family and so is not an equation.
+# Agreement of the two oracles is asserted only where the closure reports
+# the diagram relies on pass.
+_FLAG_TABLE = {
+    "affine": ("affine", "Ma", "unit", "all", ("eta", "psi", "pushforward")),
+    "relevant": ("relevant", _idempotent_orthogonal, "all", "all", ("psi", "pushforward")),
+    "domain_preserving": ("domain-preserving", "Md", "all", "all", ("psi", "pushforward")),
+    "mass_preserving": ("mass-preserving", "Mm", "all", "all", ("psi", "pushforward")),
+    "unital_domain_preserving": ("unital", "Mm", "unit", "unit", ("psi",)),
+    "weakly_affine": ("weakly-affine", _invertible_total, "unit", "unit", ("eta", "psi")),
+}
+
+MONAD_FLAGS = tuple(_FLAG_TABLE)
 
 
 def classify_monad(
@@ -874,103 +905,41 @@ def classify_monad(
 
 
 def _classify_monad(run, variant):
-    sr, ops = run.sr, run.ops
+    sr = run.sr
+    m = _BoundOps(sr, run.ops)
     words = [()] + run.words()
     pools, exhaustive = run.map_pools(variant, words, f"flags-{variant}")
-    all_cases = [(w, h) for w in words for h in pools[w]]
-    unit_cases = [((), h) for h in pools[()]]
+    cases = {"unit": [((), h) for h in pools[()]], "all": [(w, h) for w in words for h in pools[w]]}
     closure = _closure_reports(run, variant)
 
-    def member(family):
-        return lambda c: in_variant(sr, c[1], family)
-
-    def relevant_pointwise(c):
-        entries = c[1].entries
-        return all(sr.mul(v, v) == v for _, v in entries) and all(
-            sr.mul(v, w) == sr.zero for (x, v), (y, w) in product(entries, repeat=2) if x != y
-        )
-
-    def wa_pointwise(c):
-        inv = mul_inverse(sr, wm_total(sr, c[1]))
-        return inv is not None and in_variant(sr, WeightMap(sr, {(): inv}), variant)
-
-    def wa_diagram(c):
-        s = c[1]
+    def weakly_affine(m, w, s):
         if not len(s):
-            return ops.psi(sr, s, s) == ops.eta(sr, ())
+            return m.psi(s, s) == m.eta(())
         try:
             antipode = wm_antipode(sr, s)
         except WeightMapError:
             return False
-        return (
-            in_variant(sr, antipode, variant)
-            and ops.psi(sr, s, antipode) == ops.eta(sr, ())
-        )
+        return in_variant(sr, antipode, variant) and m.psi(s, antipode) == m.eta(())
 
-    # (flag, law stem, pointwise cases, pointwise predicate, diagram cases, diagram predicate)
-    table = (
-        (
-            "affine",
-            "affine",
-            unit_cases,
-            member("Ma"),
-            all_cases,
-            lambda c: ops.pushforward(sr, lambda _k: (), c[1]) == ops.eta(sr, ()),
-        ),
-        (
-            "relevant",
-            "relevant",
-            all_cases,
-            relevant_pointwise,
-            all_cases,
-            lambda c: ops.psi(sr, c[1], c[1]) == ops.pushforward(sr, lambda k: k + k, c[1]),
-        ),
-        (
-            "domain_preserving",
-            "domain-preserving",
-            all_cases,
-            member("Md"),
-            all_cases,
-            lambda c: ops.pushforward(sr, lambda k, n=len(c[0]): k[:n], ops.psi(sr, c[1], c[1]))
-            == c[1],
-        ),
-        (
-            "mass_preserving",
-            "mass-preserving",
-            all_cases,
-            member("Mm"),
-            all_cases,
-            lambda c: ops.pushforward(sr, lambda _k: (), ops.psi(sr, c[1], c[1]))
-            == ops.pushforward(sr, lambda _k: (), c[1]),
-        ),
-        (
-            "unital_domain_preserving",
-            "unital",
-            unit_cases,
-            member("Mm"),
-            unit_cases,
-            lambda c: ops.psi(sr, c[1], c[1]) == c[1],
-        ),
-        ("weakly_affine", "weakly-affine", unit_cases, wa_pointwise, unit_cases, wa_diagram),
-    )
+    diagrams = {**_EQUATIONS, "monadflag/weakly-affine-diagram": weakly_affine}
 
-    def rep(law, cases, holds):
-        return check_cases(
-            law,
-            cases,
-            holds,
-            describe=lambda c: {"word": _word_name(c[0]), "map": render_map(sr, c[1])},
-            exhaustive=exhaustive,
-        )
+    def describe(c):
+        return {"word": _word_name(c[0]), "map": render_map(sr, c[1])}
 
     flags: dict[str, FlagVerdict] = {}
-    for flag, stem, p_cases, p_holds, d_cases, d_holds in table:
-        pointwise = rep(f"monadflag/{stem}-pointwise", p_cases, p_holds)
-        diagram = rep(f"monadflag/{stem}-diagram", d_cases, d_holds)
+    for flag, (stem, pointwise, p_kind, d_kind, preconditions) in _FLAG_TABLE.items():
+        test, family = (
+            (in_variant, pointwise) if isinstance(pointwise, str) else (pointwise, variant)
+        )
+        p_law, d_law = f"monadflag/{stem}-pointwise", f"monadflag/{stem}-diagram"
         flags[flag] = FlagVerdict(
-            pointwise=pointwise,
-            diagram=diagram,
-            well_posed=all(closure[n].passed for n in _FLAG_PRECONDITIONS[flag]),
+            pointwise=check_cases(
+                p_law, cases[p_kind], lambda c: test(sr, c[1], family), describe, exhaustive
+            ),
+            diagram=check_cases(
+                d_law, cases[d_kind], lambda c, eq=diagrams[d_law]: eq(m, *c), describe, exhaustive
+            ),
+            well_posed=all(closure[n].passed for n in preconditions),
         )
     return MonadClassification(
         variant=variant, semiring=sr.name, flags=flags, closure=closure
@@ -1168,19 +1137,19 @@ def crosscheck_dom_paths(
 def _crosscheck(run, variant):
     sr = run.sr
     grid, exhaustive = run.arrow_grid(variant, run.samples, "domx-{variant}-{ds}x{cs}")
-    dom = _memo(lambda _sr, f: run.st.dom(f))
+    dom = _memo(run.st.dom)
     arrows = [f for pool in grid.values() for f in pool]
     return tuple(
         check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f), exhaustive=exhaustive)
         for law, holds in (
             (
                 "crosscheck/dom-closed-form",
-                lambda f: wrel_eq(dom(sr, f), wrel_dom_closed(sr, f)),
+                lambda f: wrel_eq(dom(f), wrel_dom_closed(sr, f)),
             ),
             (
                 "crosscheck/dom-monad-path",
                 lambda f: wrel_eq(
-                    wrel_compose(sr, dom(sr, f), f), wrel_dom_via_kleisli_path(sr, f)
+                    wrel_compose(sr, dom(f), f), wrel_dom_via_kleisli_path(sr, f)
                 ),
             ),
         )
@@ -1354,10 +1323,19 @@ def run_theorem_suite(
     emitted under the gated/ prefix with the observed values instead.
     The check_monad_laws rows of each pair are folded in, which is what
     routes an injected broken operation into a blocking entry.  Every law
-    family draws `samples` clamped to `budget`.
+    family draws `samples` clamped to `budget`.  A repeated variant runs
+    once.  Rows are keyed by semiring name, so two specs that load to one
+    name (say "bool" and "boolean") raise ValueError before any row is
+    computed.
     """
+    loaded = [load_semiring(spec) for spec in semirings]
+    names = [sr.name for sr in loaded]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"semiring {name!r} is given twice")
+    variants = list(dict.fromkeys(variants))
     entries: list[SuiteEntry] = []
-    for spec in semirings:
+    for spec in loaded:
         run = _Run(variants, spec, sizes, budget, seed, samples, ops)
         sr = run.sr
         profile = classify_semiring(sr, seed=seed)
@@ -1398,7 +1376,7 @@ def _pair_entries(run, variant, mc, kc) -> list[SuiteEntry]:
             }
             if not fv.well_posed:
                 witness["failed_preconditions"] = [
-                    n for n in _FLAG_PRECONDITIONS[flag] if not closure[n].passed
+                    n for n in _FLAG_TABLE[flag][-1] if not closure[n].passed
                 ]
         entries.append(
             _claim_entry(

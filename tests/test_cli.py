@@ -43,6 +43,7 @@ def files(tmp_path_factory):
     (d / "domf.gsd").write_text("let main = dom(f) ; f\n")
     (d / "f.gsd").write_text("let main = f\n")
     (d / "two.gsd").write_text("let alpha = f\nlet beta = dom(f)\n")
+    (d / "one.gsd").write_text("let alpha = f\n")
     (d / "counit.gsd").write_text("copy[A] ; (id[A] * del[A])\n")
     (d / "bad.gsd").write_text("main = f\n")
     for name, weight in (("bool", "1"), ("nat", "2")):
@@ -204,6 +205,19 @@ def test_eval_term_selection(files, capsys):
     assert run(["eval", files / "two.gsd", files / "interp_bool.json"]) == 2
     err = capsys.readouterr().err
     assert "alpha" in err and "beta" in err  # lists what is available
+    assert run(["eval", files / "two.gsd", files / "interp_bool.json", "--term", "gamma"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {files / 'two.gsd'}: no term named 'gamma'; available: alpha, beta\n"
+    # a file whose one binding is not main evaluates that binding
+    assert run(["eval", files / "one.gsd", files / "interp_bool.json"]) == 0
+    assert "(a) -> (c)" in capsys.readouterr().out
+
+
+def test_eval_human_prints_a_zero_arrow(files, tmp_path, capsys):
+    path = tmp_path / "interp.json"
+    path.write_text(json.dumps(_one_entry_interp("bool", [])))
+    assert run(["eval", files / "f.gsd", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  (zero arrow)"
 
 
 def test_eval_parse_error_exits_2_with_location(files, capsys):
@@ -211,11 +225,16 @@ def test_eval_parse_error_exits_2_with_location(files, capsys):
     assert "1:" in capsys.readouterr().err
 
 
-FUZZY_ABOVE_ONE = {
-    "semiring": "fuzzy-max-min",
-    "sorts": {"A": 1},
-    "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["0"], ["0"], "3/2"]]}},
-}
+def _one_entry_interp(semiring, entries):
+    """One sort A of size 1 and one generator f: A -> A with these entries."""
+    return {
+        "semiring": semiring,
+        "sorts": {"A": 1},
+        "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": entries}},
+    }
+
+
+FUZZY_ABOVE_ONE = _one_entry_interp("fuzzy-max-min", [[["0"], ["0"], "3/2"]])
 
 
 @pytest.mark.parametrize(
@@ -225,8 +244,37 @@ FUZZY_ABOVE_ONE = {
         ("f", [FUZZY_ABOVE_ONE], "interpretation document must be an object"),
         ("let a = f\nlet b = (let)", None, "2:10: 'let' is only allowed at the top of a term file"),
         ("id[copy]", None, "1:4: 'copy' is reserved and cannot name a sort"),
+        (
+            "f",
+            _one_entry_interp("bool", [[["0"], ["0"], "2"]]),
+            "generator 'f': bool label out of range: '2'",
+        ),
+        (
+            "f",
+            _one_entry_interp("gf(2)", [[["0"], ["0"], "5"]]),
+            "generator 'f': gf(2) label out of range: '5'",
+        ),
+        (
+            "f",
+            _one_entry_interp("nonneg-rational", [[["0"], ["0"], "-1/2"]]),
+            "generator 'f': nonneg-rational label is negative: '-1/2'",
+        ),
+        (
+            "f",
+            _one_entry_interp("bool", [["0", "0", "1"]]),
+            "generator 'f': entry labels must be lists: ['0', '0', '1']",
+        ),
     ],
-    ids=["fuzzy-label-above-one", "interpretation-is-an-array", "nested-let", "copy-as-sort"],
+    ids=[
+        "fuzzy-label-above-one",
+        "interpretation-is-an-array",
+        "nested-let",
+        "copy-as-sort",
+        "bool-label-out-of-range",
+        "gf2-label-out-of-range",
+        "rational-label-negative",
+        "entry-labels-not-lists",
+    ],
 )
 def test_eval_error_names_the_fault(files, tmp_path, capsys, term, interp, message):
     # a term that fails to parse is read against a well-formed interpretation
@@ -338,6 +386,23 @@ def test_taxonomy_samples_reach_the_law_suites(capsys):
 
 def test_taxonomy_unknown_filter_exits_2(files, capsys):
     assert run(["taxonomy", "--semiring", "bool", "--variant", "Mz"]) == 2
+
+
+def test_taxonomy_repeated_variant_runs_once(capsys):
+    argv = ["taxonomy", "--semiring", "bool", "--sizes", "0,1", "--format", "structured"]
+    assert run(argv + ["--variant", "M"]) == 0
+    once = capsys.readouterr().out
+    assert run(argv + ["--variant", "M", "--variant", "M"]) == 0
+    assert capsys.readouterr().out == once
+    assert len(once.splitlines()) == 51
+
+
+def test_taxonomy_semiring_named_twice_exits_2(capsys):
+    # "boolean" is an alias of bool: the rows of the two could not be told apart
+    assert run(["taxonomy", "--semiring", "bool", "--semiring", "boolean", "--sizes", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --semiring 'bool' is given twice\n"
 
 
 # sha256 of this report, pinned so that a change to the report bytes is seen.

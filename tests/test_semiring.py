@@ -223,15 +223,21 @@ def test_table_duplicate_labels():
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("elements", 5), ("plus", [5, ["0", "1"]]), ("zero", ["a"])],
-    ids=["elements-not-a-list", "plus-row-not-a-list", "zero-not-a-label"],
+    "field, value, message",
+    [
+        ("elements", 5, "'elements' must be a list of labels"),
+        ("plus", [5, ["0", "1"]], "'plus' table is not 2x2"),
+        ("zero", ["a"], "'zero' entry ['a'] is not an element"),
+        ("elements", [], "table document has no elements"),
+    ],
+    ids=["elements-not-a-list", "plus-row-not-a-list", "zero-not-a-label", "elements-empty"],
 )
-def test_table_wrong_types_raise_table_format_error(field, value):
+def test_table_wrong_types_raise_table_format_error(field, value, message):
     bad = dict(BOOL_TABLE)
     bad[field] = value
-    with pytest.raises(TableFormatError):
+    with pytest.raises(TableFormatError) as caught:
         load_semiring(bad)
+    assert str(caught.value) == message
 
 
 def test_broken_table_caught_by_law_check():

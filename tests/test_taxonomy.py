@@ -33,7 +33,7 @@ from gsrel import (
     wrel_compose,
     wrel_dom,
 )
-from gsrel import FinSet, diagram, wrel
+from gsrel import FinSet, diagram, taxonomy, wrel
 from gsrel.report import DEFAULT_BUDGET, check_cases, check_laws
 from gsrel.taxonomy import _classify_kleisli, _classify_monad, _coincidence_entry, _memo, _Run
 
@@ -195,62 +195,72 @@ def test_kill_matrix(field, fault, least_failing):
 
 
 # shared sub-terms: psi-natural evaluates each distinct psi(h, k) and
-# pushforward of a pool map once per suite call, not once per case
+# pushforward of a pool map once per suite call, not once per case.  The op
+# calls of check_monad_laws("M", bool, sizes=(0, 1, 3), seed=11) and of
+# classify_monad("M", nat, seed=11) are pinned as ceilings, so a dropped
+# memo shows as a failure, not as a slower run.
+
+LAW_SUITE_CALLS = {"eta": 248, "mu": 8027, "psi": 3962, "pushforward": 70205}
+FLAG_CALLS = {"eta": 2, "mu": 0, "psi": 13, "pushforward": 13}
+
+
+def _counting_ops():
+    calls = dict.fromkeys(("eta", "mu", "psi", "pushforward"), 0)
+
+    def counted(field):
+        op = getattr(DEFAULT_OPS, field)
+
+        def call(*args):
+            calls[field] += 1
+            return op(*args)
+
+        return call
+
+    return calls, replace(DEFAULT_OPS, **{field: counted(field) for field in calls})
+
+
+def _law_suite_calls():
+    calls, ops = _counting_ops()
+    reports = check_monad_laws("M", BOOL, sizes=(0, 1, 3), seed=11, ops=ops)
+    return calls, {r.law: r for r in reports}
 
 
 def test_psi_natural_shares_its_sub_terms():
-    calls = {"psi": 0}
-
-    def counted_psi(sr, h, k):
-        calls["psi"] += 1
-        return wm_psi(sr, h, k)
-
-    ops = replace(DEFAULT_OPS, psi=counted_psi)
-    reports = check_monad_laws("M", BOOL, sizes=(0, 1, 3), seed=11, ops=ops)
-    natural = next(r for r in reports if r.law == "monad/psi-natural")
+    calls, by_law = _law_suite_calls()
+    natural = by_law["monad/psi-natural"]
     assert natural.status == "exhaustive_pass"
-    assert calls["psi"] < natural.checks_performed, (calls, natural.checks_performed)
+    # evaluated afresh, psi-natural alone would take three psi a case
+    assert natural.checks_performed > LAW_SUITE_CALLS["psi"]
+    assert calls["psi"] <= LAW_SUITE_CALLS["psi"], calls
+    assert calls["pushforward"] <= LAW_SUITE_CALLS["pushforward"], calls
 
 
 def test_lax_assoc_shares_its_inner_pairings():
-    calls = {"psi": 0}
-
-    def counted_psi(sr, h, k):
-        calls["psi"] += 1
-        return wm_psi(sr, h, k)
-
-    ops = replace(DEFAULT_OPS, psi=counted_psi)
-    reports = check_monad_laws("M", BOOL, sizes=(0, 1, 3), seed=11, ops=ops)
-    lax = next(r for r in reports if r.law == "monad/lax-assoc")
+    calls, by_law = _law_suite_calls()
+    lax = by_law["monad/lax-assoc"]
     assert lax.status == "exhaustive_pass"
     # four pairings a case when evaluated afresh; only the two outer ones are
     # not shared
-    assert calls["psi"] < 4 * lax.checks_performed, (calls, lax.checks_performed)
+    assert calls["psi"] <= LAW_SUITE_CALLS["psi"], (calls, lax.checks_performed)
 
 
 def test_mu_natural_shares_its_mu_and_inner_pushforwards():
-    calls = {"mu": 0, "pushforward": 0}
-
-    def counted_mu(sr, H):
-        calls["mu"] += 1
-        return wm_mu(sr, H)
-
-    def counted_pushforward(sr, fn, h, cod=None):
-        calls["pushforward"] += 1
-        return wm_pushforward(sr, fn, h, cod)
-
-    ops = replace(DEFAULT_OPS, mu=counted_mu, pushforward=counted_pushforward)
-    reports = check_monad_laws("M", BOOL, sizes=(0, 1, 3), seed=11, ops=ops)
-    by_law = {r.law: r for r in reports}
+    calls, by_law = _law_suite_calls()
     natural = by_law["monad/mu-natural"]
     assert natural.status == "exhaustive_pass"
     # evaluated afresh, mu-natural alone takes two mu a case, and two
     # pushforwards plus one per inner map; shared, mu(H) is taken once per
     # distinct H and the inner images once per distinct (f, h)
-    assert calls["mu"] < 2 * natural.checks_performed, (calls, natural.checks_performed)
-    # psi-natural takes one unshared pushforward a case
-    bound = by_law["monad/psi-natural"].checks_performed + 3 * natural.checks_performed
-    assert calls["pushforward"] < bound, (calls, bound)
+    assert calls["mu"] <= LAW_SUITE_CALLS["mu"], (calls, natural.checks_performed)
+    assert calls["pushforward"] <= LAW_SUITE_CALLS["pushforward"], calls
+
+
+def test_monad_suites_make_at_most_the_pinned_op_calls():
+    calls, _ = _law_suite_calls()
+    assert all(calls[op] <= pin for op, pin in LAW_SUITE_CALLS.items()), calls
+    calls, ops = _counting_ops()
+    classify_monad("M", NAT, seed=11, ops=ops)
+    assert all(calls[op] <= pin for op, pin in FLAG_CALLS.items()), calls
 
 
 def test_structural_arrows_are_built_once_per_word(monkeypatch):
@@ -652,6 +662,22 @@ def test_suite_with_planted_bug_fails():
     # bool alone cannot see this bug
     entries = run_theorem_suite(semirings=("bool",), variants=("M",), ops=broken_ops())
     assert suite_failures(entries) == []
+
+
+def test_suite_runs_a_repeated_variant_once():
+    once = run_theorem_suite(["bool"], ["M", "Md"], sizes=(0, 1), seed=11)
+    again = run_theorem_suite(["bool"], ["M", "Md", "M", "Md"], sizes=(0, 1), seed=11)
+    assert entries_to_jsonl(again) == entries_to_jsonl(once)
+
+
+def test_suite_refuses_a_semiring_named_twice(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(taxonomy, "_Run", no_run)
+    for semirings in (["bool", "bool"], ["nat", "bool", "boolean"], [BOOL, "bool"]):
+        with pytest.raises(ValueError, match="semiring 'bool' is given twice"):
+            run_theorem_suite(semirings, ["M"], sizes=(0,))
 
 
 @pytest.mark.parametrize(
