@@ -171,9 +171,12 @@ def cmd_check_semiring(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    variants = list(dict.fromkeys(args.variant or ["M"]))
+    if len(variants) > 1:
+        raise UsageError(f"classify takes one --variant; got {', '.join(variants)}")
     sr = _load_semiring_arg(args.semiring)
-    variant = args.variant
-    kwargs = _suite_kwargs(args, [variant])
+    [variant] = variants
+    kwargs = _suite_kwargs(args, variants)
     mc = classify_monad(variant, sr, ops=args.ops, **kwargs)
     kc = classify_kleisli(variant, sr, **kwargs)
     disagreements = [f for f, fv in mc.flags.items() if not fv.consistent]
@@ -366,7 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="dual-oracle classification of a variant over a semiring")
     p.add_argument("semiring", help="catalog name or JSON table path")
-    p.add_argument("--variant", default="M", help=f"one of {', '.join(VARIANTS)}")
+    p.add_argument(
+        "--variant",
+        action="append",
+        default=None,
+        help=f"one of {', '.join(VARIANTS)} (default M); a repeat of it runs once",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 

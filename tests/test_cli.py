@@ -182,6 +182,22 @@ def test_classify_bad_variant_exits_2(files):
     assert run(["classify", "bool", "--variant", "Mz"]) == 2
 
 
+def test_classify_repeated_variant_runs_once(capsys):
+    argv = ["classify", "bool", "--sizes", "0,1", "--format", "structured"]
+    assert run(argv + ["--variant", "Md"]) == 0
+    once = capsys.readouterr()
+    assert json.loads(once.out)["variant"] == "Md"
+    assert run(argv + ["--variant", "Md", "--variant", "Md"]) == 0
+    assert capsys.readouterr() == once
+
+
+def test_classify_two_variants_exit_2(capsys):
+    assert run(["classify", "bool", "--variant", "M", "--variant", "Md", "--sizes", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: classify takes one --variant; got M, Md\n"
+
+
 # eval
 
 

@@ -34,8 +34,16 @@ from gsrel import (
     wrel_dom,
 )
 from gsrel import FinSet, diagram, taxonomy, wrel
-from gsrel.report import DEFAULT_BUDGET, check_cases, check_laws
-from gsrel.taxonomy import _classify_kleisli, _classify_monad, _coincidence_entry, _memo, _Run
+from gsrel.report import DEFAULT_BUDGET, SAMPLED_PASS, check_cases, check_laws
+from gsrel.taxonomy import (
+    _classify_kleisli,
+    _classify_monad,
+    _coincidence_entry,
+    _functions,
+    _memo,
+    _Pool,
+    _Run,
+)
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -513,6 +521,50 @@ def test_coincidence_row_names_an_arrow_missing_from_md():
             "entries": [[["0"], ["0"], "2"]],
         },
     }
+
+
+def test_nested_pool_over_a_sampled_inner_pool_is_sampled():
+    # each enumerated branch: every map over the inner maps, maps of outer
+    # support at most 3, and the one map over no inner maps
+    run = _Run(["M"], "bool", (2,), DEFAULT_BUDGET, 11, 24)
+    [inner] = run.maps("M", run.words(), "t").values()
+    assert inner.complete
+    for pool, max_support in ((inner, None), (inner, 3), (_Pool([], True), None)):
+        enumerated = run.nested("M", pool, 8, "t", max_support)
+        assert enumerated.complete
+        sampled = run.nested("M", _Pool(pool, False), 8, "t", max_support)
+        assert sampled == enumerated and not sampled.complete
+
+
+def test_grouped_cases_are_complete_only_when_every_group_is_enumerated():
+    run = _Run(["M"], "bool", (2,), DEFAULT_BUDGET, 11, 24)
+    full, part, big = _Pool("ab", True), _Pool("ab", False), _Pool(range(200), True)
+    both = run.grouped_cases([([full], "a", (0,), ()), ([full, full], "b", (), ("z",))], 1)
+    assert both.complete
+    assert both == [(0, "a"), (0, "b"), *[(x, y, "z") for x in "ab" for y in "ab"]]
+    assert not run.grouped_cases([([full], "a", (), ()), ([part], "b", (), ())], 1).complete
+    # complete pools whose product (40,000) is past the cap are sampled
+    sampled = run.grouped_cases([([big, big], "c", (), ())], 1)
+    assert not sampled.complete and len(sampled) == 24
+
+
+def test_functions_are_a_complete_pool():
+    X0, X2, Y0, Y3 = (FinSet("X", 0),), (FinSet("X", 2),), (FinSet("Y", 0),), (FinSet("Y", 3),)
+    for dom, cod, count in ((X0, Y0, 1), (X0, Y3, 1), (X2, Y0, 0), (X2, Y3, 9), ((), Y3, 3)):
+        fns = _functions(dom, cod)
+        assert fns.complete and len(fns) == count
+    # the empty table: the one function out of an empty set
+    assert [fn.table for fn in _functions(X0, Y0)] == [{}]
+    assert len({tuple(sorted(fn.table.items())) for fn in _functions(X2, Y3)}) == 9
+
+
+def test_a_word_family_is_sampled_unless_every_word_is_enumerated():
+    # gf(17) maps over X0 and X1 are enumerated, over X2 and X3 sampled.
+    # The family is sampled as a whole; enumerating every word that can be
+    # would run 872,208 psi-natural cases here instead of 3,600.
+    reports = {r.law: r for r in check_monad_laws("M", "gf(17)", sizes=(0, 1, 2, 3), seed=11)}
+    psi_natural = reports["monad/psi-natural"]
+    assert (psi_natural.status, psi_natural.checks_performed) == (SAMPLED_PASS, 3600)
 
 
 def test_weakly_markov_table_matches_builtin_gf17():

@@ -27,7 +27,8 @@ from gsrel import (
     word_size,
 )
 from gsrel.semiring import CATALOG, mul_inverse
-from gsrel.taxonomy import _nested_pool
+from gsrel.report import DEFAULT_BUDGET
+from gsrel.taxonomy import _Pool, _Run
 from gsrel.weightmap import _enumerable, _first_members, _sort_token, _word_tag
 
 BOOL = load_semiring("bool")
@@ -273,7 +274,8 @@ def test_member_and_in_variant_agree():
     carriers.append(load_semiring(Z3_TABLE))
     for sr in carriers:
         flat = sample_maps(sr, X2, "M", seed=3, n=40)
-        nested, _ = _nested_pool(sr, "M", flat, 3, 40, "agree")
+        run = _Run(["M"], sr, (2,), DEFAULT_BUDGET, 3, 40)
+        nested = run.nested("M", _Pool(flat, False), 40, "agree")
         assert nested and all(isinstance(g, WeightMap) for H in nested for g in H.support)
         for h in flat + nested:
             assert in_variant(sr, h, "M")
