@@ -60,7 +60,9 @@ def _parse_sizes(raw: str) -> tuple:
         sizes = tuple(int(part) for part in raw.split(",") if part.strip() != "")
     except ValueError:
         raise UsageError(f"--sizes expects comma-separated integers, got {raw!r}") from None
-    if not sizes or any(s < 0 for s in sizes):
+    if not sizes:
+        raise UsageError(f"--sizes is an empty list, got {raw!r}")
+    if any(s < 0 for s in sizes):
         raise UsageError(f"--sizes expects nonnegative entries, got {raw!r}")
     return sizes
 
@@ -68,7 +70,7 @@ def _parse_sizes(raw: str) -> tuple:
 def _check_options(args) -> None:
     """Parse --sizes in place and reject a nonpositive --budget or --samples."""
     if "sizes" in vars(args):
-        args.sizes = _parse_sizes(args.sizes) if args.sizes else (0, 1, 2)
+        args.sizes = _parse_sizes(args.sizes)
     for name in ("budget", "samples"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
@@ -347,7 +349,7 @@ def _add_common(p, laws=True, sizes=True):
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget)
         p.add_argument("--seed", type=int, default=0, help="base seed for sampled checks")
     if sizes:
-        p.add_argument("--sizes", default=None, help="comma-separated set sizes, default 0,1,2")
+        p.add_argument("--sizes", default="0,1,2", help="comma-separated set sizes, default 0,1,2")
         p.add_argument("--samples", type=int, default=None, help="sampled cases per law")
     p.add_argument(
         "--format", choices=("human", "structured"), default="human", help="output format"

@@ -6,12 +6,22 @@ annihilating.  All arithmetic is exact: ints for bool/nat/gf(p), Fraction
 for the rational carriers, table indices for finite custom instances.
 Floats never enter law checking.
 
+The builtin carriers are one table, `_BUILTINS`, of shared `Semiring`
+rows: a Semiring is frozen and its functions are pure, so one instance
+per name serves every caller.  gf(p) is built per modulus.  One factory,
+`_checked`, makes every builtin label parser: it converts with int() or
+Fraction() and refuses a value outside the carrier with that carrier's
+message.  bool, nat and the two fuzzy carriers share one inverse,
+`_only_one`: their one is their only invertible element, and the inverse
+returns that one object, an int or a Fraction as the carrier's values are.
+
 Infinite carriers are checked on deterministic seeded samples:
   nat       -> {0..5} plus 8 seeded values <= 100
   rationals -> 12 seeded values with numerator and denominator <= 10
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,75 +97,30 @@ def mul_inverse(sr: Semiring, a):
 # builtin catalog
 
 
-def _make_bool() -> Semiring:
-    return Semiring(
-        name="bool",
-        zero=0,
-        one=1,
-        add=lambda a, b: a | b,
-        mul=lambda a, b: a & b,
-        inverse=lambda a: 1 if a == 1 else None,
-        elements=(0, 1),
-        label=str,
-        parse=_parse_bool,
-    )
+def _checked(convert, ok, message: str) -> Callable[[str], object]:
+    """A label parser: convert the label, then refuse a value that is not
+    in the carrier.  Conversion errors are int()'s and Fraction()'s own."""
+
+    def parse(s: str):
+        v = convert(s)
+        if not ok(v):
+            raise SemiringError(f"{message}: {s!r}")
+        return v
+
+    return parse
 
 
-def _parse_bool(s: str) -> int:
-    v = int(s)
-    if v not in (0, 1):
-        raise SemiringError(f"bool label out of range: {s!r}")
-    return v
+def _only_one(one) -> Callable[[object], object]:
+    """The inverse of a carrier whose only invertible element is its one."""
+    return lambda a: one if a == one else None
 
 
 def _nat_pool(rng) -> list:
     return list(range(6)) + [rng.randint(0, 100) for _ in range(8)]
 
 
-def _make_nat() -> Semiring:
-    return Semiring(
-        name="nat",
-        zero=0,
-        one=1,
-        add=lambda a, b: a + b,
-        mul=lambda a, b: a * b,
-        inverse=lambda a: 1 if a == 1 else None,
-        sample_pool=_nat_pool,
-        label=str,
-        parse=_parse_nat,
-    )
-
-
-def _parse_nat(s: str) -> int:
-    v = int(s)
-    if v < 0:
-        raise SemiringError(f"nat label is negative: {s!r}")
-    return v
-
-
 def _rational_pool(rng) -> list:
     return [Fraction(rng.randint(0, 10), rng.randint(1, 10)) for _ in range(12)]
-
-
-def _parse_nonneg_rational(s: str) -> Fraction:
-    v = Fraction(s)
-    if v < 0:
-        raise SemiringError(f"nonneg-rational label is negative: {s!r}")
-    return v
-
-
-def _make_nonneg_rational() -> Semiring:
-    return Semiring(
-        name="nonneg-rational",
-        zero=Fraction(0),
-        one=Fraction(1),
-        add=lambda a, b: a + b,
-        mul=lambda a, b: a * b,
-        inverse=lambda a: None if a == 0 else Fraction(1) / a,
-        sample_pool=_rational_pool,
-        label=str,
-        parse=_parse_nonneg_rational,
-    )
 
 
 def _unit_interval_pool(rng) -> list:
@@ -166,41 +131,44 @@ def _unit_interval_pool(rng) -> list:
     return out
 
 
-def _parse_unit_rational(s: str) -> Fraction:
-    v = Fraction(s)
-    if not 0 <= v <= 1:
-        raise SemiringError(f"label outside [0,1]: {s!r}")
-    return v
+_Q0, _Q1 = Fraction(0), Fraction(1)  # zero and one of the rational carriers
+_UNIT_LABEL = _checked(Fraction, lambda v: 0 <= v <= 1, "label outside [0,1]")
 
-
-def _make_fuzzy_max_min() -> Semiring:
-    # min(a, m) = 1 forces a = m = 1, so 1 is the only invertible element.
-    return Semiring(
-        name="fuzzy-max-min",
-        zero=Fraction(0),
-        one=Fraction(1),
-        add=max,
-        mul=min,
-        inverse=lambda a: Fraction(1) if a == 1 else None,
-        sample_pool=_unit_interval_pool,
-        label=str,
-        parse=_parse_unit_rational,
+# One shared instance per name: a Semiring is frozen and its functions pure.
+# Fields in order: name, zero, one, add, mul, inverse.
+_BUILTINS = {
+    sr.name: sr
+    for sr in (
+        Semiring(
+            "bool", 0, 1, operator.or_, operator.and_, _only_one(1),
+            elements=(0, 1),
+            parse=_checked(int, lambda v: v in (0, 1), "bool label out of range"),
+        ),
+        Semiring(
+            "nat", 0, 1, operator.add, operator.mul, _only_one(1),
+            sample_pool=_nat_pool,
+            parse=_checked(int, lambda v: v >= 0, "nat label is negative"),
+        ),
+        Semiring(
+            "nonneg-rational", _Q0, _Q1, operator.add, operator.mul,
+            lambda a: None if a == 0 else _Q1 / a,
+            sample_pool=_rational_pool,
+            parse=_checked(Fraction, lambda v: v >= 0, "nonneg-rational label is negative"),
+        ),
+        # min(a, m) = 1 forces a = m = 1, so 1 is the only invertible element.
+        Semiring(
+            "fuzzy-max-min", _Q0, _Q1, max, min, _only_one(_Q1),
+            sample_pool=_unit_interval_pool,
+            parse=_UNIT_LABEL,
+        ),
+        # a * m = 1 with both in [0,1] forces a = m = 1.
+        Semiring(
+            "fuzzy-max-times", _Q0, _Q1, max, operator.mul, _only_one(_Q1),
+            sample_pool=_unit_interval_pool,
+            parse=_UNIT_LABEL,
+        ),
     )
-
-
-def _make_fuzzy_max_times() -> Semiring:
-    # a * m = 1 with both in [0,1] forces a = m = 1.
-    return Semiring(
-        name="fuzzy-max-times",
-        zero=Fraction(0),
-        one=Fraction(1),
-        add=max,
-        mul=lambda a, b: a * b,
-        inverse=lambda a: Fraction(1) if a == 1 else None,
-        sample_pool=_unit_interval_pool,
-        label=str,
-        parse=_parse_unit_rational,
-    )
+}
 
 
 def _is_prime(p: int) -> bool:
@@ -217,23 +185,13 @@ def _is_prime(p: int) -> bool:
 def _make_gf(p: int) -> Semiring:
     if not _is_prime(p):
         raise UnknownSemiringError(f"gf({p}): modulus must be prime")
-
-    def parse(s: str) -> int:
-        v = int(s)
-        if not 0 <= v < p:
-            raise SemiringError(f"gf({p}) label out of range: {s!r}")
-        return v
-
     return Semiring(
-        name=f"gf({p})",
-        zero=0,
-        one=1 % p,
-        add=lambda a, b: (a + b) % p,
-        mul=lambda a, b: (a * b) % p,
-        inverse=lambda a: pow(a, p - 2, p) if a % p else None,
+        f"gf({p})", 0, 1,
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a * b) % p,
+        lambda a: pow(a, p - 2, p) if a % p else None,
         elements=tuple(range(p)),
-        label=str,
-        parse=parse,
+        parse=_checked(int, lambda v: 0 <= v < p, f"gf({p}) label out of range"),
     )
 
 
@@ -305,14 +263,6 @@ def load_table_semiring(doc: Mapping) -> Semiring:
     )
 
 
-_BUILTINS: dict[str, Callable[[], Semiring]] = {
-    "bool": _make_bool,
-    "nat": _make_nat,
-    "nonneg-rational": _make_nonneg_rational,
-    "fuzzy-max-min": _make_fuzzy_max_min,
-    "fuzzy-max-times": _make_fuzzy_max_times,
-}
-
 _ALIASES = {
     "q+": "nonneg-rational",
     "nonneg_rational": "nonneg-rational",
@@ -335,7 +285,7 @@ def load_semiring(spec) -> Semiring:
         if gf:
             return _make_gf(int(gf.group(1)))
         if name in _BUILTINS:
-            return _BUILTINS[name]()
+            return _BUILTINS[name]
         raise UnknownSemiringError(f"unknown semiring {spec!r}")
     if isinstance(spec, Mapping):
         return load_table_semiring(spec)

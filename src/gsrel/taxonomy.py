@@ -40,10 +40,11 @@ size triple; _Run.grouped_cases gives each group an equal share of the
 samples, enumerating the group instead when its pools are complete and the
 product is affordable, and returns a pool that is complete when every
 group was enumerated.  Each row's status reads the completeness of its
-cases (the homm/ rows share mul-assoc's).  A word family is complete only
-when every word's pool is enumerated, so maps stamps each pool with the
-family's flag.  The rule stays until one work budget bounds the groups
-too.  With per-word completeness,
+own cases.  A word family is complete only when every word's pool is
+enumerated, so maps stamps each pool with the family's flag; the flag
+oracles draw the unit word's pool in a maps call of its own, so their
+unit-word rows read that pool's completeness.  The rule stays until one
+work budget bounds the groups too.  With per-word completeness,
 check_monad_laws("M", "gf(17)", sizes=(0, 1, 2, 3), seed=11), whose X0
 and X1 pools are enumerated and X2 and X3 pools sampled, would run
 monad/psi-natural on 872,208 cases instead of 3,600 (9.2 s against 0.23 s
@@ -912,9 +913,10 @@ def classify_monad(
 def _classify_monad(run, variant):
     sr = run.sr
     m = _BoundOps(sr, run.ops)
-    words = [()] + run.words()
-    pools = run.maps(variant, words, f"flags-{variant}")
-    cases = {"unit": _keyed({(): pools[()]}), "all": _keyed(pools)}
+    # drawn on its own, the unit word's pool keeps its own completeness
+    unit = run.maps(variant, [()], f"flags-{variant}")
+    pools = {**unit, **run.maps(variant, run.words(), f"flags-{variant}")}
+    cases = {"unit": _keyed(unit), "all": _keyed(pools)}
     closure = _closure_reports(run, variant)
 
     def weakly_affine(m, w, s):
@@ -1196,7 +1198,10 @@ def _hom_monoid_reports(run, variant):
         )
         for k, law in ((3, "assoc"), (2, "comm"))
     )
-    unit = [(f,) for pool in pools.values() for f in pool]
+    unit = _Pool(
+        ((f,) for pool in pools.values() for f in pool),
+        all(pool.complete for pool in pools.values()),
+    )
 
     def docs(c):
         return [wrel_to_doc(sr, f) for f in c]
@@ -1207,9 +1212,7 @@ def _hom_monoid_reports(run, variant):
             cases,
             lambda c, law=law: _LawCase(run.st, {"Y": c[0].dom}, dict(zip("fgh", c))).holds(law),
             describe,
-            # the three rows share mul-assoc's label, the strictest: where
-            # its cube of a complete pool is enumerated, so is the square
-            assoc.complete,
+            cases.complete,
         )
         for law, cases, describe in (
             ("homm/mul-assoc", assoc, docs),

@@ -505,6 +505,12 @@ def test_bad_sizes_exit_2(files):
     assert run(["classify", "bool", "--variant", "M", "--sizes", "a,b"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["", ",", " , "])
+def test_empty_sizes_exit_2(sizes, capsys):
+    assert run(["classify", "bool", "--sizes", sizes]) == 2
+    assert f"error: --sizes is an empty list, got {sizes!r}" in capsys.readouterr().err
+
+
 OVERSIZED = 99999999999999999999  # above sys.maxsize, so no range() can index it
 
 

@@ -34,12 +34,13 @@ from gsrel import (
     wrel_dom,
 )
 from gsrel import FinSet, diagram, taxonomy, wrel
-from gsrel.report import DEFAULT_BUDGET, SAMPLED_PASS, check_cases, check_laws
+from gsrel.report import DEFAULT_BUDGET, EXHAUSTIVE_PASS, SAMPLED_PASS, check_cases, check_laws
 from gsrel.taxonomy import (
     _classify_kleisli,
     _classify_monad,
     _coincidence_entry,
     _functions,
+    _hom_monoid_reports,
     _memo,
     _Pool,
     _Run,
@@ -565,6 +566,27 @@ def test_a_word_family_is_sampled_unless_every_word_is_enumerated():
     reports = {r.law: r for r in check_monad_laws("M", "gf(17)", sizes=(0, 1, 2, 3), seed=11)}
     psi_natural = reports["monad/psi-natural"]
     assert (psi_natural.status, psi_natural.checks_performed) == (SAMPLED_PASS, 3600)
+
+
+def test_unit_word_flag_rows_read_the_unit_pool_own_completeness():
+    # Over gf(17) the unit word's 16 nonzero maps are all of them, though the
+    # X2 and X3 pools are sampled: the unit rows are exhaustive.
+    flag = classify_monad("Mi", "gf(17)", sizes=(0, 1, 2, 3), seed=11).flags["weakly_affine"]
+    for report in (flag.pointwise, flag.diagram):
+        assert (report.status, report.checks_performed) == (EXHAUSTIVE_PASS, 16)
+
+
+def test_each_homm_row_reads_its_own_completeness():
+    # The 1 + 17 + 289 arrows of the three Y-pools are enumerated, so
+    # mul-unit is exhaustive; the squares and cubes of the 289-arrow pool
+    # are past the case cap, so mul-comm and mul-assoc are sampled.
+    run = _Run(["M"], "gf(17)", (0, 1, 2), DEFAULT_BUDGET, 11, 24)
+    got = {r.law: (r.status, r.checks_performed) for r in _hom_monoid_reports(run, "M")}
+    assert got == {
+        "homm/mul-assoc": (SAMPLED_PASS, 4922),
+        "homm/mul-comm": (SAMPLED_PASS, 298),
+        "homm/mul-unit": (EXHAUSTIVE_PASS, 307),
+    }
 
 
 def test_weakly_markov_table_matches_builtin_gf17():
