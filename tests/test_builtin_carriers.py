@@ -14,8 +14,6 @@ from gsrel import CATALOG, SemiringError, derive_rng, load_semiring, mul_inverse
 from gsrel.cli import main
 
 F = Fraction
-NAT = {"zero": 0, "one": 1, "accept": {"0": 0, "7": 7, "100": 100}}
-RATIONAL = {"zero": F(0), "one": F(1), "accept": {"0": F(0), "1/2": F(1, 2), "7/3": F(7, 3)}}
 UNIT = {"zero": F(0), "one": F(1), "accept": {"0": F(0), "1/2": F(1, 2), "1": F(1)}}
 UNIT_REFUSED = {"3/2": "label outside [0,1]: '3/2'", "-1/3": "label outside [0,1]: '-1/3'"}
 
@@ -38,7 +36,9 @@ BOOL = {
     "inverse": lambda a: 1 if a == 1 else None,
 }
 QPLUS = {
-    **RATIONAL,
+    "zero": F(0),
+    "one": F(1),
+    "accept": {"0": F(0), "1/2": F(1, 2), "7/3": F(7, 3)},
     "refuse": {"-1/2": "nonneg-rational label is negative: '-1/2'"},
     "inverse": lambda a: None if a == 0 else 1 / a,
 }
@@ -48,7 +48,9 @@ CARRIERS = {
     "nat": (
         "nat",
         {
-            **NAT,
+            "zero": 0,
+            "one": 1,
+            "accept": {"0": 0, "7": 7, "100": 100},
             "refuse": {"-1": "nat label is negative: '-1'"},
             "inverse": lambda a: 1 if a == 1 else None,
         },
