@@ -270,6 +270,10 @@ _ALIASES = {
 }
 
 _GF_RE = re.compile(r"^gf\((\d+)\)$")
+# gf(p) materialises its p elements, and the suites walk them: taxonomy at
+# seed 11 takes seconds at gf(101) and minutes at gf(997).  The cap is read
+# off the digits, so neither int() nor the primality test sees a long one.
+_GF_MAX = 1000
 
 # Default catalog used by the taxonomy suite.
 CATALOG = ("bool", "nat", "nonneg-rational", "fuzzy-max-min", "fuzzy-max-times", "gf(2)")
@@ -283,7 +287,10 @@ def load_semiring(spec) -> Semiring:
         name = _ALIASES.get(spec.strip(), spec.strip())
         gf = _GF_RE.match(name)
         if gf:
-            return _make_gf(int(gf.group(1)))
+            digits = gf.group(1).lstrip("0") or "0"
+            if len(digits) > len(str(_GF_MAX)) or int(digits) > _GF_MAX:
+                raise UnknownSemiringError(f"gf(p): modulus above {_GF_MAX} is not supported")
+            return _make_gf(int(digits))
         if name in _BUILTINS:
             return _BUILTINS[name]
         raise UnknownSemiringError(f"unknown semiring {spec!r}")

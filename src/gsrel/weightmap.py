@@ -3,9 +3,12 @@
 A WeightMap assigns semiring values to finitely many keys.  Keys are flat
 tuples of component indices when the map lives over a word of finite sets
 (the unit word is empty, its single element is the empty tuple), and nested
-WeightMap instances when the map lives over a space of maps.  Canonical
-form stores no zero values and sorts entries, so equality and hashing are
-structural.
+WeightMap instances when the map lives over a space of maps; wm_psi of a
+nested map joins both kinds position by position.  The keys of one map are
+of one kind, so they sort natively, and keys of different kinds in one map
+raise WeightMapError; the WeightMap docstring gives the order of maps.
+Canonical form stores no zero values and sorts entries, so equality and
+hashing are structural.
 
 The monad operations:
   wm_eta(x)            = {x: 1}
@@ -106,30 +109,13 @@ def word_labels(word: Word, key: tuple) -> list[str]:
     return [s.label_of(i) for s, i in zip(word, key)]
 
 
-def _sort_token(key):
-    """Total order token across the key kinds that share a space."""
-    if isinstance(key, WeightMap):
-        return (2, tuple((_sort_token(k), repr(v)) for k, v in key.entries))
-    if isinstance(key, tuple):
-        return (1, tuple(_sort_token(k) for k in key))
-    if isinstance(key, int):
-        return (0, key)
-    return (0, repr(key))
-
-
-def _flat_int_keys(keys) -> bool:
-    """Whether every key is a tuple of items whose type is exactly int."""
-    for k in keys:
-        if type(k) is not tuple:
-            return False
-        for i in k:
-            if type(i) is not int:
-                return False
-    return True
-
-
 class WeightMap:
-    """Immutable canonical finite-support map; see the module docstring."""
+    """Immutable canonical finite-support map; see the module docstring.
+
+    As a key, a map sorts by its entries: key first, then the repr of the
+    value, not the value, so over the rationals {x: 1/2} comes before
+    {x: 1/3}.  Pinned witnesses list nested maps in this order.
+    """
 
     __slots__ = ("entries", "_index", "_hash")
 
@@ -146,12 +132,11 @@ class WeightMap:
                 seen.add(k)
         zero = sr.zero
         kept = {k: v for k, v in pairs if v != zero}
-        if _flat_int_keys(kept):
-            # native tuple order is token order here, and the keys are
-            # unique, so values are never compared
+        try:
+            # the keys are unique, so values are never compared
             entries = tuple(sorted(kept.items()))
-        else:
-            entries = tuple(sorted(kept.items(), key=lambda kv: _sort_token(kv[0])))
+        except TypeError:
+            raise WeightMapError("keys of different kinds in one map") from None
         object.__setattr__(self, "entries", entries)
         # kept is fresh from the comprehension, so no caller holds it
         object.__setattr__(self, "_index", kept)
@@ -173,6 +158,11 @@ class WeightMap:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightMap) and self.entries == other.entries
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, WeightMap):
+            return NotImplemented
+        return [(k, repr(v)) for k, v in self.entries] < [(k, repr(v)) for k, v in other.entries]
 
     def __hash__(self) -> int:
         h = self._hash
@@ -208,13 +198,11 @@ def wm_total(sr: Semiring, h: WeightMap):
     return sr.sum(v for _, v in h.entries)
 
 
-def wm_pushforward(sr: Semiring, f, h: WeightMap, cod: Word | None = None) -> WeightMap:
+def wm_pushforward(sr: Semiring, f, h: WeightMap) -> WeightMap:
     """Image of h along the function f, summing over fibers."""
     acc: dict = {}
     for k, v in h.entries:
         y = f(k)
-        if cod is not None and not word_contains(cod, y):
-            raise WeightMapError(f"pushforward target {y!r} outside the declared word")
         acc[y] = sr.add(acc[y], v) if y in acc else v
     return WeightMap(sr, acc)
 

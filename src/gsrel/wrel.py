@@ -302,7 +302,7 @@ def wrel_dom_via_kleisli_path(sr: Semiring, f: WRel) -> WRel:
         massed = wm_pushforward(sr, lambda _k: (), h)
         paired = wm_psi(sr, h, massed)
         # paired keys are y + (); dropping the empty tail is the unitor.
-        rows[x] = wm_pushforward(sr, lambda k: k[: len(f.cod)], paired, cod=f.cod)
+        rows[x] = wm_pushforward(sr, lambda k: k[: len(f.cod)], paired)
     return WRel(f.dom, f.cod, rows)
 
 

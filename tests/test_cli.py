@@ -99,6 +99,13 @@ def test_check_semiring_bad_inputs_exit_2(files, capsys):
     assert "line 1" in err
 
 
+# a prime whose trial division does not finish, and a modulus int() refuses
+@pytest.mark.parametrize("modulus", ["1009", "1000000000000000003", "9" * 5000])
+def test_gf_modulus_above_the_cap_exits_2(modulus, capsys):
+    assert run(["check-semiring", f"gf({modulus})"]) == 2
+    assert capsys.readouterr().err == "error: gf(p): modulus above 1000 is not supported\n"
+
+
 def test_check_semiring_finite_profile_exhaustive_at_small_budget(files, capsys):
     assert run(["check-semiring", "bool", "--budget", "3", "--format", "structured"]) == 0
     doc = json.loads(capsys.readouterr().out)

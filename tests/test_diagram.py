@@ -10,6 +10,7 @@ from gsrel import (
     Gen,
     Id,
     InterpFormatError,
+    Interpretation,
     Mass,
     ParseError,
     Seq,
@@ -467,6 +468,18 @@ def test_load_interpretation_errors():
     }
     with pytest.raises(InterpFormatError, match="generator 'f'"):
         load_interpretation(bad)
+
+
+def test_interpretation_refuses_a_generator_off_its_sorts_and_an_unknown_sort():
+    f = INTERP.generators["f"]
+    with pytest.raises(
+        InterpFormatError, match=r"^generator 'f': arrow boundary does not match declared sorts$"
+    ):
+        Interpretation(NAT, INTERP.sorts, {"f": f}, {"f": (("B",), ("B",))})
+    with pytest.raises(TypecheckError, match=r"^unknown sort 'Z'$"):
+        Interpretation(NAT, INTERP.sorts, {"f": f}, {"f": (("A",), ("Z",))})
+    with pytest.raises(TypecheckError, match=r"^unknown sort 'Z'$"):
+        INTERP.word(("A", "Z", "Y"))
 
 
 def test_labels_must_be_distinct():

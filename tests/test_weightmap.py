@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gsrel import (
     FinSet,
@@ -29,7 +29,7 @@ from gsrel import (
 from gsrel.semiring import CATALOG, mul_inverse
 from gsrel.report import DEFAULT_BUDGET
 from gsrel.taxonomy import _Pool, _Run
-from gsrel.weightmap import _enumerable, _first_members, _sort_token, _word_tag
+from gsrel.weightmap import _enumerable, _first_members, _word_tag
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -225,12 +225,6 @@ def test_pushforward_sums_over_fibers():
     assert g == wm_make(NAT, {(0,): 5})
 
 
-def test_pushforward_checks_codomain():
-    h = wm_eta(NAT, (0,))
-    with pytest.raises(WeightMapError):
-        wm_pushforward(NAT, lambda k: (7,), h, cod=X2)
-
-
 def test_total_of_empty_is_zero():
     assert wm_total(NAT, wm_empty(NAT)) == 0
     assert wm_total(BOOL, wm_empty(BOOL)) == BOOL.zero
@@ -353,6 +347,17 @@ def test_canonicalization_is_order_insensitive(items):
     assert all(v != 0 for _, v in h.entries)
 
 
+def _sort_token(key):
+    """Reference order: a total order token across the key kinds of a space."""
+    if isinstance(key, WeightMap):
+        return (2, tuple((_sort_token(k), repr(v)) for k, v in key.entries))
+    if isinstance(key, tuple):
+        return (1, tuple(_sort_token(k) for k in key))
+    if isinstance(key, int):
+        return (0, key)
+    return (0, repr(key))
+
+
 def _token_sorted(sr, items):
     kept = [(k, v) for k, v in items.items() if v != sr.zero]
     return tuple(sorted(kept, key=lambda kv: _sort_token(kv[0])))
@@ -378,11 +383,30 @@ def test_nested_mixed_and_bool_keys_keep_token_order():
     mixed = wm_psi(NAT, H, wm_make(NAT, {(1,): 1, (0,): 2}))
     assert mixed.entries == _token_sorted(NAT, dict(mixed.entries))
     assert [k[1] for k in mixed.support[:2]] == [0, 1]
-    # an int key among tuples sorts first, where a native sort would raise
-    assert WeightMap(NAT, {(0,): 1, 5: 2}).support == (5, (0,))
+    # an int key among tuples is outside the key contract
+    with pytest.raises(WeightMapError, match="keys of different kinds"):
+        WeightMap(NAT, {(0,): 1, 5: 2})
     flags = {(True, 0): 1, (0, 1): 2, (False, 0): 3}
     assert WeightMap(NAT, flags).entries == _token_sorted(NAT, flags)
     assert WeightMap(NAT, flags).support == ((False, 0), (0, 1), (True, 0))
+
+
+# 1/2 sorts before 1/3 by repr but after it by value
+Q_VALUES = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10), Fraction(3)])
+q_maps = st.dictionaries(st.sampled_from(list(word_elements(X2))), Q_VALUES, max_size=2).map(
+    lambda d: wm_make(QPLUS, d)
+)
+HALF, THIRD = wm_make(QPLUS, {(0,): Fraction(1, 2)}), wm_make(QPLUS, {(0,): Fraction(1, 3)})
+
+
+@given(st.dictionaries(q_maps, Q_VALUES, max_size=5))
+@example({THIRD: Fraction(1, 2), HALF: Fraction(1, 3)})
+@settings(max_examples=100)
+def test_nested_rational_maps_sort_by_value_repr(nested):
+    H = WeightMap(QPLUS, nested)
+    assert H.entries == _token_sorted(QPLUS, nested)
+    mixed = wm_psi(QPLUS, H, wm_make(QPLUS, {(1,): Fraction(1, 3), (0,): Fraction(1, 2)}))
+    assert mixed.entries == _token_sorted(QPLUS, dict(mixed.entries))
 
 
 def test_first_members_pulls_nothing_after_the_nth():
