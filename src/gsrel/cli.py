@@ -48,7 +48,7 @@ from .taxonomy import (
     _json_safe,
 )
 from .weightmap import VARIANTS, WeightMapError, word_labels
-from .wrel import BoundaryError, WRelFormatError, _word_str, wrel_to_doc
+from .wrel import BoundaryError, WRelFormatError, _value_label, _word_str, wrel_to_doc
 
 
 class UsageError(ValueError):
@@ -277,7 +277,7 @@ def cmd_eval(args) -> int:
         for x, row in arrow.rows:
             for y, v in row.entries:
                 lines.append(
-                    f"  {_key_str(dom, x)} -> {_key_str(cod, y)} : {sr.label(v)}"
+                    f"  {_key_str(dom, x)} -> {_key_str(cod, y)} : {_value_label(sr, v)}"
                 )
         _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -52,6 +52,7 @@ from .wrel import (
     Structure,
     WRel,
     WRelFormatError,
+    _value_label,
     _word_str,
     finset_from_doc,
     finset_to_doc,
@@ -560,8 +561,8 @@ def check_term_equality(t1, t2, interp: Interpretation, law: str = "term-eq") ->
         describe=lambda k: {
             "row": word_labels(f.dom, k[0]),
             "col": word_labels(f.cod, k[1]),
-            "left": sr.label(f.value(sr, *k)),
-            "right": sr.label(g.value(sr, *k)),
+            "left": _value_label(sr, f.value(sr, *k)),
+            "right": _value_label(sr, g.value(sr, *k)),
         },
         exhaustive=True,
     )

@@ -10,7 +10,7 @@ The builtin carriers are one table, `_BUILTINS`, of shared `Semiring`
 rows: a Semiring is frozen and its functions are pure, so one instance
 per name serves every caller.  gf(p) is built per modulus.  One factory,
 `_checked`, makes every builtin label parser: it converts with int() or
-Fraction() and refuses a value outside the carrier with that carrier's
+`_fraction` and refuses a value outside the carrier with that carrier's
 message.  bool, nat and the two fuzzy carriers share one inverse,
 `_only_one`: their one is their only invertible element, and the inverse
 returns that one object, an int or a Fraction as the carrier's values are.
@@ -45,7 +45,16 @@ class TableFormatError(SemiringError):
 
 @dataclass(frozen=True)
 class Semiring:
-    """Carrier plus exact operations.  Instances are immutable and shareable."""
+    """Carrier plus exact operations.  Instances are immutable and shareable.
+
+    `plain_rational` asserts that the values are Fractions and that add and
+    mul are the ordinary + and x of the rationals.  wrel_compose and
+    wrel_tensor then run each row as integers over a common denominator and
+    call neither add nor mul.  Only the nonneg-rational row sets it.  A copy
+    that replaces add or mul must clear it, unless the new functions still
+    compute + and x (a wrapper that counts calls, say), and then those
+    calls are not made.
+    """
 
     name: str
     zero: object
@@ -59,6 +68,7 @@ class Semiring:
     sample_pool: Callable[[object], list] | None = None
     label: Callable[[object], str] = field(default=str)
     parse: Callable[[str], object] = field(default=None)
+    plain_rational: bool = False
 
     @property
     def finite(self) -> bool:
@@ -97,6 +107,22 @@ def mul_inverse(sr: Semiring, a):
 # builtin catalog
 
 
+# Python prints no int of more digits than this (its default limit on
+# int-to-string conversion), and Fraction("1e10000000") spends 10 s building
+# 10**10000000: a rational label's exponent may be no larger.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _fraction(s: str) -> Fraction:
+    """Fraction(s), after refusing an exponent beyond +-_MAX_EXPONENT.  An
+    exponent of more than 4300 digits is int()'s error, as in Fraction()."""
+    exponent = _EXPONENT.search(s)
+    if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+        raise SemiringError(f"label exponent is beyond +-{_MAX_EXPONENT}: {s!r}")
+    return Fraction(s)
+
+
 def _checked(convert, ok, message: str) -> Callable[[str], object]:
     """A label parser: convert the label, then refuse a value that is not
     in the carrier.  Conversion errors are int()'s and Fraction()'s own."""
@@ -132,7 +158,7 @@ def _unit_interval_pool(rng) -> list:
 
 
 _Q0, _Q1 = Fraction(0), Fraction(1)  # zero and one of the rational carriers
-_UNIT_LABEL = _checked(Fraction, lambda v: 0 <= v <= 1, "label outside [0,1]")
+_UNIT_LABEL = _checked(_fraction, lambda v: 0 <= v <= 1, "label outside [0,1]")
 
 # One shared instance per name: a Semiring is frozen and its functions pure.
 # Fields in order: name, zero, one, add, mul, inverse.
@@ -153,7 +179,8 @@ _BUILTINS = {
             "nonneg-rational", _Q0, _Q1, operator.add, operator.mul,
             lambda a: None if a == 0 else _Q1 / a,
             sample_pool=_rational_pool,
-            parse=_checked(Fraction, lambda v: v >= 0, "nonneg-rational label is negative"),
+            parse=_checked(_fraction, lambda v: v >= 0, "nonneg-rational label is negative"),
+            plain_rational=True,
         ),
         # min(a, m) = 1 forces a = m = 1, so 1 is the only invertible element.
         Semiring(

@@ -5,10 +5,15 @@ element with nonzero support; composition is the semiring matrix product
 
     (f ; g)(x, z) = sum over y of f(x, y) * g(y, z)
 
-and the tensor is the Kronecker product on concatenated words.  The unit
-object is the empty word, whose product has the single element ().  Words
-are strict: tensoring is tuple concatenation, so unitors and associators
-are identities on index tuples and never appear at runtime.
+and the tensor is the Kronecker product on concatenated words.  Both call
+the semiring's add and mul per cell, except over a semiring that sets
+plain_rational (nonneg-rational): there each row is scaled once to integers
+over the lcm of its denominators, a row of f ; g adds its integer products
+over the lcm of their denominators, and each output cell becomes one
+Fraction.  The unit object is the empty word, whose product has the single
+element ().  Words are strict: tensoring is tuple concatenation, so
+unitors and associators are identities on index tuples and never appear at
+runtime.
 
 Structural arrows: wrel_copy duplicates an index tuple, wrel_del maps it
 to (), wrel_swap exchanges two blocks.  A Structure holder builds each of
@@ -33,8 +38,11 @@ WRel._canonical without checking again.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .report import derive_rng
 from .semiring import Semiring
@@ -174,11 +182,22 @@ def wrel_id(sr: Semiring, word: Word) -> WRel:
     return WRel._canonical(word, word, {x: wm_eta(sr, x) for x in word_elements(word)})
 
 
+def _over_lcm(entries) -> tuple[int, list]:
+    """Fraction-valued entries as integers over their least common
+    denominator d: (d, [(key, v * d)])."""
+    d = 1
+    for _, v in entries:
+        d = lcm(d, v.denominator)
+    return d, [(k, v.numerator * (d // v.denominator)) for k, v in entries]
+
+
 def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
     if f.cod != g.dom:
         raise BoundaryError(
             f"compose mismatch: {_word_str(f.cod)} vs {_word_str(g.dom)}"
         )
+    if sr.plain_rational:
+        return _compose_over_ints(sr, f, g)
     # rows g does not store are empty and add nothing
     g_rows = g._index
     rows = {}
@@ -196,11 +215,55 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
     return WRel._canonical(f.dom, g.cod, rows)
 
 
+def _compose_over_ints(sr: Semiring, f: WRel, g: WRel) -> WRel:
+    """wrel_compose over plain rationals.  A row of f with one entry v at y
+    has nothing to add: its cells are v * w over the entries w of g's row
+    y.  A longer row adds its terms (n / d) * (ints / dy) as integers over
+    their common denominator, the lcm of the d * dy, and makes one Fraction
+    per cell; each row of g it reaches is put over its own lcm dy once."""
+    g_index, g_rows = g._index, {}
+    rows = {}
+    for x, frow in f.rows:
+        if len(frow.entries) == 1:
+            ((y, v),) = frow.entries
+            if y in g_index:
+                rows[x] = wm_make(sr, {z: v * w for z, w in g_index[y].entries})
+            continue
+        terms, den = [], 1
+        for y, v in frow.entries:
+            if y not in g_rows:
+                if y not in g_index:
+                    continue
+                g_rows[y] = _over_lcm(g_index[y].entries)
+            dy, ints = g_rows[y]
+            n, d = v.as_integer_ratio()
+            terms.append((n, d * dy, ints))
+            den = lcm(den, d * dy)
+        acc: dict = {}
+        for n, d, ints in terms:
+            a = n * (den // d)
+            for z, w in ints:
+                acc[z] = acc.get(z, 0) + a * w
+        if acc:
+            rows[x] = wm_make(sr, {z: Fraction(n, den) for z, n in acc.items()})
+    return WRel._canonical(f.dom, g.cod, rows)
+
+
 def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
     rows = {}
-    for xf, hf in f.rows:
-        for xg, hg in g.rows:
-            rows[xf + xg] = wm_psi(sr, hf, hg)
+    if sr.plain_rational:
+        right = [(xg, _over_lcm(hg.entries)) for xg, hg in g.rows]
+        for xf, hf in f.rows:
+            df, left = _over_lcm(hf.entries)
+            for xg, (dg, ints) in right:
+                den = df * dg
+                rows[xf + xg] = wm_make(
+                    sr, {x + y: Fraction(a * b, den) for x, a in left for y, b in ints}
+                )
+    else:
+        for xf, hf in f.rows:
+            for xg, hg in g.rows:
+                rows[xf + xg] = wm_psi(sr, hf, hg)
     return WRel._canonical(f.dom + g.dom, f.cod + g.cod, rows)
 
 
@@ -443,11 +506,23 @@ def finset_from_doc(doc) -> FinSet:
         raise WRelFormatError(f"bad finite-set document {doc!r}: {e}") from None
 
 
+def _value_label(sr: Semiring, v) -> str:
+    """sr.label(v), for a value that is printed; a value with an integer
+    too long for str() raises WRelFormatError, which the CLI exits 2 on."""
+    try:
+        return sr.label(v)
+    except ValueError:
+        raise WRelFormatError(
+            f"a {sr.name} value has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for printing one"
+        ) from None
+
+
 def wrel_to_doc(sr: Semiring, f: WRel) -> dict:
     entries = []
     for x, h in f.rows:
         for y, v in h.entries:
-            entries.append([word_labels(f.dom, x), word_labels(f.cod, y), sr.label(v)])
+            entries.append([word_labels(f.dom, x), word_labels(f.cod, y), _value_label(sr, v)])
     return {
         "dom": [finset_to_doc(s) for s in f.dom],
         "cod": [finset_to_doc(s) for s in f.cod],

@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from gsrel import CATALOG, SemiringError, derive_rng, load_semiring, mul_inverse
+import gsrel.semiring
+from gsrel import (
+    CATALOG,
+    SemiringError,
+    derive_rng,
+    load_semiring,
+    load_table_semiring,
+    mul_inverse,
+)
 from gsrel.cli import main
 
 F = Fraction
@@ -123,6 +131,46 @@ def test_parse_leaves_conversion_errors_to_int_and_fraction(spec):
         if rational
         else "invalid literal for int() with base 10: 'x'"
     )
+
+
+RATIONAL = ("nonneg-rational", "fuzzy-max-min", "fuzzy-max-times")
+
+
+@pytest.mark.parametrize("spec", RATIONAL)
+def test_rational_labels_refuse_a_large_exponent_before_fraction(spec, monkeypatch):
+    sr = load_semiring(spec)
+    for text in ("1e-5", "0.5", " 3/4 ", "1_0/3", "1e-4300", "2.5E-1_0"):
+        expected = Fraction(text)
+        if expected <= 1 or spec == "nonneg-rational":
+            value = sr.parse(text)
+            assert type(value) is Fraction and value == expected
+
+    def no_fraction(*_):
+        raise AssertionError("Fraction() was called")
+
+    # Fraction("1e10000000") takes seconds: the refusal must come first
+    monkeypatch.setattr(gsrel.semiring, "Fraction", no_fraction)
+    for text in ("1e4301", "1e-4301", "1E10000000", " 2.5e+99999 ", "1e1_0000"):
+        with pytest.raises(SemiringError) as caught:
+            sr.parse(text)
+        assert str(caught.value) == f"label exponent is beyond +-4300: {text!r}"
+
+
+def test_only_nonneg_rational_runs_the_integer_kernels():
+    builtins = gsrel.semiring._BUILTINS
+    assert [name for name, sr in builtins.items() if sr.plain_rational] == ["nonneg-rational"]
+    assert load_semiring("q+").plain_rational
+    assert not any(load_semiring(f"gf({p})").plain_rational for p in (2, 3, 7, 997))
+    table = load_table_semiring(
+        {
+            "elements": ["0", "1"],
+            "plus": [["0", "1"], ["1", "1"]],
+            "times": [["0", "0"], ["0", "1"]],
+            "zero": "0",
+            "one": "1",
+        }
+    )
+    assert not table.plain_rational
 
 
 @pytest.mark.parametrize("spec", CARRIERS)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, output formats, determinism."""
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -287,6 +288,11 @@ FUZZY_ABOVE_ONE = _one_entry_interp("fuzzy-max-min", [[["0"], ["0"], "3/2"]])
             _one_entry_interp("bool", [["0", "0", "1"]]),
             "generator 'f': entry labels must be lists: ['0', '0', '1']",
         ),
+        (
+            "f",
+            _one_entry_interp("nonneg-rational", [[["0"], ["0"], "1e10000000"]]),
+            "generator 'f': label exponent is beyond +-4300: '1e10000000'",
+        ),
     ],
     ids=[
         "fuzzy-label-above-one",
@@ -297,6 +303,7 @@ FUZZY_ABOVE_ONE = _one_entry_interp("fuzzy-max-min", [[["0"], ["0"], "3/2"]])
         "gf2-label-out-of-range",
         "rational-label-negative",
         "entry-labels-not-lists",
+        "rational-label-exponent",
     ],
 )
 def test_eval_error_names_the_fault(files, tmp_path, capsys, term, interp, message):
@@ -308,6 +315,32 @@ def test_eval_error_names_the_fault(files, tmp_path, capsys, term, interp, messa
     (tmp_path / "t.gsd").write_text(term + "\n")
     assert run(["eval", tmp_path / "t.gsd", path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# f ; f squares the one entry, to 6,000 digits: more than str() prints
+TOO_LONG_TO_PRINT = {
+    "nat": _one_entry_interp("nat", [[["0"], ["0"], "9" * 3000]]),
+    "nonneg-rational": _one_entry_interp("nonneg-rational", [[["0"], ["0"], "1e3000"]]),
+}
+
+
+@pytest.mark.parametrize("semiring", TOO_LONG_TO_PRINT)
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("cmd", ["eval", "eq"])
+def test_a_value_too_long_to_print_exits_2(tmp_path, capsys, semiring, fmt, cmd):
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps(TOO_LONG_TO_PRINT[semiring]))
+    (tmp_path / "ff.gsd").write_text("f ; f\n")
+    (tmp_path / "f.gsd").write_text("f\n")
+    # eval prints the arrow; eq prints the witness, the entry where f ; f != f
+    terms = [tmp_path / "ff.gsd"] + ([tmp_path / "f.gsd"] if cmd == "eq" else [])
+    assert run([cmd, *terms, interp, "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: a {semiring} value has an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, Python's limit for printing one\n"
+    )
 
 
 # eq

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gsrel.wrel
 from gsrel import (
@@ -42,6 +43,7 @@ from gsrel import (
     wrel_swap,
     wrel_tensor,
     wrel_to_doc,
+    word_elements,
 )
 from gsrel.diagram import gsm_axiom_pairs
 
@@ -597,3 +599,100 @@ def test_results_stay_canonical_where_values_vanish(sr):
     for h in vanishing:
         assert h.rows == () and h == WRel(h.dom, h.cod, {})
         assert _canonical_and_checked(h)
+
+
+# The integer kernels.  Over nonneg-rational, wrel_compose and wrel_tensor
+# scale rows to integers and never call add or mul.  The reference is the
+# generic loop, written densely with the semiring's own add and mul, so it
+# holds for every carrier; fuzzy-max-times has Fraction values too, but max
+# for add, so a kernel chosen by value type instead of plain_rational fails.
+
+FMT = load_semiring("fuzzy-max-times")
+# the last three are pairwise coprime and large
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 10**9 + 7, 998_244_353, 2**61 - 1)
+
+
+def _dense_compose(sr, f, g):
+    return wrel_make(sr, f.dom, g.cod, {
+        x: {
+            z: sr.sum(sr.mul(f.value(sr, x, y), g.value(sr, y, z)) for y in word_elements(f.cod))
+            for z in word_elements(g.cod)
+        }
+        for x in word_elements(f.dom)
+    })
+
+
+def _dense_tensor(sr, f, g):
+    return wrel_make(sr, f.dom + g.dom, f.cod + g.cod, {
+        xf + xg: {
+            yf + yg: sr.mul(f.value(sr, xf, yf), g.value(sr, xg, yg))
+            for yf in word_elements(f.cod)
+            for yg in word_elements(g.cod)
+        }
+        for xf in word_elements(f.dom)
+        for xg in word_elements(g.dom)
+    })
+
+
+def _exact(f):
+    """The arrow with each value by repr, so an int where a Fraction
+    belongs differs."""
+    return f.dom, f.cod, [(x, [(y, repr(v)) for y, v in h.entries]) for x, h in f.rows]
+
+
+def _arrow(rng, sr, dom, cod):
+    """A sparse arrow: a quarter of the rows zero, half the cells zero."""
+    rows = {}
+    for x in word_elements(dom):
+        if rng.random() < 0.75:
+            rows[x] = {}
+            for y in word_elements(cod):
+                if rng.random() < 0.5:
+                    d = rng.choice(DENOMINATORS)
+                    rows[x][y] = Fraction(rng.randint(1, d if sr is FMT else 10**12), d)
+    return wrel_make(sr, dom, cod, rows)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(sr, f, g, h) with f: X -> Y, g: Y -> Z and h: Z -> X, each word of
+    up to two sorts of size 0 to 3; () is the unit word."""
+    rng = draw(st.randoms(use_true_random=False))
+    sr = rng.choice([QPLUS, FMT])
+    x, y, z = (
+        tuple(FinSet(f"S{n}", n) for n in (rng.randint(0, 3) for _ in range(rng.randint(0, 2))))
+        for _ in range(3)
+    )
+    return sr, _arrow(rng, sr, x, y), _arrow(rng, sr, y, z), _arrow(rng, sr, z, x)
+
+
+# Explicit cases: coprime denominators, a zero row x1 in _XY, a zero
+# column x0 in the I -> X arrow, the unit word I and the size-0 sort E;
+# last, a row of two terms that fuzzy-max-times takes the max of.
+_P, _Q = Fraction(1, 10**9 + 7), Fraction(3, 998_244_353)
+_XY = wrel_make(QPLUS, X, Y, {(0,): {(0,): _P, (1,): _Q}})
+_YI = wrel_make(QPLUS, Y, I, {(0,): {(): Fraction(5, 2**61 - 1)}, (1,): {(): _Q}})
+_HALF = {(): Fraction(1, 2)}
+
+
+@given(_kernel_cases())
+@example((QPLUS, _XY, _YI, wrel_make(QPLUS, I, X, {(): {(1,): _P}})))
+@example((QPLUS, wrel_make(QPLUS, E, Y, {}), _YI, wrel_make(QPLUS, I, E, {})))
+@example((
+    FMT,
+    wrel_make(FMT, X, Y, {(0,): {(0,): Fraction(1, 2), (1,): Fraction(1, 3)}}),
+    wrel_make(FMT, Y, I, {(0,): _HALF, (1,): _HALF}),
+    wrel_make(FMT, I, X, {}),
+))
+@settings(max_examples=300, deadline=None)
+def test_integer_kernels_give_the_generic_result(case):
+    sr, f, g, h = case
+    generic = dataclasses.replace(sr, plain_rational=False)
+    for op, dense, left, right in (
+        (wrel_compose, _dense_compose, f, g),
+        (wrel_tensor, _dense_tensor, f, g),
+        (wrel_tensor, _dense_tensor, h, f),
+    ):
+        got = _exact(op(sr, left, right))
+        assert got == _exact(dense(sr, left, right))
+        assert got == _exact(op(generic, left, right))
