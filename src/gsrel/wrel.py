@@ -7,13 +7,13 @@ element with nonzero support; composition is the semiring matrix product
 
 and the tensor is the Kronecker product on concatenated words.  Both call
 the semiring's add and mul per cell, except over a semiring that sets
-plain_rational (nonneg-rational): there each row is scaled once to integers
+plain_rational (nonneg-rational): there a row is scaled once to integers
 over the lcm of its denominators, a row of f ; g adds its integer products
 over the lcm of their denominators, and each output cell becomes one
-Fraction.  The unit object is the empty word, whose product has the single
-element ().  Words are strict: tensoring is tuple concatenation, so
-unitors and associators are identities on index tuples and never appear at
-runtime.
+Fraction; a row of f with one entry just multiplies, having nothing to add.
+The unit object is the empty word, whose product has the single element ().
+Words are strict: tensoring is tuple concatenation, so unitors and
+associators are identities on index tuples and never appear at runtime.
 
 Structural arrows: wrel_copy duplicates an index tuple, wrel_del maps it
 to (), wrel_swap exchanges two blocks.  A Structure holder builds each of
