@@ -54,6 +54,14 @@ class Semiring:
     that replaces add or mul must clear it, unless the new functions still
     compute + and x (a wrapper that counts calls, say), and then those
     calls are not made.
+
+    `positive` asserts that no sum and no product of nonzero values of the
+    carrier is zero: the carrier is zero-sum-free and has no zero divisors.
+    wm_psi, wm_mu, wm_pushforward, wrel_compose and wrel_tensor then store
+    their results without testing each value against zero.  Only the bool,
+    nat, nonneg-rational and two fuzzy rows set it; gf(p) and table
+    semirings never do.  A copy that replaces add or mul must clear it,
+    unless the new functions compute the same values.
     """
 
     name: str
@@ -69,6 +77,7 @@ class Semiring:
     label: Callable[[object], str] = field(default=str)
     parse: Callable[[str], object] = field(default=None)
     plain_rational: bool = False
+    positive: bool = False
 
     @property
     def finite(self) -> bool:
@@ -169,11 +178,13 @@ _BUILTINS = {
             "bool", 0, 1, operator.or_, operator.and_, _only_one(1),
             elements=(0, 1),
             parse=_checked(int, lambda v: v in (0, 1), "bool label out of range"),
+            positive=True,
         ),
         Semiring(
             "nat", 0, 1, operator.add, operator.mul, _only_one(1),
             sample_pool=_nat_pool,
             parse=_checked(int, lambda v: v >= 0, "nat label is negative"),
+            positive=True,
         ),
         Semiring(
             "nonneg-rational", _Q0, _Q1, operator.add, operator.mul,
@@ -181,18 +192,21 @@ _BUILTINS = {
             sample_pool=_rational_pool,
             parse=_checked(_fraction, lambda v: v >= 0, "nonneg-rational label is negative"),
             plain_rational=True,
+            positive=True,
         ),
         # min(a, m) = 1 forces a = m = 1, so 1 is the only invertible element.
         Semiring(
             "fuzzy-max-min", _Q0, _Q1, max, min, _only_one(_Q1),
             sample_pool=_unit_interval_pool,
             parse=_UNIT_LABEL,
+            positive=True,
         ),
         # a * m = 1 with both in [0,1] forces a = m = 1.
         Semiring(
             "fuzzy-max-times", _Q0, _Q1, max, operator.mul, _only_one(_Q1),
             sample_pool=_unit_interval_pool,
             parse=_UNIT_LABEL,
+            positive=True,
         ),
     )
 }

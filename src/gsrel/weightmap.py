@@ -10,6 +10,18 @@ raise WeightMapError; the WeightMap docstring gives the order of maps.
 Canonical form stores no zero values and sorts entries, so equality and
 hashing are structural.
 
+Every map is canonical.  WeightMap(...) makes it so for any input: it
+refuses a key given twice and drops zero values.  The monad operations
+below (wm_psi, wm_mu, wm_pushforward) and wrel_compose and wrel_tensor
+build through WeightMap._canonical instead: their keys are unique by
+construction and their values are sums and products of the nonzero values
+of canonical maps, so over a `positive` semiring (see Semiring) none of
+them is zero and the zero test is skipped; over any other semiring zeros
+are dropped as WeightMap(...) drops them.  Either way the result equals the
+checked construction.  Everything built from outside input (wm_make,
+wm_eta, the enumerated and sampled pools, arrow and interpretation
+documents) goes through WeightMap(...), so a zero value label is dropped.
+
 The monad operations:
   wm_eta(x)            = {x: 1}
   wm_pushforward(f, h) = y -> sum of h(x) over f(x) = y
@@ -131,14 +143,29 @@ class WeightMap:
                     raise WeightMapError(f"duplicate key {k!r}")
                 seen.add(k)
         zero = sr.zero
-        kept = {k: v for k, v in pairs if v != zero}
+        # kept is fresh from the comprehension, so no caller holds it
+        self._store({k: v for k, v in pairs if v != zero})
+
+    @classmethod
+    def _canonical(cls, sr: Semiring, acc: dict) -> WeightMap:
+        """The map of acc, a fresh dict that the caller gives up, whose
+        values are sums and products of values of canonical maps; see the
+        module docstring for who may call this.  Zeros are dropped only
+        over a semiring that is not positive."""
+        if not sr.positive:
+            zero = sr.zero
+            acc = {k: v for k, v in acc.items() if v != zero}
+        h = object.__new__(cls)
+        h._store(acc)
+        return h
+
+    def _store(self, kept: dict) -> None:
         try:
             # the keys are unique, so values are never compared
             entries = tuple(sorted(kept.items()))
         except TypeError:
             raise WeightMapError("keys of different kinds in one map") from None
         object.__setattr__(self, "entries", entries)
-        # kept is fresh from the comprehension, so no caller holds it
         object.__setattr__(self, "_index", kept)
         # most maps are compared but never hashed; __hash__ fills this in
         object.__setattr__(self, "_hash", None)
@@ -204,7 +231,7 @@ def wm_pushforward(sr: Semiring, f, h: WeightMap) -> WeightMap:
     for k, v in h.entries:
         y = f(k)
         acc[y] = sr.add(acc[y], v) if y in acc else v
-    return WeightMap(sr, acc)
+    return WeightMap._canonical(sr, acc)
 
 
 def _as_tuple(key) -> tuple:
@@ -219,7 +246,7 @@ def wm_psi(sr: Semiring, h: WeightMap, k: WeightMap) -> WeightMap:
         x = _as_tuple(x)
         for y, w in right:
             acc[x + y] = sr.mul(v, w)
-    return WeightMap(sr, acc)
+    return WeightMap._canonical(sr, acc)
 
 
 def wm_mu(sr: Semiring, H: WeightMap) -> WeightMap:
@@ -231,7 +258,7 @@ def wm_mu(sr: Semiring, H: WeightMap) -> WeightMap:
         for x, v in g.entries:
             term = sr.mul(w, v)
             acc[x] = sr.add(acc[x], term) if x in acc else term
-    return WeightMap(sr, acc)
+    return WeightMap._canonical(sr, acc)
 
 
 def wm_antipode(sr: Semiring, h: WeightMap) -> WeightMap:
@@ -353,10 +380,15 @@ def _sample_stream(sr: Semiring, keys: list, rng, n: int):
     # exactly as rng.choice on a length-m list does, so the draws are the
     # same.  A repeated draw would only yield the three maps its first
     # occurrence yielded, all of which _first_members has already seen, so
-    # it is skipped before any map is built.
+    # it is skipped before any map is built.  Once every one of the
+    # (len(values) + 1) ** len(keys) - 1 draws has been made, the rest of
+    # the loop would yield nothing, so the stream ends there.
     slots, choices = range(len(keys)), range(len(values))
+    space = (len(values) + 1) ** len(keys) - 1
     drawn = set()
     for _ in range(6 * n):
+        if len(drawn) == space:
+            return
         mask = tuple(i for i in slots if rng.random() < 0.6) or (rng.choice(slots),)
         picks = tuple(rng.choice(choices) for _ in mask)
         if (mask, picks) in drawn:

@@ -211,7 +211,7 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
                 term = sr.mul(v, w)
                 acc[z] = sr.add(acc[z], term) if z in acc else term
         if acc:
-            rows[x] = wm_make(sr, acc)
+            rows[x] = WeightMap._canonical(sr, acc)
     return WRel._canonical(f.dom, g.cod, rows)
 
 
@@ -227,7 +227,7 @@ def _compose_over_ints(sr: Semiring, f: WRel, g: WRel) -> WRel:
         if len(frow.entries) == 1:
             ((y, v),) = frow.entries
             if y in g_index:
-                rows[x] = wm_make(sr, {z: v * w for z, w in g_index[y].entries})
+                rows[x] = WeightMap._canonical(sr, {z: v * w for z, w in g_index[y].entries})
             continue
         terms, den = [], 1
         for y, v in frow.entries:
@@ -245,7 +245,7 @@ def _compose_over_ints(sr: Semiring, f: WRel, g: WRel) -> WRel:
             for z, w in ints:
                 acc[z] = acc.get(z, 0) + a * w
         if acc:
-            rows[x] = wm_make(sr, {z: Fraction(n, den) for z, n in acc.items()})
+            rows[x] = WeightMap._canonical(sr, {z: Fraction(n, den) for z, n in acc.items()})
     return WRel._canonical(f.dom, g.cod, rows)
 
 
@@ -257,7 +257,7 @@ def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
             df, left = _over_lcm(hf.entries)
             for xg, (dg, ints) in right:
                 den = df * dg
-                rows[xf + xg] = wm_make(
+                rows[xf + xg] = WeightMap._canonical(
                     sr, {x + y: Fraction(a * b, den) for x, a in left for y, b in ints}
                 )
     else:

@@ -6,6 +6,7 @@ of every element of the carrier or its seeded sample.  Values are compared
 by `repr`, so an int 1 where a Fraction(1) belongs fails: nested maps sort
 by the repr of their values.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -156,21 +157,50 @@ def test_rational_labels_refuse_a_large_exponent_before_fraction(spec, monkeypat
         assert str(caught.value) == f"label exponent is beyond +-4300: {text!r}"
 
 
+BOOL_TABLE = {
+    "elements": ["0", "1"],
+    "plus": [["0", "1"], ["1", "1"]],
+    "times": [["0", "0"], ["0", "1"]],
+    "zero": "0",
+    "one": "1",
+}
+
+
 def test_only_nonneg_rational_runs_the_integer_kernels():
     builtins = gsrel.semiring._BUILTINS
     assert [name for name, sr in builtins.items() if sr.plain_rational] == ["nonneg-rational"]
     assert load_semiring("q+").plain_rational
     assert not any(load_semiring(f"gf({p})").plain_rational for p in (2, 3, 7, 997))
-    table = load_table_semiring(
-        {
-            "elements": ["0", "1"],
-            "plus": [["0", "1"], ["1", "1"]],
-            "times": [["0", "0"], ["0", "1"]],
-            "zero": "0",
-            "one": "1",
-        }
-    )
-    assert not table.plain_rational
+    assert not load_table_semiring(BOOL_TABLE).plain_rational
+
+
+# `positive` lets the monad operations skip the zero test, so a carrier
+# that claims it must have no zero sums and no zero products of nonzero
+# values; gf(p) has 1 + ... + 1 = 0, and a table is never trusted with it,
+# not even one whose operations are those of bool.
+POSITIVE = ("bool", "nat", "nonneg-rational", "fuzzy-max-min", "fuzzy-max-times")
+
+
+def test_only_the_positive_builtins_claim_positive():
+    builtins = gsrel.semiring._BUILTINS
+    assert [name for name, sr in builtins.items() if sr.positive] == list(POSITIVE)
+    assert not any(load_semiring(f"gf({p})").positive for p in (2, 3, 7, 997))
+    assert not load_table_semiring(BOOL_TABLE).positive
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_positive_carriers_are_zero_sum_free_and_entire(name):
+    sr = load_semiring(name)
+    if sr.finite:
+        samples = [sr.elements]
+    else:
+        # the samples the law suites draw at these seeds
+        samples = [sr.sample_elements(derive_rng(seed, "carrier", name)) for seed in range(12)]
+    for xs in samples:
+        nonzero = [v for v in xs if v != sr.zero] + [sr.one]
+        for a, b in itertools.product(nonzero, repeat=2):
+            assert sr.add(a, b) != sr.zero, (a, b)
+            assert sr.mul(a, b) != sr.zero, (a, b)
 
 
 @pytest.mark.parametrize("spec", CARRIERS)
@@ -191,15 +221,7 @@ def test_gf_of_a_non_prime_exits_2(modulus, capsys):
 
 
 def test_table_refuses_an_unknown_label():
-    sr = load_semiring(
-        {
-            "elements": ["0", "1"],
-            "plus": [["0", "1"], ["1", "1"]],
-            "times": [["0", "0"], ["0", "1"]],
-            "zero": "0",
-            "one": "1",
-        }
-    )
+    sr = load_semiring(BOOL_TABLE)
     assert sr.parse("1") == 1
     with pytest.raises(SemiringError) as caught:
         sr.parse("2")

@@ -1,5 +1,7 @@
 """Weight maps: canonical form, monad operations, sub-family membership."""
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from gsrel import (
 from gsrel.semiring import CATALOG, mul_inverse
 from gsrel.report import DEFAULT_BUDGET
 from gsrel.taxonomy import _Pool, _Run
-from gsrel.weightmap import _enumerable, _first_members, _word_tag
+from gsrel.weightmap import _enumerable, _first_members, _sample_stream, _word_tag
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -223,6 +225,54 @@ def test_pushforward_sums_over_fibers():
     h = wm_make(NAT, {(0,): 2, (1,): 3})
     g = wm_pushforward(NAT, lambda k: (0,), h)
     assert g == wm_make(NAT, {(0,): 5})
+
+
+# The trusted path: over a positive carrier, wm_psi, wm_mu and
+# wm_pushforward skip the zero test.  A copy with positive=False runs the
+# test, so both must give the same entries, values compared by repr.
+
+POSITIVE = [load_semiring(name) for name in CATALOG if load_semiring(name).positive]
+
+
+def _exact(h):
+    return [(k, repr(v)) for k, v in h.entries]
+
+
+@st.composite
+def _positive_cases(draw):
+    """(sr, h, k, H, f): maps h and k over up to four flat keys, a nested
+    map H of up to three such maps, and f from those keys onto at most two,
+    so that pushforward sums; values are nonzero sample values."""
+    rng = draw(st.randoms(use_true_random=False))
+    sr = rng.choice(POSITIVE)
+    values = [v for v in sr.sample_elements(rng) if v != sr.zero] + [sr.one]
+
+    def some_map():
+        return wm_make(sr, {(i,): rng.choice(values) for i in range(4) if rng.random() < 0.6})
+
+    H = wm_make(sr, {some_map(): rng.choice(values) for _ in range(rng.randint(0, 3))})
+    image = {(i,): (rng.randrange(2),) for i in range(4)}
+    return sr, some_map(), some_map(), H, image.__getitem__
+
+
+@given(_positive_cases())
+@settings(max_examples=300, deadline=None)
+def test_trusted_monad_operations_give_the_checked_result(case):
+    sr, h, k, H, f = case
+    checked = dataclasses.replace(sr, positive=False)
+    for op, args in ((wm_psi, (h, k)), (wm_psi, (k, h)), (wm_mu, (H,)), (wm_pushforward, (f, h))):
+        assert _exact(op(sr, *args)) == _exact(op(checked, *args))
+
+
+def test_gf2_operations_still_drop_a_sum_of_two_ones():
+    one = GF2.one
+    h = wm_make(GF2, {(0,): one, (1,): one, (2,): one})
+    # (0,) and (1,) meet at (0,), where 1 + 1 = 0
+    assert wm_pushforward(GF2, lambda k: (k[0] // 2,), h).entries == (((1,), one),)
+    assert wm_pushforward(GF2, lambda k: (), wm_make(GF2, {(0,): one, (1,): one})) == wm_empty(GF2)
+    # both inner maps put 1 at (0,)
+    H = wm_make(GF2, {wm_eta(GF2, (0,)): one, wm_make(GF2, {(0,): one, (1,): one}): one})
+    assert wm_mu(GF2, H).entries == (((1,), one),)
 
 
 def test_total_of_empty_is_zero():
@@ -506,3 +556,27 @@ def test_sample_maps_builds_no_map_for_a_repeated_draw(monkeypatch):
     pool = sample_maps(NAT, word, "Ma", seed=11, n=24)
     assert len(built) < 200
     assert pool == expected
+
+
+def test_sample_stream_ends_once_every_draw_is_made():
+    # one key and m nonzero values allow m distinct draws; the stream ends
+    # after the last of them, not after 6 * n iterations of its loop, each
+    # of which calls random() once
+    class Counting(random.Random):
+        calls = 0
+
+        def random(self):
+            self.calls += 1
+            return super().random()
+
+        # choice() keeps drawing through getrandbits, not through random()
+        def getrandbits(self, k):
+            return super().getrandbits(k)
+
+    keys, n = [(0,)], 200
+    rng, reference_rng = Counting(5), Counting(5)
+    stream = list(_sample_stream(NAT, keys, rng, n))
+    reference = list(_reference_stream(NAT, keys, reference_rng, n))
+    assert list(dict.fromkeys(stream)) == list(dict.fromkeys(reference))
+    assert reference_rng.calls == 6 * n
+    assert rng.calls < n

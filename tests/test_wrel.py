@@ -19,6 +19,7 @@ from gsrel import (
     canonical_semigroup_mul,
     derive_rng,
     enumerate_arrows,
+    evaluate_term,
     hom_scalar_mul,
     check_term_equality,
     load_interpretation,
@@ -46,6 +47,7 @@ from gsrel import (
     word_elements,
 )
 from gsrel.diagram import gsm_axiom_pairs
+from gsrel.semiring import CATALOG
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -696,3 +698,103 @@ def test_integer_kernels_give_the_generic_result(case):
         got = _exact(op(sr, left, right))
         assert got == _exact(dense(sr, left, right))
         assert got == _exact(op(generic, left, right))
+
+
+# The trusted path: over a positive carrier wrel_compose and wrel_tensor
+# store their cells without the zero test.  A positive=False copy runs it,
+# and the dense reference builds through the checked constructor; all three
+# must agree, values compared by repr.
+
+POSITIVE = [load_semiring(name) for name in CATALOG if load_semiring(name).positive]
+
+
+@st.composite
+def _positive_cases(draw):
+    """(sr, f, g) with f: X -> Y and g: Y -> Z over a positive carrier, each
+    word of up to two sorts of size 0 to 3, a quarter of the rows and half
+    the cells zero, the rest nonzero sample values."""
+    rng = draw(st.randoms(use_true_random=False))
+    sr = rng.choice(POSITIVE)
+    values = [v for v in sr.sample_elements(rng) if v != sr.zero] + [sr.one]
+    x, y, z = (
+        tuple(FinSet(f"S{n}", n) for n in (rng.randint(0, 3) for _ in range(rng.randint(0, 2))))
+        for _ in range(3)
+    )
+
+    def arrow(dom, cod):
+        return wrel_make(sr, dom, cod, {
+            a: {b: rng.choice(values) for b in word_elements(cod) if rng.random() < 0.5}
+            for a in word_elements(dom)
+            if rng.random() < 0.75
+        })
+
+    return sr, arrow(x, y), arrow(y, z)
+
+
+@given(_positive_cases())
+@settings(max_examples=300, deadline=None)
+def test_trusted_compose_and_tensor_give_the_checked_result(case):
+    sr, f, g = case
+    checked = dataclasses.replace(sr, positive=False)
+    for op, dense, left, right in (
+        (wrel_compose, _dense_compose, f, g),
+        (wrel_tensor, _dense_tensor, f, g),
+        (wrel_tensor, _dense_tensor, g, f),
+    ):
+        got = _exact(op(sr, left, right))
+        assert got == _exact(op(checked, left, right))
+        assert got == _exact(dense(sr, left, right))
+
+
+def test_gf2_compose_still_drops_a_sum_of_two_ones():
+    one = GF2.one
+    f = wrel_make(GF2, U, X, {(0,): {(0,): one, (1,): one}})
+    g = wrel_make(GF2, X, Y, {(0,): {(0,): one, (1,): one}, (1,): {(0,): one}})
+    # y0 gets 1 * 1 + 1 * 1 = 0 and is dropped; y1 gets 1 * 1
+    assert wrel_compose(GF2, f, g) == wrel_make(GF2, U, Y, {(0,): {(1,): one}})
+    assert wrel_compose(GF2, f, g).rows[0][1].entries == (((1,), one),)
+
+
+# outside input keeps the checked constructor: a zero label is dropped
+# over every carrier, positive or not, and over a table whose zero is "z"
+Z_TABLE = {
+    "elements": ["z", "u"],
+    "plus": [["z", "u"], ["u", "u"]],
+    "times": [["z", "z"], ["z", "u"]],
+    "zero": "z",
+    "one": "u",
+}
+
+
+@pytest.mark.parametrize(
+    "semiring, zero, one",
+    [
+        ("bool", "0", "1"),
+        ("nat", "0", "3"),
+        ("nonneg-rational", "0/3", "1/2"),
+        ("fuzzy-max-min", "0", "1/2"),
+        ("fuzzy-max-times", "0.0", "1"),
+        ("gf(2)", "0", "1"),
+        (Z_TABLE, "z", "u"),
+    ],
+)
+def test_a_zero_label_in_an_interpretation_is_dropped(semiring, zero, one):
+    interp = load_interpretation({
+        "semiring": semiring,
+        "sorts": {"A": 2, "B": 2},
+        "generators": {
+            "f": {
+                "dom": ["A"],
+                "cod": ["B"],
+                "entries": [[["0"], ["0"], zero], [["0"], ["1"], one], [["1"], ["1"], zero]],
+            }
+        },
+    })
+    sr, v = interp.semiring, interp.semiring.parse(one)
+    f = interp.generators["f"]
+    assert f.rows == (((0,), wm_make(sr, {(1,): v})),)
+    assert evaluate_term(parse_term("f"), interp) == f
+    # dom(f) ; f weighs the one entry by its row total, v
+    assert evaluate_term(parse_term("dom(f) ; f"), interp) == wrel_make(
+        sr, f.dom, f.cod, {(0,): {(1,): sr.mul(v, v)}}
+    )
