@@ -18,9 +18,11 @@ construction and their values are sums and products of the nonzero values
 of canonical maps, so over a `positive` semiring (see Semiring) none of
 them is zero and the zero test is skipped; over any other semiring zeros
 are dropped as WeightMap(...) drops them.  Either way the result equals the
-checked construction.  Everything built from outside input (wm_make,
-wm_eta, the enumerated and sampled pools, arrow and interpretation
-documents) goes through WeightMap(...), so a zero value label is dropped.
+checked construction, provided every value is in the carrier: WeightMap(...)
+does not check that, so over nat a map built from -1 and 1 can push forward
+to a stored 0.  Every other construction (wm_make, wm_eta, the enumerated
+and sampled pools, the arrow and interpretation documents) goes through
+WeightMap(...), so a zero value label in input is dropped.
 
 The monad operations:
   wm_eta(x)            = {x: 1}

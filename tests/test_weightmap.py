@@ -231,7 +231,7 @@ def test_pushforward_sums_over_fibers():
 # wm_pushforward skip the zero test.  A copy with positive=False runs the
 # test, so both must give the same entries, values compared by repr.
 
-POSITIVE = [load_semiring(name) for name in CATALOG if load_semiring(name).positive]
+POSITIVE = [sr for sr in map(load_semiring, CATALOG) if sr.positive]
 
 
 def _exact(h):

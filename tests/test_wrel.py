@@ -705,7 +705,7 @@ def test_integer_kernels_give_the_generic_result(case):
 # and the dense reference builds through the checked constructor; all three
 # must agree, values compared by repr.
 
-POSITIVE = [load_semiring(name) for name in CATALOG if load_semiring(name).positive]
+POSITIVE = [sr for sr in map(load_semiring, CATALOG) if sr.positive]
 
 
 @st.composite
@@ -752,7 +752,6 @@ def test_gf2_compose_still_drops_a_sum_of_two_ones():
     g = wrel_make(GF2, X, Y, {(0,): {(0,): one, (1,): one}, (1,): {(0,): one}})
     # y0 gets 1 * 1 + 1 * 1 = 0 and is dropped; y1 gets 1 * 1
     assert wrel_compose(GF2, f, g) == wrel_make(GF2, U, Y, {(0,): {(1,): one}})
-    assert wrel_compose(GF2, f, g).rows[0][1].entries == (((1,), one),)
 
 
 # outside input keeps the checked constructor: a zero label is dropped
