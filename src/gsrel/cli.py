@@ -11,6 +11,11 @@ Exit codes: 0 pass, 1 refutation / oracle disagreement / term inequality,
 2 usage or file-format errors.  Structured output is deterministic under a
 fixed seed, so the suite doubles as a CI gate and its reports diff cleanly.
 
+Each run builds one document: its rows for taxonomy, one JSON object for
+the other subcommands.  --format structured writes that document and
+--format human renders it as text, from the document alone, so the two
+formats carry the same facts.
+
 SPEC is a catalog name (listed by `gsrel check-semiring --help`) or a path
 to a JSON table file.
 """
@@ -47,8 +52,8 @@ from .taxonomy import (
     suite_failures,
     _json_safe,
 )
-from .weightmap import VARIANTS, WeightMapError, word_labels
-from .wrel import BoundaryError, WRelFormatError, _value_label, _word_str, wrel_to_doc
+from .weightmap import VARIANTS, WeightMapError
+from .wrel import BoundaryError, WRelFormatError, wrel_to_doc
 
 
 class UsageError(ValueError):
@@ -130,46 +135,47 @@ def _suite_kwargs(args, variants) -> dict:
 # subcommands
 
 
+def _write(args, doc: dict, render) -> None:
+    """Write the run's one document: as JSON, or as the human lines that
+    render makes from the document alone, so both formats carry one set of
+    facts."""
+    lines = [json.dumps(doc, indent=2)] if args.format == "structured" else render(doc)
+    _emit("\n".join(lines) + "\n", args.out)
+
+
 def cmd_check_semiring(args) -> int:
     sr = _load_semiring_arg(args.semiring)
     reports = check_semiring_laws(sr, budget=args.budget, seed=args.seed)
-    profile = classify_semiring(sr, seed=args.seed)
-    flags = profile.flags()
-    if args.format == "structured":
-        doc = {
-            "semiring": sr.name,
-            "laws": [
-                {
-                    "law": r.law,
-                    "status": r.status,
-                    "witness": _json_safe(r.witness),
-                    "checks_performed": r.checks_performed,
-                }
-                for r in reports
-            ],
-            "profile": {
-                name: {
-                    "value": value,
-                    "status": profile.reports[name].status,
-                    "witness": _json_safe(profile.reports[name].witness),
-                }
-                for name, value in flags.items()
-            },
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [f"semiring: {sr.name}"]
-        for r in reports:
-            lines.append(f"  {r.brief()}")
-        lines.append("profile:")
-        for name, value in flags.items():
-            rep = profile.reports[name]
-            extra = ""
-            if rep.witness is not None:
-                extra = f"  witness: {_json_safe(rep.witness)}"
-            lines.append(f"  {name}: {str(value).lower()} [{rep.status}]{extra}")
-        _emit("\n".join(lines) + "\n", args.out)
+    doc = {
+        "semiring": sr.name,
+        "laws": [
+            {
+                "law": r.law,
+                "status": r.status,
+                "witness": _json_safe(r.witness),
+                "checks_performed": r.checks_performed,
+            }
+            for r in reports
+        ],
+        "profile": {
+            name: {"value": r.passed, "status": r.status, "witness": _json_safe(r.witness)}
+            for name, r in classify_semiring(sr, seed=args.seed).reports.items()
+        },
+    }
+    _write(args, doc, _semiring_lines)
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _semiring_lines(doc: dict) -> list:
+    lines = [f"semiring: {doc['semiring']}"]
+    for r in doc["laws"]:
+        tail = "" if r["witness"] is None else f" witness={r['witness']}"
+        lines.append(f"  {r['law']}: {r['status']} ({r['checks_performed']} checks){tail}")
+    lines.append("profile:")
+    for name, flag in doc["profile"].items():
+        tail = "" if flag["witness"] is None else f"  witness: {flag['witness']}"
+        lines.append(f"  {name}: {json.dumps(flag['value'])} [{flag['status']}]{tail}")
+    return lines
 
 
 def cmd_classify(args) -> int:
@@ -181,61 +187,56 @@ def cmd_classify(args) -> int:
     kwargs = _suite_kwargs(args, variants)
     mc = classify_monad(variant, sr, ops=args.ops, **kwargs)
     kc = classify_kleisli(variant, sr, **kwargs)
-    disagreements = [f for f, fv in mc.flags.items() if not fv.consistent]
-    if args.format == "structured":
-        doc = {
-            "semiring": sr.name,
-            "variant": variant,
-            "monad_flags": {
-                name: {
-                    "value": fv.value,
-                    "pointwise": fv.pointwise.passed,
-                    "diagram": fv.diagram.passed,
-                    "well_posed": fv.well_posed,
-                    "consistent": fv.consistent,
-                }
-                for name, fv in mc.flags.items()
-            },
-            "closure": {
-                name: {"status": r.status, "witness": _json_safe(r.witness)}
-                for name, r in mc.closure.items()
-            },
-            "kleisli_flags": {
-                name: kc.flags[name] for name in kc.flags
-            },
-            "kleisli_witnesses": {
-                name: _json_safe(r.witness)
-                for name, r in kc.reports.items()
-                if r.witness is not None
-            },
-            "oracle_disagreements": disagreements,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [f"semiring: {sr.name}", f"variant: {variant}", "monad flags:"]
-        for name, fv in mc.flags.items():
-            mark = "" if fv.consistent else "  ORACLE DISAGREEMENT"
-            gate = "" if fv.well_posed else " (not well-posed: closure failed)"
-            lines.append(
-                f"  {name}: {str(fv.value).lower()}"
-                f" [pointwise={str(fv.pointwise.passed).lower()}"
-                f" diagram={str(fv.diagram.passed).lower()}]{gate}{mark}"
-            )
-        lines.append("closure:")
-        for name, r in mc.closure.items():
-            lines.append(f"  {name}: {r.status}")
-            if r.witness is not None:
-                lines.append(f"    witness: {_json_safe(r.witness)}")
-        lines.append("kleisli flags:")
-        for name, value in kc.flags.items():
-            rep = kc.reports.get(name)
-            lines.append(f"  {name}: {str(value).lower()}")
-            if rep is not None and rep.witness is not None:
-                lines.append(f"    witness: {_json_safe(rep.witness)}")
-        if disagreements:
-            lines.append(f"oracle disagreements: {', '.join(disagreements)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 1 if disagreements else 0
+    doc = {
+        "semiring": sr.name,
+        "variant": variant,
+        "monad_flags": {
+            name: {
+                "value": fv.value,
+                "pointwise": fv.pointwise.passed,
+                "diagram": fv.diagram.passed,
+                "well_posed": fv.well_posed,
+                "consistent": fv.consistent,
+            }
+            for name, fv in mc.flags.items()
+        },
+        "closure": {
+            name: {"status": r.status, "witness": _json_safe(r.witness)}
+            for name, r in mc.closure.items()
+        },
+        "kleisli_flags": kc.flags,
+        "kleisli_witnesses": {
+            name: _json_safe(r.witness) for name, r in kc.reports.items() if r.witness is not None
+        },
+        "oracle_disagreements": [f for f, fv in mc.flags.items() if not fv.consistent],
+    }
+    _write(args, doc, _classify_lines)
+    return 1 if doc["oracle_disagreements"] else 0
+
+
+def _classify_lines(doc: dict) -> list:
+    lines = [f"semiring: {doc['semiring']}", f"variant: {doc['variant']}", "monad flags:"]
+    for name, flag in doc["monad_flags"].items():
+        gate = "" if flag["well_posed"] else " (not well-posed: closure failed)"
+        mark = "" if flag["consistent"] else "  ORACLE DISAGREEMENT"
+        lines.append(
+            f"  {name}: {json.dumps(flag['value'])} [pointwise={json.dumps(flag['pointwise'])}"
+            f" diagram={json.dumps(flag['diagram'])}]{gate}{mark}"
+        )
+    lines.append("closure:")
+    for name, r in doc["closure"].items():
+        lines.append(f"  {name}: {r['status']}")
+        if r["witness"] is not None:
+            lines.append(f"    witness: {r['witness']}")
+    lines.append("kleisli flags:")
+    witnesses = doc["kleisli_witnesses"]
+    for name, value in doc["kleisli_flags"].items():
+        lines.append(f"  {name}: {json.dumps(value)}")
+        if name in witnesses:
+            lines.append(f"    witness: {witnesses[name]}")
+    if doc["oracle_disagreements"]:
+        lines.append(f"oracle disagreements: {', '.join(doc['oracle_disagreements'])}")
+    return lines
 
 
 def _select_term(terms: dict, path: str, requested: str | None):
@@ -259,32 +260,24 @@ def cmd_eval(args) -> int:
     terms = parse_term_file(_read_text(args.termfile))
     interp = load_interpretation(_read_json(args.interp))
     term = _select_term(terms, args.termfile, args.term)
-    arrow = evaluate_term(term, interp)
-    if args.format == "structured":
-        doc = {
-            "term": print_term(term),
-            "semiring": interp.semiring.name,
-            "arrow": wrel_to_doc(interp.semiring, arrow),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        sr = interp.semiring
-        lines = [f"term: {print_term(term)}"]
-        dom, cod = arrow.boundary()
-        lines.append(f"boundary: {_word_str(dom)} -> {_word_str(cod)}")
-        if not arrow.rows:
-            lines.append("  (zero arrow)")
-        for x, row in arrow.rows:
-            for y, v in row.entries:
-                lines.append(
-                    f"  {_key_str(dom, x)} -> {_key_str(cod, y)} : {_value_label(sr, v)}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+    doc = {
+        "term": print_term(term),
+        "semiring": interp.semiring.name,
+        "arrow": wrel_to_doc(interp.semiring, evaluate_term(term, interp)),
+    }
+    _write(args, doc, _eval_lines)
     return 0
 
 
-def _key_str(word, key) -> str:
-    return "(" + ",".join(word_labels(word, key)) + ")"
+def _eval_lines(doc: dict) -> list:
+    arrow = doc["arrow"]
+    dom, cod = (",".join(s["name"] for s in arrow[side]) for side in ("dom", "cod"))
+    lines = [f"term: {doc['term']}", f"boundary: [{dom}] -> [{cod}]"]
+    if not arrow["entries"]:
+        lines.append("  (zero arrow)")
+    for x, y, value in arrow["entries"]:
+        lines.append(f"  ({','.join(x)}) -> ({','.join(y)}) : {value}")
+    return lines
 
 
 def cmd_eq(args) -> int:
@@ -294,44 +287,42 @@ def cmd_eq(args) -> int:
     t1 = _select_term(left_terms, args.left, args.left_term)
     t2 = _select_term(right_terms, args.right, args.right_term)
     report = check_term_equality(t1, t2, interp, law="cmd/eq")
-    if args.format == "structured":
-        doc = {
-            "left": print_term(t1),
-            "right": print_term(t2),
-            "semiring": interp.semiring.name,
-            "status": report.status,
-            "witness": _json_safe(report.witness),
-            "checks_performed": report.checks_performed,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [f"left:  {print_term(t1)}", f"right: {print_term(t2)}"]
-        if report.passed:
-            lines.append(f"equal ({report.status}, {report.checks_performed} entries compared)")
-        else:
-            w = report.witness
-            lines.append(
-                f"NOT EQUAL at row {w['row']}, column {w['col']}: "
-                f"left={w['left']} right={w['right']}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    doc = {
+        "left": print_term(t1),
+        "right": print_term(t2),
+        "semiring": interp.semiring.name,
+        "status": report.status,
+        "witness": _json_safe(report.witness),
+        "checks_performed": report.checks_performed,
+    }
+    _write(args, doc, _eq_lines)
     return 0 if report.passed else 1
 
 
+def _eq_lines(doc: dict) -> list:
+    lines = [f"left:  {doc['left']}", f"right: {doc['right']}"]
+    w = doc["witness"]
+    if w is None:
+        lines.append(f"equal ({doc['status']}, {doc['checks_performed']} entries compared)")
+    else:
+        lines.append(
+            f"NOT EQUAL at row {w['row']}, column {w['col']}: "
+            f"left={w['left']} right={w['right']}"
+        )
+    return lines
+
+
 def cmd_taxonomy(args) -> int:
-    semirings = args.semiring if args.semiring else list(CATALOG)
-    loaded = [_load_semiring_arg(s) for s in semirings]
+    loaded = [_load_semiring_arg(s) for s in args.semiring or CATALOG]
     names = [sr.name for sr in loaded]
     for name in names:
         if names.count(name) > 1:
             raise UsageError(f"--semiring {name!r} is given twice")
-    variants = args.variant if args.variant else list(VARIANTS)
+    variants = args.variant or VARIANTS
     kwargs = _suite_kwargs(args, variants)
     entries = run_theorem_suite(loaded, variants, ops=args.ops, **kwargs)
-    if args.format == "structured":
-        _emit(entries_to_jsonl(entries), args.out)
-    else:
-        _emit(entries_to_table(entries), args.out)
+    write = entries_to_jsonl if args.format == "structured" else entries_to_table
+    _emit(write(entries), args.out)
     return 1 if suite_failures(entries) else 0
 
 

@@ -326,8 +326,8 @@ def _height(term) -> int:
     return height
 
 
-def parse_term(text: str):
-    parser = _Parser(tokenize(text))
+def _parse_bare_term(parser: _Parser):
+    """The parser's whole input, which must be one term."""
     term = parser.parse_whole_term()
     tok = parser.peek()
     if tok.kind != "eof":
@@ -335,14 +335,19 @@ def parse_term(text: str):
     return term
 
 
+def parse_term(text: str):
+    return _parse_bare_term(_Parser(tokenize(text)))
+
+
 def parse_term_file(text: str) -> dict:
-    """Named bindings 'let name = term', or a single bare term named 'main'."""
-    tokens = tokenize(text)
-    if tokens[0].kind == "eof":
+    """Named bindings 'let name = term', or a single bare term named 'main'.
+    The text is tokenized once, whichever shape it has."""
+    parser = _Parser(tokenize(text))
+    first = parser.peek()
+    if first.kind == "eof":
         raise ParseError("empty term file", 1, 1)
-    if not (tokens[0].kind == "name" and tokens[0].text == "let"):
-        return {"main": parse_term(text)}
-    parser = _Parser(tokens)
+    if not (first.kind == "name" and first.text == "let"):
+        return {"main": _parse_bare_term(parser)}
     bindings: dict = {}
     while parser.peek().kind != "eof":
         kw = parser.expect("name")

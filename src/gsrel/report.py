@@ -40,10 +40,6 @@ class LawReport:
     def exhaustive(self) -> bool:
         return self.status == EXHAUSTIVE_PASS
 
-    def brief(self) -> str:
-        tail = "" if self.witness is None else f" witness={self.witness}"
-        return f"{self.law}: {self.status} ({self.checks_performed} checks){tail}"
-
 
 def check_cases(
     law: str,

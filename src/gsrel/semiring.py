@@ -395,9 +395,6 @@ class SemiringProfile:
     semifield: bool
     reports: dict[str, LawReport]
 
-    def flags(self) -> dict[str, bool]:
-        return {name: report.passed for name, report in self.reports.items()}
-
 
 def classify_semiring(sr: Semiring, seed: int = 0) -> SemiringProfile:
     """Decide the classification flags on the carrier or its seeded sample.

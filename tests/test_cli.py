@@ -241,7 +241,7 @@ def test_eval_human_prints_a_zero_arrow(files, tmp_path, capsys):
     path = tmp_path / "interp.json"
     path.write_text(json.dumps(_one_entry_interp("bool", [])))
     assert run(["eval", files / "f.gsd", path]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "  (zero arrow)"
+    assert capsys.readouterr() == ("term: f\nboundary: [A] -> [A]\n  (zero arrow)\n", "")
 
 
 def test_eval_parse_error_exits_2_with_location(files, capsys):
@@ -386,6 +386,127 @@ def test_eq_boundary_mismatch_exits_2(files, capsys):
     code = run(["eq", files / "f.gsd", files / "counit.gsd", files / "interp_bool.json"])
     assert code == 2
     assert "boundaries" in capsys.readouterr().err
+
+
+# exact human text: the whole output of one small input per subcommand
+
+BOOL_LAWS = """\
+semiring: bool
+  semiring/add-assoc: exhaustive_pass (8 checks)
+  semiring/add-comm: exhaustive_pass (4 checks)
+  semiring/add-unit: exhaustive_pass (2 checks)
+  semiring/mul-assoc: exhaustive_pass (8 checks)
+  semiring/mul-unit: exhaustive_pass (2 checks)
+  semiring/distrib-left: exhaustive_pass (8 checks)
+  semiring/distrib-right: exhaustive_pass (8 checks)
+  semiring/annihilation: exhaustive_pass (2 checks)
+profile:
+  mult_idempotent: true [exhaustive_pass]
+  absorptive: true [exhaustive_pass]
+  distributive_lattice: true [exhaustive_pass]
+  semifield: true [exhaustive_pass]
+"""
+
+BROKEN_LAWS = """\
+semiring: broken
+  semiring/add-assoc: counterexample (14 checks) witness=['1', '1', '1']
+  semiring/add-comm: counterexample (6 checks) witness=['1', '2']
+  semiring/add-unit: exhaustive_pass (3 checks)
+  semiring/mul-assoc: exhaustive_pass (27 checks)
+  semiring/mul-unit: exhaustive_pass (3 checks)
+  semiring/distrib-left: counterexample (23 checks) witness=['2', '1', '1']
+  semiring/distrib-right: counterexample (15 checks) witness=['1', '1', '2']
+  semiring/annihilation: exhaustive_pass (3 checks)
+profile:
+  mult_idempotent: false [counterexample]  witness: ['2']
+  absorptive: false [counterexample]  witness: ['1', '1']
+  distributive_lattice: false [counterexample]  witness: ['1', '0']
+  semifield: true [exhaustive_pass]
+"""
+
+BOOL_MA = """\
+semiring: bool
+variant: Ma
+monad flags:
+  affine: true [pointwise=true diagram=true]
+  relevant: true [pointwise=true diagram=true]
+  domain_preserving: true [pointwise=true diagram=true]
+  mass_preserving: true [pointwise=true diagram=true]
+  unital_domain_preserving: true [pointwise=true diagram=true]
+  weakly_affine: true [pointwise=true diagram=true]
+closure:
+  eta: exhaustive_pass
+  psi: exhaustive_pass
+  pushforward: exhaustive_pass
+  mu: exhaustive_pass
+kleisli flags:
+  gsm_axioms: true
+  markov: true
+  restriction: true
+  domain_category: true
+  mass_category: true
+  weakly_markov: true
+"""
+
+GF2_M = """\
+semiring: gf(2)
+variant: M
+monad flags:
+  affine: false [pointwise=false diagram=false]
+  relevant: true [pointwise=true diagram=true]
+  domain_preserving: true [pointwise=true diagram=true]
+  mass_preserving: true [pointwise=true diagram=true]
+  unital_domain_preserving: true [pointwise=true diagram=true]
+  weakly_affine: false [pointwise=false diagram=false]
+closure:
+  eta: exhaustive_pass
+  psi: exhaustive_pass
+  pushforward: exhaustive_pass
+  mu: exhaustive_pass
+kleisli flags:
+  gsm_axioms: true
+  markov: false
+    witness: {'equation': 'total', 'sizes': [1, 0], 'arrow': {'dom': [{'name': 'X', 'size': 1}], \
+'cod': [{'name': 'Y', 'size': 0}], 'entries': []}}
+  restriction: true
+  domain_category: true
+  mass_category: true
+  weakly_markov: false
+    witness: {'dom_size': 1, 'arrow': {'dom': [{'name': 'Y', 'size': 1}], 'cod': [], \
+'entries': []}, 'reason': 'no inverse under the scalar multiplication'}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["check-semiring", "bool"], 0, BOOL_LAWS),
+        (["check-semiring", "{files}/broken_table.json"], 1, BROKEN_LAWS),
+        (["classify", "bool", "--variant", "Ma", "--sizes", "0,1"], 0, BOOL_MA),
+        (["classify", "gf(2)", "--variant", "M", "--sizes", "0,1"], 0, GF2_M),
+        (
+            ["eval", "{files}/counit.gsd", "{files}/interp_bool.json"],
+            0,
+            "term: copy[A] ; id[A] * del[A]\nboundary: [A] -> [A]\n"
+            "  (a) -> (a) : 1\n  (b) -> (b) : 1\n",
+        ),
+        (
+            ["eq", "{files}/domf.gsd", "{files}/f.gsd", "{files}/interp_bool.json"],
+            0,
+            "left:  dom(f) ; f\nright: f\nequal (exhaustive_pass, 1 entries compared)\n",
+        ),
+        (
+            ["eq", "{files}/domf.gsd", "{files}/f.gsd", "{files}/interp_nat.json"],
+            1,
+            "left:  dom(f) ; f\nright: f\nNOT EQUAL at row ['a'], column ['c']: left=4 right=2\n",
+        ),
+    ],
+    ids=["check-semiring", "check-semiring-witnesses", "classify", "classify-witnesses",
+         "eval", "eq-equal", "eq-not-equal"],
+)
+def test_human_text_is_pinned(files, capsys, argv, code, text):
+    assert run([a.format(files=files) for a in argv]) == code
+    assert capsys.readouterr() == (text, "")
 
 
 # taxonomy

@@ -176,6 +176,59 @@ def test_term_file_errors():
         parse_term_file("  # only a comment\n")
 
 
+BARE_TERM_ERRORS = [
+    ("f ;; g", "1:4: expected a term, found ';'"),
+    ("f ;\n  * g", "2:3: expected a term, found '*'"),
+    ("f @ g", "1:3: unexpected character '@'"),
+    ("(f ; g", "1:7: expected ')', found 'end of input'"),
+    ("f g", "1:3: trailing input starting at 'g'"),
+    ("swap[A]", "1:7: expected ';', found ']'"),
+    ("dom f", "1:5: expected '(', found 'f'"),
+]
+LET_FILE_ERRORS = [
+    ("let a = f ;; g", "1:12: expected a term, found ';'"),
+    ("let a = f\n  g", "2:3: expected 'let', found 'g'"),
+    ("let a = (f", "1:11: expected ')', found 'end of input'"),
+    ("let a f", "1:7: expected '=', found 'f'"),
+    ("let = f", "1:5: expected 'name', found '='"),
+    ("\n\nlet a = f @ g", "3:11: unexpected character '@'"),
+]
+
+
+@pytest.mark.parametrize("text, message", BARE_TERM_ERRORS)
+def test_a_bare_term_file_fails_as_its_term_does(text, message):
+    for parse in (parse_term, parse_term_file):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", LET_FILE_ERRORS)
+def test_let_file_errors_keep_their_location(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_term_file(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ["f ; g", "let a = f\nlet b = g", "f g", "let a = f g", "  # only a comment\n"]
+)
+def test_a_term_file_is_tokenized_once(monkeypatch, text):
+    calls = []
+    tokenize = diagram.tokenize
+
+    def counting(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(diagram, "tokenize", counting)
+    try:
+        parse_term_file(text)
+    except ParseError:
+        pass
+    assert calls == [text]
+
+
 # typechecking
 
 
@@ -194,6 +247,13 @@ def test_typecheck_mismatch_names_both_words():
     msg = str(exc.value)
     assert "[B]" in msg and "[A]" in msg
 
+
+@pytest.mark.parametrize("term", [42, "f", Seq(Gen("f"), None), Dom(("f",))])
+def test_print_and_typecheck_refuse_what_is_not_a_term(term):
+    with pytest.raises(TypeError, match="^not a term: "):
+        print_term(term)
+    with pytest.raises(TypeError, match="^not a term: "):
+        typecheck_term(term, SIG)
 
 def test_typecheck_unknown_generator_and_sort():
     with pytest.raises(UnknownGeneratorError):

@@ -200,7 +200,7 @@ def test_kill_matrix(field, fault, least_failing):
         failing = [r.law for r in reports if not r.passed]
         assert len(failing) >= least, (name, failing)
         assert len(reports) == 12, (name, [r.law for r in reports])
-        assert _rows_digest(reports) == digest, (name, [r.brief() for r in reports])
+        assert _rows_digest(reports) == digest, (name, reports)
 
 
 # shared sub-terms: psi-natural evaluates each distinct psi(h, k) and
@@ -524,6 +524,26 @@ def test_coincidence_row_names_an_arrow_missing_from_md():
     }
 
 
+
+@pytest.mark.parametrize("swapped", ["monad", "kleisli"])
+def test_coincidence_row_names_flags_that_differ(swapped):
+    # bool is a distributive lattice, so every M arrow is in Md and back;
+    # Ma's flags stand in for Md's, one classification at a time
+    run = _Run(["M", "Md", "Ma"], "bool", (0, 1), DEFAULT_BUDGET, 11, 24)
+    mc, kc = (
+        {v: classify(run, v) for v in ("M", "Ma")}
+        for classify in (_classify_monad, _classify_kleisli)
+    )
+    md_pair = (mc["Ma"], kc["M"]) if swapped == "monad" else (mc["M"], kc["Ma"])
+    entry = _coincidence_entry(run, (mc["M"], kc["M"]), md_pair)
+    assert (entry.status, entry.checks_performed) == ("counterexample", 12)
+    flags = mc if swapped == "monad" else kc
+    assert entry.witness == {
+        f"{swapped}_flags_M": flags["M"].flag_values(),
+        f"{swapped}_flags_Md": flags["Ma"].flag_values(),
+    }
+    assert entry.witness[f"{swapped}_flags_M"] != entry.witness[f"{swapped}_flags_Md"]
+
 def test_nested_pool_over_a_sampled_inner_pool_is_sampled():
     # each enumerated branch: every map over the inner maps, maps of outer
     # support at most 3, and the one map over no inner maps
@@ -588,6 +608,30 @@ def test_each_homm_row_reads_its_own_completeness():
         "homm/mul-unit": (EXHAUSTIVE_PASS, 307),
     }
 
+
+
+def test_a_failing_homm_row_names_its_arrows():
+    # a semiring of order 4 whose multiplication is not commutative:
+    # 2 * 3 = 0 but 3 * 2 = 3, so the scalars 2 and 3 on Y1 do not commute
+    plus = [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 2, 2], [3, 1, 2, 3]]
+    times = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0], [0, 3, 3, 0]]
+    sr = load_semiring({
+        "name": "noncomm4",
+        "elements": ["0", "1", "2", "3"],
+        "zero": "0",
+        "one": "1",
+        "plus": [[str(v) for v in row] for row in plus],
+        "times": [[str(v) for v in row] for row in times],
+    })
+    run = _Run(["M"], sr, (1,), DEFAULT_BUDGET, 11, 24)
+    got = {r.law: r for r in _hom_monoid_reports(run, "M")}
+    comm = got["homm/mul-comm"]
+    assert (comm.status, comm.checks_performed) == ("counterexample", 12)
+    assert comm.witness == [
+        {"dom": [{"name": "Y", "size": 1}], "cod": [], "entries": [[["0"], [], label]]}
+        for label in ("2", "3")
+    ]
+    assert got["homm/mul-assoc"].passed and got["homm/mul-unit"].passed
 
 def test_weakly_markov_table_matches_builtin_gf17():
     p = 17

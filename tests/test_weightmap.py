@@ -141,6 +141,33 @@ def test_word_basics():
         FinSet("bad", 2, ("a", "a"))
 
 
+
+def test_label_of_refuses_an_index_out_of_range():
+    labelled = FinSet("A", 2, ("a", "b"))
+    assert [labelled.label_of(i) for i in range(2)] == ["a", "b"]
+    for s in (labelled, FinSet("B", 2)):
+        for i in (-1, 2):
+            with pytest.raises(WeightMapError, match=f"^{s.name}: index {i} out of range$"):
+                s.label_of(i)
+
+
+def test_a_map_does_not_order_against_other_objects():
+    h = wm_eta(NAT, (0,))
+    assert h.__lt__((0,)) is NotImplemented
+    with pytest.raises(TypeError):
+        h < 1
+
+
+def test_mu_refuses_an_outer_key_that_is_not_a_map():
+    with pytest.raises(WeightMapError, match="^wm_mu: outer keys must be WeightMaps$"):
+        wm_mu(NAT, wm_make(NAT, {(0,): 1}))
+
+
+@pytest.mark.parametrize("name", ["nat", "nonneg-rational", "fuzzy-max-min"])
+def test_enumerate_maps_refuses_an_infinite_carrier(name):
+    with pytest.raises(WeightMapError, match="carrier is not enumerable; use sample_maps$"):
+        enumerate_maps(load_semiring(name), X2)
+
 # monad operations, brute-forced on small carriers
 
 
