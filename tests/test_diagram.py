@@ -255,6 +255,7 @@ def test_print_and_typecheck_refuse_what_is_not_a_term(term):
     with pytest.raises(TypeError, match="^not a term: "):
         typecheck_term(term, SIG)
 
+
 def test_typecheck_unknown_generator_and_sort():
     with pytest.raises(UnknownGeneratorError):
         typecheck_term(parse_term("nope"), SIG)

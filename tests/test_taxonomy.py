@@ -524,7 +524,6 @@ def test_coincidence_row_names_an_arrow_missing_from_md():
     }
 
 
-
 @pytest.mark.parametrize("swapped", ["monad", "kleisli"])
 def test_coincidence_row_names_flags_that_differ(swapped):
     # bool is a distributive lattice, so every M arrow is in Md and back;
@@ -543,6 +542,7 @@ def test_coincidence_row_names_flags_that_differ(swapped):
         f"{swapped}_flags_Md": flags["Ma"].flag_values(),
     }
     assert entry.witness[f"{swapped}_flags_M"] != entry.witness[f"{swapped}_flags_Md"]
+
 
 def test_nested_pool_over_a_sampled_inner_pool_is_sampled():
     # each enumerated branch: every map over the inner maps, maps of outer
@@ -609,7 +609,6 @@ def test_each_homm_row_reads_its_own_completeness():
     }
 
 
-
 def test_a_failing_homm_row_names_its_arrows():
     # a semiring of order 4 whose multiplication is not commutative:
     # 2 * 3 = 0 but 3 * 2 = 3, so the scalars 2 and 3 on Y1 do not commute
@@ -632,6 +631,7 @@ def test_a_failing_homm_row_names_its_arrows():
         for label in ("2", "3")
     ]
     assert got["homm/mul-assoc"].passed and got["homm/mul-unit"].passed
+
 
 def test_weakly_markov_table_matches_builtin_gf17():
     p = 17

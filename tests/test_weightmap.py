@@ -141,7 +141,6 @@ def test_word_basics():
         FinSet("bad", 2, ("a", "a"))
 
 
-
 def test_label_of_refuses_an_index_out_of_range():
     labelled = FinSet("A", 2, ("a", "b"))
     assert [labelled.label_of(i) for i in range(2)] == ["a", "b"]
@@ -167,6 +166,7 @@ def test_mu_refuses_an_outer_key_that_is_not_a_map():
 def test_enumerate_maps_refuses_an_infinite_carrier(name):
     with pytest.raises(WeightMapError, match="carrier is not enumerable; use sample_maps$"):
         enumerate_maps(load_semiring(name), X2)
+
 
 # monad operations, brute-forced on small carriers
 
