@@ -44,6 +44,7 @@ from .semiring import (
 )
 from .taxonomy import (
     DEFAULT_OPS,
+    SuiteArgumentError,
     classify_kleisli,
     classify_monad,
     entries_to_jsonl,
@@ -120,11 +121,8 @@ def _read_json(path: str):
         raise UsageError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
 
 
-def _suite_kwargs(args, variants) -> dict:
-    """Keyword arguments shared by the law suites, once the variants check out."""
-    for v in variants:
-        if v not in VARIANTS:
-            raise UsageError(f"--variant must be one of {', '.join(VARIANTS)}; got {v!r}")
+def _suite_kwargs(args) -> dict:
+    """Keyword arguments shared by the law suites, which check them."""
     kwargs = {"sizes": args.sizes, "budget": args.budget, "seed": args.seed}
     if args.samples is not None:
         kwargs["samples"] = args.samples
@@ -184,7 +182,7 @@ def cmd_classify(args) -> int:
         raise UsageError(f"classify takes one --variant; got {', '.join(variants)}")
     sr = _load_semiring_arg(args.semiring)
     [variant] = variants
-    kwargs = _suite_kwargs(args, variants)
+    kwargs = _suite_kwargs(args)
     mc = classify_monad(variant, sr, ops=args.ops, **kwargs)
     kc = classify_kleisli(variant, sr, **kwargs)
     doc = {
@@ -314,13 +312,8 @@ def _eq_lines(doc: dict) -> list:
 
 def cmd_taxonomy(args) -> int:
     loaded = [_load_semiring_arg(s) for s in args.semiring or CATALOG]
-    names = [sr.name for sr in loaded]
-    for name in names:
-        if names.count(name) > 1:
-            raise UsageError(f"--semiring {name!r} is given twice")
     variants = args.variant or VARIANTS
-    kwargs = _suite_kwargs(args, variants)
-    entries = run_theorem_suite(loaded, variants, ops=args.ops, **kwargs)
+    entries = run_theorem_suite(loaded, variants, ops=args.ops, **_suite_kwargs(args))
     write = entries_to_jsonl if args.format == "structured" else entries_to_table
     _emit(write(entries), args.out)
     return 1 if suite_failures(entries) else 0
@@ -409,7 +402,14 @@ def main(argv=None, _ops_override=None) -> int:
     try:
         _check_options(args)
         return args.func(args)
-    except (UsageError, DiagramError, WRelFormatError, BoundaryError, WeightMapError) as e:
+    except (
+        UsageError,
+        DiagramError,
+        SuiteArgumentError,
+        WRelFormatError,
+        BoundaryError,
+        WeightMapError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

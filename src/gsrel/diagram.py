@@ -29,7 +29,10 @@ parser, and raise TermDepthError above the limit.
 
 A term file is either a single term or a sequence of 'let name = term'
 bindings.  An interpretation file carries a semiring reference, sort
-sizes, and one serialized arrow per generator.
+sizes, and one serialized arrow per generator.  load_interpretation checks
+every entry of every generator, so a malformed one is refused even where no
+term names it, but builds a generator's arrow only when evaluation first
+reads it: a query pays for the generators its terms name.
 
 LAW_TABLE, at the end of this module, writes the Kleisli-level laws as
 term equations: the gs-monoidal axioms (gsm/), the canonical semigroup
@@ -48,16 +51,16 @@ from typing import Mapping
 from .report import LawReport, check_cases
 from .semiring import Semiring, SemiringError, load_semiring
 from .wrel import (
-    BoundaryError,
     Structure,
     WRel,
     WRelFormatError,
+    _build_arrow,
+    _check_arrow_doc,
     _value_label,
     _word_str,
     finset_from_doc,
     finset_to_doc,
     wrel_compose,
-    wrel_from_doc,
     wrel_tensor,
     word_labels,
 )
@@ -463,19 +466,23 @@ def typecheck_term(term, sig: Signature) -> tuple[tuple, tuple]:
 
 
 class Interpretation:
-    """Semiring, sort assignment, and generator arrows for a signature."""
+    """Semiring, sort assignment, and generator arrows for a signature.
+
+    A generator is given as its arrow, or, from load_interpretation, as its
+    checked document, whose arrow is built the first time it is read; the
+    boundary of each is checked against the declared sorts here."""
 
     def __init__(self, semiring: Semiring, sorts: Mapping, generators: Mapping, gen_sig: Mapping):
         self.semiring = semiring
         self.sorts = dict(sorts)
-        self.generators = dict(generators)
         self.gen_sig = dict(gen_sig)
         for name, (dw, cw) in self.gen_sig.items():
-            arrow = self.generators[name]
+            arrow = generators[name]
             if arrow.dom != self.word(dw) or arrow.cod != self.word(cw):
                 raise InterpFormatError(
                     f"generator {name!r}: arrow boundary does not match declared sorts"
                 )
+        self.generators = _Generators(semiring, generators)
 
     def word(self, sort_word: tuple) -> tuple:
         missing = [s for s in sort_word if s not in self.sorts]
@@ -485,6 +492,30 @@ class Interpretation:
 
     def signature(self) -> Signature:
         return Signature(tuple(sorted(self.sorts)), dict(self.gen_sig))
+
+
+class _Generators(Mapping):
+    """Generator name -> arrow.  A checked document is built into its arrow
+    the first time it is read, and the arrow replaces it, so a query builds
+    only the generators its terms name, each once."""
+
+    __slots__ = ("_sr", "_arrows")
+
+    def __init__(self, sr: Semiring, arrows: Mapping):
+        self._sr = sr
+        self._arrows = dict(arrows)
+
+    def __getitem__(self, name: str) -> WRel:
+        arrow = self._arrows[name]
+        if not isinstance(arrow, WRel):
+            arrow = self._arrows[name] = _build_arrow(self._sr, arrow)
+        return arrow
+
+    def __iter__(self):
+        return iter(self._arrows)
+
+    def __len__(self) -> int:
+        return len(self._arrows)
 
 
 def _check_depth(term) -> None:
@@ -600,7 +631,7 @@ def load_interpretation(doc: Mapping) -> Interpretation:
             sorts[name] = finset_from_doc({**spec, "name": name})
         except WRelFormatError as e:
             raise InterpFormatError(f"bad sort spec for {name!r}: {e}") from None
-    generators = {}
+    checked = {}
     gen_sig = {}
     for name, body in doc["generators"].items():
         if not isinstance(body, Mapping) or not all(
@@ -621,11 +652,11 @@ def load_interpretation(doc: Mapping) -> Interpretation:
             "entries": body.get("entries", []),
         }
         try:
-            generators[name] = wrel_from_doc(sr, arrow_doc)
-        except (WRelFormatError, BoundaryError) as e:
+            checked[name] = _check_arrow_doc(sr, arrow_doc)
+        except WRelFormatError as e:
             raise InterpFormatError(f"generator {name!r}: {e}") from None
         gen_sig[name] = (dw, cw)
-    return Interpretation(sr, sorts, generators, gen_sig)
+    return Interpretation(sr, sorts, checked, gen_sig)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +731,8 @@ class _LawCase:
     def __init__(self, st: Structure, sorts: Mapping, generators: Mapping | None = None):
         self.st = st
         self.sorts = sorts
-        self.generators = generators or {}
+        # not copied: an interpretation's mapping builds each arrow when first read
+        self.generators = {} if generators is None else generators
         self.memo: dict = {}
 
     def word(self, sort_word: tuple) -> tuple:

@@ -135,6 +135,11 @@ from .wrel import (
 _CASE_CAP = 20000
 
 
+class SuiteArgumentError(ValueError):
+    """An argument the law suites refuse: an unknown variant, empty sizes, a
+    nonpositive budget or a semiring named twice.  The CLI exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class MonadOps:
     """Injectable monad operations; the law suite evaluates through these.
@@ -373,12 +378,12 @@ class _Run:
     def __init__(self, variants, sr, sizes, budget, seed, samples, ops=DEFAULT_OPS):
         for variant in variants:
             if variant not in VARIANTS:
-                raise ValueError(f"unknown variant {variant!r}")
+                raise SuiteArgumentError(f"unknown variant {variant!r}")
         self.sr = load_semiring(sr)
         if not sizes:
-            raise ValueError("sizes must be nonempty")
+            raise SuiteArgumentError("sizes must be nonempty")
         if budget <= 0:
-            raise ValueError("budget must be positive")
+            raise SuiteArgumentError("budget must be positive")
         self.sizes = sorted({int(v) for v in sizes})
         self.seed = seed
         self.samples = max(1, min(samples, budget))
@@ -1330,14 +1335,14 @@ def run_theorem_suite(
     routes an injected broken operation into a blocking entry.  Every law
     family draws `samples` clamped to `budget`.  A repeated variant runs
     once.  Rows are keyed by semiring name, so two specs that load to one
-    name (say "bool" and "boolean") raise ValueError before any row is
+    name (say "bool" and "boolean") raise SuiteArgumentError before any row is
     computed.
     """
     loaded = [load_semiring(spec) for spec in semirings]
     names = [sr.name for sr in loaded]
     for name in names:
         if names.count(name) > 1:
-            raise ValueError(f"semiring {name!r} is given twice")
+            raise SuiteArgumentError(f"semiring {name!r} is given twice")
     variants = list(dict.fromkeys(variants))
     entries: list[SuiteEntry] = []
     for spec in loaded:

@@ -12,7 +12,8 @@ hashing are structural.
 
 Every map is canonical.  WeightMap(...) makes it so for any input: it
 refuses a key given twice and drops zero values.  The monad operations
-below (wm_psi, wm_mu, wm_pushforward) and wrel_compose and wrel_tensor
+below (wm_psi, wm_mu, wm_pushforward), wrel_compose, and wrel_tensor,
+which builds each row as the wm_psi of two rows without calling it,
 build through WeightMap._canonical instead: their keys are unique by
 construction and their values are sums and products of the nonzero values
 of canonical maps, so over a `positive` semiring (see Semiring) none of
@@ -21,8 +22,9 @@ are dropped as WeightMap(...) drops them.  Either way the result equals the
 checked construction, provided every value is in the carrier: WeightMap(...)
 does not check that, so over nat a map built from -1 and 1 can push forward
 to a stored 0.  Every other construction (wm_make, wm_eta, the enumerated
-and sampled pools, the arrow and interpretation documents) goes through
-WeightMap(...), so a zero value label in input is dropped.
+and sampled pools, the arrow documents, and the generators of an
+interpretation, each built when first read) goes through WeightMap(...),
+so a zero value label in input is dropped.
 
 The monad operations:
   wm_eta(x)            = {x: 1}

@@ -30,11 +30,12 @@ wrel_classify evaluate them there.
 Invariant: every row key of an arrow is an element of its domain word and
 every entry key an element of its codomain word.  Keys are checked once,
 where they enter: by WRel(...), which wrel_make, the dom oracles and any
-caller use, and by wrel_from_doc, whose label lookups prove each key.
-wrel_compose, wrel_tensor, the structural builders (id, copy, del, swap),
-enumerate_arrows and sample_arrows keep the invariant by construction, from
-keys of checked arrows or from word_elements, and build through
-WRel._canonical without checking again.
+caller use, and by the checking pass of wrel_from_doc, whose label lookups
+prove each key.  Its build step, which an interpretation runs only for the
+generators a query reads, wrel_compose, wrel_tensor, the structural
+builders (id, copy, del, swap), enumerate_arrows and sample_arrows keep the
+invariant by construction, from checked keys or from word_elements, and
+build through WRel._canonical without checking again.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .report import derive_rng
 from .semiring import Semiring
@@ -200,6 +202,7 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
         return _compose_over_ints(sr, f, g)
     # rows g does not store are empty and add nothing
     g_rows = g._index
+    add, mul = sr.add, sr.mul
     rows = {}
     for x, frow in f.rows:
         acc: dict = {}
@@ -208,8 +211,8 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
             if grow is None:
                 continue
             for z, w in grow.entries:
-                term = sr.mul(v, w)
-                acc[z] = sr.add(acc[z], term) if z in acc else term
+                term = mul(v, w)
+                acc[z] = add(acc[z], term) if z in acc else term
         if acc:
             rows[x] = WeightMap._canonical(sr, acc)
     return WRel._canonical(f.dom, g.cod, rows)
@@ -261,9 +264,15 @@ def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
                     sr, {x + y: Fraction(a * b, den) for x, a in left for y, b in ints}
                 )
     else:
+        # each row is wm_psi of its two rows, built here without the call:
+        # entry keys are flat tuples, so joining them is concatenation
+        mul = sr.mul
         for xf, hf in f.rows:
+            left = hf.entries
             for xg, hg in g.rows:
-                rows[xf + xg] = wm_psi(sr, hf, hg)
+                rows[xf + xg] = WeightMap._canonical(
+                    sr, {x + y: mul(a, b) for x, a in left for y, b in hg.entries}
+                )
     return WRel._canonical(f.dom + g.dom, f.cod + g.cod, rows)
 
 
@@ -531,6 +540,22 @@ def wrel_to_doc(sr: Semiring, f: WRel) -> dict:
 
 
 def wrel_from_doc(sr: Semiring, doc) -> WRel:
+    return _build_arrow(sr, _check_arrow_doc(sr, doc))
+
+
+class _CheckedArrow(NamedTuple):
+    """An arrow document that passed the checks of wrel_from_doc: its
+    boundary words, and its entries as {row key: {col key: value}}, where
+    every key is an element of its word and every value is parsed."""
+
+    dom: Word
+    cod: Word
+    rows: dict
+
+
+def _check_arrow_doc(sr: Semiring, doc) -> _CheckedArrow:
+    """The checking pass of wrel_from_doc: every field, entry shape, label,
+    value label and repeated entry, each refused with WRelFormatError."""
     if not isinstance(doc, dict):
         raise WRelFormatError("arrow document must be an object")
     for key in ("dom", "cod", "entries"):
@@ -569,8 +594,16 @@ def wrel_from_doc(sr: Semiring, doc) -> WRel:
         if y in cols:
             raise WRelFormatError(f"duplicate entry at {row_labels} {col_labels}")
         cols[y] = v
-    # index_of and the shape check above made every key a word element
-    return WRel._canonical(dom, cod, {x: wm_make(sr, cols) for x, cols in rows.items()})
+    return _CheckedArrow(dom, cod, rows)
+
+
+def _build_arrow(sr: Semiring, checked: _CheckedArrow) -> WRel:
+    """The build step of wrel_from_doc; it raises nothing.  index_of and the
+    shape check made every key a word element, so WRel._canonical does not
+    check them again, and WeightMap(...) drops zero values."""
+    return WRel._canonical(
+        checked.dom, checked.cod, {x: wm_make(sr, cols) for x, cols in checked.rows.items()}
+    )
 
 
 def _indices(word: Word, memos: list, labels: list) -> tuple:

@@ -14,6 +14,7 @@ from gsrel import (
     wm_psi,
     wm_pushforward,
 )
+from gsrel import cli
 from gsrel.cli import main
 from gsrel.diagram import MAX_TERM_DEPTH
 
@@ -186,8 +187,9 @@ def test_classify_structured_fields(files, capsys):
     assert doc["oracle_disagreements"] == []
 
 
-def test_classify_bad_variant_exits_2(files):
+def test_classify_bad_variant_exits_2(files, capsys):
     assert run(["classify", "bool", "--variant", "Mz"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown variant 'Mz'\n")
 
 
 def test_classify_repeated_variant_runs_once(capsys):
@@ -563,6 +565,18 @@ def test_taxonomy_samples_reach_the_law_suites(capsys):
 
 def test_taxonomy_unknown_filter_exits_2(files, capsys):
     assert run(["taxonomy", "--semiring", "bool", "--variant", "Mz"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown variant 'Mz'\n")
+
+
+def test_a_suite_value_error_of_another_kind_is_not_bad_input(monkeypatch):
+    # only the suite's own argument errors are bad input: any other
+    # ValueError is a fault of the program, and must not read as exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("not an argument error")
+
+    monkeypatch.setattr(cli, "run_theorem_suite", broken)
+    with pytest.raises(ValueError, match="not an argument error"):
+        run(["taxonomy", "--semiring", "bool", "--sizes", "0"])
 
 
 def test_taxonomy_repeated_variant_runs_once(capsys):
@@ -579,7 +593,7 @@ def test_taxonomy_semiring_named_twice_exits_2(capsys):
     assert run(["taxonomy", "--semiring", "bool", "--semiring", "boolean", "--sizes", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --semiring 'bool' is given twice\n"
+    assert captured.err == "error: semiring 'bool' is given twice\n"
 
 
 # sha256 of this report, pinned so that a change to the report bytes is seen.

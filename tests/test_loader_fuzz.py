@@ -11,7 +11,7 @@ from gsrel import (
     load_table_semiring,
     parse_term_file,
 )
-from gsrel.wrel import BoundaryError, WRelFormatError, wrel_from_doc
+from gsrel.wrel import BoundaryError, WRelFormatError, finset_to_doc, wrel_from_doc
 
 # Wrongly typed JSON values: scalars, and one level of lists and objects
 # (unhashable, so a loader that looks them up in a dict must test types first).
@@ -93,6 +93,58 @@ def test_load_interpretation_raises_only_interp_format_error(doc):
         load_interpretation(doc)
     except InterpFormatError:
         pass
+
+
+# Documents that load: the fuzzed ones above seldom get a generator with an
+# entry through every check.  Entries are drawn from the sort labels, and
+# values from labels each carrier parses, zero included.
+VALUES = {"bool": ["0", "1"], "nat": ["0", "1", "2", "7"], "q+": ["0", "1/2", "3"],
+          "gf(3)": ["0", "1", "2"]}
+
+
+@st.composite
+def loadable_interpretations(draw):
+    semiring = draw(st.sampled_from(sorted(VALUES)))
+    sizes = {name: draw(st.integers(0, 3)) for name in ("A", "B")}
+    labels = {"A": [f"a{i}" for i in range(sizes["A"])], "B": [str(i) for i in range(sizes["B"])]}
+    generators = {}
+    for name in draw(st.lists(st.sampled_from(["f", "g"]), unique=True)):
+        dom, cod = (draw(st.lists(st.sampled_from(["A", "B"]), max_size=2)) for _ in range(2))
+        cells = {}
+        # a word with an empty sort has no elements, so no entries
+        if all(labels[s] for s in dom + cod):
+            keys = st.tuples(*(st.sampled_from(labels[s]) for s in dom + cod))
+            values = st.sampled_from(VALUES[semiring])
+            cells = draw(st.dictionaries(keys, values, min_size=1, max_size=6))
+        entries = [[list(k[:len(dom)]), list(k[len(dom):]), v] for k, v in cells.items()]
+        generators[name] = {"dom": dom, "cod": cod, "entries": entries}
+    return {
+        "semiring": semiring,
+        "sorts": {"A": {"size": sizes["A"], "labels": labels["A"]}, "B": sizes["B"]},
+        "generators": generators,
+    }
+
+
+# Half the examples load, and about one generator in two that loads has
+# entries; 200 examples take under a second.
+@given(INTERPRETATION | loadable_interpretations())
+@settings(FUZZ, max_examples=200)
+def test_a_loaded_generator_builds_as_its_own_document_does(doc):
+    # load_interpretation checks every generator and builds none; once it
+    # succeeds, reading a generator builds its arrow without raising, and
+    # that arrow is the one wrel_from_doc makes of the generator's document
+    try:
+        interp = load_interpretation(doc)
+    except InterpFormatError:
+        return
+    assert list(interp.generators) == list(doc["generators"])
+    for name, body in doc["generators"].items():
+        arrow_doc = {
+            "dom": [finset_to_doc(interp.sorts[s]) for s in body["dom"]],
+            "cod": [finset_to_doc(interp.sorts[s]) for s in body["cod"]],
+            "entries": body.get("entries", []),
+        }
+        assert interp.generators[name] == wrel_from_doc(interp.semiring, arrow_doc)
 
 
 @given(st.sampled_from(["bool", "nat", "q+", "gf(3)"]), ARROW)

@@ -42,6 +42,7 @@ from gsrel.taxonomy import (
     _functions,
     _hom_monoid_reports,
     _memo,
+    SuiteArgumentError,
     _Pool,
     _Run,
 )
@@ -696,7 +697,7 @@ BUDGET = "budget must be positive"
     ],
 )
 def test_law_suites_reject_empty_sizes(call, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SuiteArgumentError, match=message):
         call()
 
 
@@ -794,7 +795,7 @@ def test_suite_refuses_a_semiring_named_twice(monkeypatch):
 
     monkeypatch.setattr(taxonomy, "_Run", no_run)
     for semirings in (["bool", "bool"], ["nat", "bool", "boolean"], [BOOL, "bool"]):
-        with pytest.raises(ValueError, match="semiring 'bool' is given twice"):
+        with pytest.raises(SuiteArgumentError, match="semiring 'bool' is given twice"):
             run_theorem_suite(semirings, ["M"], sizes=(0,))
 
 

@@ -4,9 +4,11 @@ WeightMap._canonical skips the zero test over a positive semiring, which is
 sound only for values that are sums and products of values of canonical
 maps.  So the modules of gsrel name it only inside the six functions whose
 values are made that way: wm_psi, wm_mu and wm_pushforward in weightmap,
-and wrel_compose, _compose_over_ints and wrel_tensor in wrel.  Everything
-else, outside input included, goes through WeightMap(...).  WRel._canonical
-is another method and is not counted.
+and wrel_compose, _compose_over_ints and wrel_tensor in wrel (which builds
+each row as the wm_psi of two rows, without calling wm_psi).  Everything
+else goes through WeightMap(...): outside input too, whose arrows
+wrel_from_doc and the lazy generators of an interpretation build with
+wm_make.  WRel._canonical is another method and is not counted.
 """
 import ast
 from pathlib import Path

@@ -29,6 +29,7 @@ from gsrel import (
     sample_arrows,
     wm_eta,
     wm_make,
+    wm_psi,
     wrel_classify,
     wrel_compose,
     wrel_copy,
@@ -797,3 +798,57 @@ def test_a_zero_label_in_an_interpretation_is_dropped(semiring, zero, one):
     assert evaluate_term(parse_term("dom(f) ; f"), interp) == wrel_make(
         sr, f.dom, f.cod, {(0,): {(1,): sr.mul(v, v)}}
     )
+
+
+# Each row of a tensor is wm_psi of its two rows.  wrel_tensor builds its
+# rows without calling wm_psi, so wm_psi row by row, over every pair of
+# domain elements (rows f and g do not store are empty), is an independent
+# reference.  The carriers include ones where a product of nonzero values
+# vanishes: gf(2) and gf(3) have none, Z/4 has 2 * 2 = 0.
+
+TENSOR_CARRIERS = [BOOL, NAT, FMT, GF2, load_semiring("gf(3)"), Z4]
+
+
+def _rowwise_psi(sr, f, g):
+    return WRel(f.dom + g.dom, f.cod + g.cod, [
+        (xf + xg, wm_psi(sr, f.row(sr, xf), g.row(sr, xg)))
+        for xf in word_elements(f.dom)
+        for xg in word_elements(g.dom)
+    ])
+
+
+@st.composite
+def _tensor_cases(draw):
+    """(sr, f, g) with f: W -> X and g: Y -> Z, each word of up to two sorts
+    of size 0 to 3 or the unit word, a quarter of the rows and half the
+    cells empty, the rest carrier samples, zero included."""
+    rng = draw(st.randoms(use_true_random=False))
+    sr = rng.choice(TENSOR_CARRIERS)
+    values = sr.sample_elements(rng) + [sr.zero, sr.one]
+    w, x, y, z = (
+        tuple(FinSet(f"S{n}", n) for n in (rng.randint(0, 3) for _ in range(rng.randint(0, 2))))
+        for _ in range(4)
+    )
+
+    def arrow(dom, cod):
+        return wrel_make(sr, dom, cod, {
+            a: {b: rng.choice(values) for b in word_elements(cod) if rng.random() < 0.5}
+            for a in word_elements(dom)
+            if rng.random() < 0.75
+        })
+
+    return sr, arrow(w, x), arrow(y, z)
+
+
+_TWO = Z4.parse("2")
+
+
+@given(_tensor_cases())
+@example((Z4, wrel_make(Z4, I, X, {(): {(0,): _TWO}}), wrel_make(Z4, X, I, {(1,): {(): _TWO}})))
+@example((GF2, wrel_make(GF2, X, I, {}), wrel_make(GF2, I, I, {(): {(): GF2.one}})))
+@example((NAT, wrel_make(NAT, I, I, {(): {(): 3}}), wrel_make(NAT, I, I, {(): {(): 5}})))
+@settings(max_examples=300, deadline=None)
+def test_each_tensor_row_is_psi_of_its_two_rows(case):
+    sr, f, g = case
+    assert _exact(wrel_tensor(sr, f, g)) == _exact(_rowwise_psi(sr, f, g))
+    assert _exact(wrel_tensor(sr, g, f)) == _exact(_rowwise_psi(sr, g, f))
