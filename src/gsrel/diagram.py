@@ -32,7 +32,9 @@ bindings.  An interpretation file carries a semiring reference, sort
 sizes, and one serialized arrow per generator.  load_interpretation checks
 every entry of every generator, so a malformed one is refused even where no
 term names it, but builds a generator's arrow only when evaluation first
-reads it: a query pays for the generators its terms name.
+reads it: a query pays for the generators its terms name.  Its generators
+share one set of label memos, so a label tuple or value label that passed
+its checks once is looked up, not checked again (see wrel._check_arrow_doc).
 
 LAW_TABLE, at the end of this module, writes the Kleisli-level laws as
 term equations: the gs-monoidal axioms (gsm/), the canonical semigroup
@@ -54,6 +56,7 @@ from .wrel import (
     Structure,
     WRel,
     WRelFormatError,
+    _Labels,
     _build_arrow,
     _check_arrow_doc,
     _value_label,
@@ -633,6 +636,7 @@ def load_interpretation(doc: Mapping) -> Interpretation:
             raise InterpFormatError(f"bad sort spec for {name!r}: {e}") from None
     checked = {}
     gen_sig = {}
+    labels = _Labels()
     for name, body in doc["generators"].items():
         if not isinstance(body, Mapping) or not all(
             isinstance(body.get(key), list) for key in ("dom", "cod")
@@ -652,7 +656,7 @@ def load_interpretation(doc: Mapping) -> Interpretation:
             "entries": body.get("entries", []),
         }
         try:
-            checked[name] = _check_arrow_doc(sr, arrow_doc)
+            checked[name] = _check_arrow_doc(sr, arrow_doc, labels)
         except WRelFormatError as e:
             raise InterpFormatError(f"generator {name!r}: {e}") from None
         gen_sig[name] = (dw, cw)

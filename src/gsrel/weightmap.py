@@ -93,6 +93,12 @@ class FinSet:
         i = int(label)
         if not 0 <= i < self.size:
             raise WeightMapError(f"{self.name}: label {label!r} out of range")
+        # int() also takes " 1", "+1", "0_1", "01" and other digit scripts;
+        # the label of element i is str(i) alone, as label_of prints it
+        if str(i) != label:
+            raise WeightMapError(
+                f"{self.name}: unknown label {label!r}; element {i} is labelled '{i}'"
+            )
         return i
 
 

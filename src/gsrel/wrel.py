@@ -20,9 +20,11 @@ to (), wrel_swap exchanges two blocks.  A Structure holder builds each of
 these once per word and keeps it for as long as the holder lives: one
 semiring's run of the law suites, or one diagram query.  Over its arrows
 it defines dom by its defining composite copy ; (id x (f ; del)), and mass
-as f ; del; wrel_dom and wrel_mass run them on a fresh holder.  The closed
-form of dom (the row total on the diagonal) is exposed separately as an
-independent oracle.  The scalar product of arrows into the unit, the
+as f ; del; wrel_dom and wrel_mass run them on a fresh holder.  copy reads
+only the rows (x, x) of id x (f ; del), so dom builds only those, with the
+row kernel of wrel_tensor, and composes with copy through wrel_compose.
+The closed form of dom (the row total on the diagonal) is exposed
+separately as an independent oracle.  The scalar product of arrows into the unit, the
 canonical semigroup and the per-arrow flags are terms and equations of the
 law table in gsrel.diagram: hom_scalar_mul, canonical_semigroup_mul and
 wrel_classify evaluate them there.
@@ -31,11 +33,13 @@ Invariant: every row key of an arrow is an element of its domain word and
 every entry key an element of its codomain word.  Keys are checked once,
 where they enter: by WRel(...), which wrel_make, the dom oracles and any
 caller use, and by the checking pass of wrel_from_doc, whose label lookups
-prove each key.  Its build step, which an interpretation runs only for the
-generators a query reads, wrel_compose, wrel_tensor, the structural
-builders (id, copy, del, swap), enumerate_arrows and sample_arrows keep the
-invariant by construction, from checked keys or from word_elements, and
-build through WRel._canonical without checking again.
+prove each key, and whose memos hold only label tuples that index_of has
+accepted.  Its build step, which an interpretation runs only for the
+generators a query reads, wrel_compose, wrel_tensor (and the rows of it
+that Structure.dom builds), the structural builders (id, copy, del,
+swap), enumerate_arrows and sample_arrows keep the invariant by
+construction, from checked keys or from word_elements, and build through
+WRel._canonical without checking again.
 """
 from __future__ import annotations
 
@@ -253,27 +257,37 @@ def _compose_over_ints(sr: Semiring, f: WRel, g: WRel) -> WRel:
 
 
 def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
+    return WRel._canonical(f.dom + g.dom, f.cod + g.cod, _tensor_rows(sr, product(f.rows, g.rows)))
+
+
+def _tensor_rows(sr: Semiring, pairs) -> dict:
+    """Row xf + xg of a tensor f * g for each pair ((xf, hf), (xg, hg)) of a
+    row of f and a row of g; wrel_tensor passes every pair, Structure.dom the
+    pairs that copy reads.  Each row is wm_psi of its two rows, built here
+    without the call: entry keys are flat tuples, so joining them is
+    concatenation.  Over plain rationals each row is put over its lcm once
+    per call, keyed by its row key on its side."""
     rows = {}
     if sr.plain_rational:
-        right = [(xg, _over_lcm(hg.entries)) for xg, hg in g.rows]
-        for xf, hf in f.rows:
-            df, left = _over_lcm(hf.entries)
-            for xg, (dg, ints) in right:
-                den = df * dg
-                rows[xf + xg] = WeightMap._canonical(
-                    sr, {x + y: Fraction(a * b, den) for x, a in left for y, b in ints}
-                )
+        lefts: dict = {}
+        rights: dict = {}
+        for (xf, hf), (xg, hg) in pairs:
+            if xf not in lefts:
+                lefts[xf] = _over_lcm(hf.entries)
+            if xg not in rights:
+                rights[xg] = _over_lcm(hg.entries)
+            (df, left), (dg, right) = lefts[xf], rights[xg]
+            den = df * dg
+            rows[xf + xg] = WeightMap._canonical(
+                sr, {x + y: Fraction(a * b, den) for x, a in left for y, b in right}
+            )
     else:
-        # each row is wm_psi of its two rows, built here without the call:
-        # entry keys are flat tuples, so joining them is concatenation
         mul = sr.mul
-        for xf, hf in f.rows:
-            left = hf.entries
-            for xg, hg in g.rows:
-                rows[xf + xg] = WeightMap._canonical(
-                    sr, {x + y: mul(a, b) for x, a in left for y, b in hg.entries}
-                )
-    return WRel._canonical(f.dom + g.dom, f.cod + g.cod, rows)
+        for (xf, hf), (xg, hg) in pairs:
+            rows[xf + xg] = WeightMap._canonical(
+                sr, {x + y: mul(a, b) for x, a in hf.entries for y, b in hg.entries}
+            )
+    return rows
 
 
 def wrel_copy(sr: Semiring, word: Word) -> WRel:
@@ -337,10 +351,13 @@ class Structure:
     def dom(self, f: WRel) -> WRel:
         """Defining composite copy ; (id x mass(f)); the right unitor is a
         no-op because tensoring with the empty word does not change index
-        tuples."""
+        tuples.  copy reads only the rows (x, x) of the tensor, so only
+        those are built: one per row x of mass(f), the others being empty
+        or unread."""
         x = f.dom
-        spread = wrel_tensor(self.sr, self.id(x), self.mass(f))
-        return wrel_compose(self.sr, self.copy(x), spread)
+        ident = self.id(x)._index
+        spread = _tensor_rows(self.sr, (((k, ident[k]), (k, m)) for k, m in self.mass(f).rows))
+        return wrel_compose(self.sr, self.copy(x), WRel._canonical(x + x, x, spread))
 
 
 def wrel_mass(sr: Semiring, f: WRel) -> WRel:
@@ -553,9 +570,20 @@ class _CheckedArrow(NamedTuple):
     rows: dict
 
 
-def _check_arrow_doc(sr: Semiring, doc) -> _CheckedArrow:
+def _check_arrow_doc(sr: Semiring, doc, labels: _Labels | None = None) -> _CheckedArrow:
     """The checking pass of wrel_from_doc: every field, entry shape, label,
-    value label and repeated entry, each refused with WRelFormatError."""
+    value label and repeated entry, each refused with WRelFormatError.
+
+    Each word keeps a memo from a tuple of labels to the element they name,
+    filled only after index_of has accepted every label of the tuple.  An
+    entry that is an exact list of two exact label lists and a value str,
+    whose label tuples and value label are all memoized, costs three lookups
+    and the duplicate test: a hit implies every check _check_entry would
+    make, with the same result.  Every other entry (a miss, an unhashable
+    or non-string label, a list subclass) takes _check_entry, which makes
+    each check in order.  The memos live in labels, a fresh _Labels by
+    default; load_interpretation passes one _Labels to every generator it
+    checks, so they share the memo of each word."""
     if not isinstance(doc, dict):
         raise WRelFormatError("arrow document must be an object")
     for key in ("dom", "cod", "entries"):
@@ -565,36 +593,73 @@ def _check_arrow_doc(sr: Semiring, doc) -> _CheckedArrow:
             raise WRelFormatError(f"arrow field {key!r} must be a list")
     dom = tuple(finset_from_doc(d) for d in doc["dom"])
     cod = tuple(finset_from_doc(d) for d in doc["cod"])
-    # label -> index, one memo per distinct sort; filled from index_of on a miss
-    memos: dict = {}
-    dom_memos = [memos.setdefault(s, {}) for s in dom]
-    cod_memos = [memos.setdefault(s, {}) for s in cod]
+    if labels is None:
+        labels = _Labels()
+    dom_keys, cod_keys = labels.words.setdefault(dom, {}), labels.words.setdefault(cod, {})
+    values = labels.values
     rows: dict = {}
-    values: dict = {}  # value label -> parsed value; dense arrows repeat a few labels
     for item in doc["entries"]:
-        if not isinstance(item, list) or len(item) != 3:
-            raise WRelFormatError(f"bad entry {item!r}")
-        row_labels, col_labels, value_label = item
-        if not (isinstance(row_labels, list) and isinstance(col_labels, list)):
-            raise WRelFormatError(f"entry labels must be lists: {item!r}")
-        if len(row_labels) != len(dom) or len(col_labels) != len(cod):
-            raise WRelFormatError(f"entry shape does not match the boundary words: {item!r}")
-        # Fraction() takes floats and bools, so only strings are values
-        if not isinstance(value_label, str):
-            raise WRelFormatError(f"value label {value_label!r} is not a string")
-        try:
-            x = _indices(dom, dom_memos, row_labels)
-            y = _indices(cod, cod_memos, col_labels)
-            if value_label not in values:
-                values[value_label] = sr.parse(value_label)
-            v = values[value_label]
-        except (TypeError, ValueError) as e:
-            raise WRelFormatError(str(e)) from None
-        cols = rows.setdefault(x, {})
-        if y in cols:
+        x = None
+        if type(item) is list and len(item) == 3:
+            row_labels, col_labels, value_label = item
+            if type(row_labels) is list and type(col_labels) is list and type(value_label) is str:
+                try:  # x is assigned only if all three are hits
+                    x, y, v = (
+                        dom_keys[tuple(row_labels)], cod_keys[tuple(col_labels)], values[value_label]
+                    )
+                except (KeyError, TypeError):
+                    pass
+        if x is None:
+            row_labels, col_labels, x, y, v = _check_entry(sr, dom, cod, values, item)
+            if type(row_labels) is list:
+                dom_keys[tuple(row_labels)] = x
+            if type(col_labels) is list:
+                cod_keys[tuple(col_labels)] = y
+        cols = rows.get(x)
+        if cols is None:
+            cols = rows[x] = {}
+        elif y in cols:
             raise WRelFormatError(f"duplicate entry at {row_labels} {col_labels}")
         cols[y] = v
     return _CheckedArrow(dom, cod, rows)
+
+
+class _Labels:
+    """The memos of checking passes over one semiring: per word, label
+    tuple -> element, and value label -> parsed value (dense arrows repeat
+    a few labels).  Only what passed its checks is stored."""
+
+    __slots__ = ("words", "values")
+
+    def __init__(self):
+        self.words: dict = {}
+        self.values: dict = {}
+
+
+def _check_entry(sr: Semiring, dom: Word, cod: Word, values: dict, item) -> tuple:
+    """Every check of one entry, in order, each refused with WRelFormatError;
+    returns (row labels, column labels, row key, column key, value), and
+    memoizes the parsed value."""
+    if not isinstance(item, list) or len(item) != 3:
+        raise WRelFormatError(f"bad entry {item!r}")
+    row_labels, col_labels, value_label = item
+    if not (isinstance(row_labels, list) and isinstance(col_labels, list)):
+        raise WRelFormatError(f"entry labels must be lists: {item!r}")
+    if len(row_labels) != len(dom) or len(col_labels) != len(cod):
+        raise WRelFormatError(f"entry shape does not match the boundary words: {item!r}")
+    # Fraction() takes floats and bools, so only strings are values
+    if not isinstance(value_label, str):
+        raise WRelFormatError(f"value label {value_label!r} is not a string")
+    try:
+        # index_of raises for every label it refuses, the first one first
+        x = tuple([s.index_of(l) for s, l in zip(dom, row_labels)])
+        y = tuple([s.index_of(l) for s, l in zip(cod, col_labels)])
+        if value_label not in values:
+            values[value_label] = sr.parse(value_label)
+        v = values[value_label]
+    except (TypeError, ValueError) as e:
+        raise WRelFormatError(str(e)) from None
+    return row_labels, col_labels, x, y, v
 
 
 def _build_arrow(sr: Semiring, checked: _CheckedArrow) -> WRel:
@@ -604,22 +669,3 @@ def _build_arrow(sr: Semiring, checked: _CheckedArrow) -> WRel:
     return WRel._canonical(
         checked.dom, checked.cod, {x: wm_make(sr, cols) for x, cols in checked.rows.items()}
     )
-
-
-def _indices(word: Word, memos: list, labels: list) -> tuple:
-    """The element of word named by labels, through the per-sort memos.
-
-    A miss, or a label that cannot be a dict key, goes to index_of, which
-    raises for every label it refuses; only indices it returned are stored.
-    """
-    try:
-        return tuple([memo[l] for memo, l in zip(memos, labels)])
-    except (KeyError, TypeError):
-        pass
-    key = []
-    for s, memo, l in zip(word, memos, labels):
-        i = memo.get(l) if isinstance(l, str) else None
-        if i is None:
-            i = memo[l] = s.index_of(l)
-        key.append(i)
-    return tuple(key)

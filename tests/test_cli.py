@@ -319,6 +319,24 @@ def test_eval_error_names_the_fault(files, tmp_path, capsys, term, interp, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# int() takes each of these texts, but none is the label of an element
+@pytest.mark.parametrize("label", [" 1", "+3", "1_0", "\u0663", "01"])
+@pytest.mark.parametrize("cmd", ["eval", "eq"])
+def test_a_label_int_reads_but_no_element_has_exits_2(tmp_path, capsys, cmd, label):
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({
+        "semiring": "nat",
+        "sorts": {"A": 11},
+        "generators": {"f": {"dom": ["A"], "cod": ["A"], "entries": [[["2"], [label], "5"]]}},
+    }))
+    (tmp_path / "t.gsd").write_text("f\n")
+    assert run([cmd, *[tmp_path / "t.gsd"] * (1 if cmd == "eval" else 2), interp]) == 2
+    i = int(label)
+    assert capsys.readouterr() == (
+        "", f"error: generator 'f': A: unknown label {label!r}; element {i} is labelled '{i}'\n"
+    )
+
+
 # f ; f squares the one entry, to 6,000 digits: more than str() prints
 TOO_LONG_TO_PRINT = {
     "nat": _one_entry_interp("nat", [[["0"], ["0"], "9" * 3000]]),

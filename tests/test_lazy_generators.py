@@ -137,3 +137,59 @@ def test_every_generator_is_still_there_to_read():
             "cod": [finset_to_doc(interp.sorts[s]) for s in body["cod"]],
             "entries": body["entries"],
         })
+
+
+# The checking pass memoizes label tuples and value labels; a warm memo must
+# not change what an entry is refused with.  Each planted entry follows two
+# valid entries that share its row labels, column labels and value label.
+
+
+def _warm_doc(name, planted):
+    doc = _doc()
+    shared = [[["a0"], ["1"], "1"], [["a1"], ["0"], "1"]]
+    if name == "duplicate-entry":
+        shared = [[["a0"], ["0"], "1"], [["a1"], ["1"], "1"]]
+    doc["generators"]["k"]["entries"] = shared + planted
+    return doc
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_a_warm_memo_keeps_every_message(name):
+    planted, message = MALFORMED[name]
+    with pytest.raises(InterpFormatError) as raised:
+        load_interpretation(_warm_doc(name, planted))
+    assert str(raised.value) == f"generator 'k': {message}"
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "col, message",
+    [
+        ([0], "B: label 0 is not a string"),
+        ([True], "B: label True is not a string"),
+        ([["0"]], "B: label ['0'] is not a string"),
+    ],
+    ids=["int-beside-string", "true", "nested-list"],
+)
+def test_a_warm_memo_refuses_a_label_that_is_not_a_string(col, message):
+    with pytest.raises(InterpFormatError) as raised:
+        load_interpretation(_warm_doc("label", [[["a0"], col, "1"]]))
+    assert str(raised.value) == f"generator 'k': {message}"
+
+
+def test_a_warm_memo_takes_a_str_subclass_label_as_index_of_does():
+    sorts = load_interpretation(_doc()).sorts
+    assert sorts["A"].index_of(Label("a1")) == 1 and sorts["B"].index_of(Label("1")) == 1
+    entry = [[Label("a1")], [Label("1")], Label("7")]
+    cold = _doc()
+    cold["generators"]["k"]["entries"] = [entry]
+    for doc in (cold, _warm_doc("label", [entry])):
+        interp = load_interpretation(doc)
+        assert interp.generators["k"].value(interp.semiring, (1,), (1,)) == 7
+    # in a cell a warm entry filled, it is that entry's duplicate
+    with pytest.raises(InterpFormatError) as raised:
+        load_interpretation(_warm_doc("label", [[[Label("a1")], [Label("0")], "2"]]))
+    assert str(raised.value) == "generator 'k': duplicate entry at ['a1'] ['0']"

@@ -4,8 +4,9 @@ WeightMap._canonical skips the zero test over a positive semiring, which is
 sound only for values that are sums and products of values of canonical
 maps.  So the modules of gsrel name it only inside the six functions whose
 values are made that way: wm_psi, wm_mu and wm_pushforward in weightmap,
-and wrel_compose, _compose_over_ints and wrel_tensor in wrel (which builds
-each row as the wm_psi of two rows, without calling wm_psi).  Everything
+and wrel_compose, _compose_over_ints and _tensor_rows in wrel (the row
+kernel of wrel_tensor and Structure.dom, which builds each row as the
+wm_psi of two rows, without calling wm_psi).  Everything
 else goes through WeightMap(...): outside input too, whose arrows
 wrel_from_doc and the lazy generators of an interpretation build with
 wm_make.  WRel._canonical is another method and is not counted.
@@ -19,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gsrel"
 
 TRUSTED = {
     "weightmap.py": {"wm_psi", "wm_mu", "wm_pushforward"},
-    "wrel.py": {"wrel_compose", "_compose_over_ints", "wrel_tensor"},
+    "wrel.py": {"wrel_compose", "_compose_over_ints", "_tensor_rows"},
 }
 
 
@@ -67,7 +68,7 @@ def test_pattern_catches_a_use_outside_the_operations(source):
     "source",
     [
         "def wm_psi(sr, h, k):\n    return WeightMap._canonical(sr, {})",
-        "def wrel_tensor(sr, f, g):\n    def row():\n        return WeightMap._canonical(sr, {})",
+        "def _tensor_rows(sr, pairs):\n    def row():\n        return WeightMap._canonical(sr, {})",
         "def wrel_id(sr, word):\n    return WRel._canonical(word, word, {})",
         "# WeightMap._canonical in a comment",
         "doc = 'WeightMap._canonical'",

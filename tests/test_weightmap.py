@@ -150,6 +150,23 @@ def test_label_of_refuses_an_index_out_of_range():
                 s.label_of(i)
 
 
+# int() reads each of these as an index; only str(i) is the label of i
+NOT_INDEX_LABELS = {" 1": 1, "+3": 3, "1_0": 10, "\u0663": 3, "01": 1}
+
+
+@pytest.mark.parametrize(
+    "label, i",
+    NOT_INDEX_LABELS.items(),
+    ids=["space", "plus", "underscore", "arabic-indic", "leading-zero"],
+)
+def test_an_unlabelled_sort_takes_only_its_own_labels(label, i):
+    s = FinSet("B", 11)
+    assert [s.index_of(s.label_of(j)) for j in range(11)] == list(range(11))
+    with pytest.raises(WeightMapError) as raised:
+        s.index_of(label)
+    assert str(raised.value) == f"B: unknown label {label!r}; element {i} is labelled '{i}'"
+
+
 def test_a_map_does_not_order_against_other_objects():
     h = wm_eta(NAT, (0,))
     assert h.__lt__((0,)) is NotImplemented

@@ -491,11 +491,14 @@ def test_from_doc_label_memo_keeps_index_of_results():
     for bad in ([0], ["0"]), (["0"], [["0"]]), (["1"], [True]):
         with pytest.raises(WRelFormatError, match="is not a string"):
             wrel_from_doc(NAT, _arrow_doc(seen + [[*bad, "1"]]))
-    f = wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["01"], ["1"], "3"], [["0"], ["1"], "4"]]))
+    f = wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["1"], ["1"], "3"], [["0"], ["1"], "4"]]))
     assert f.value(NAT, (1,), (0,)) == 2 and f.value(NAT, (1,), (1,)) == 3
     assert f.value(NAT, (0,), (1,)) == 4
     with pytest.raises(WRelFormatError, match="duplicate entry"):
-        wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["01"], ["0"], "3"]]))
+        wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["1"], ["0"], "3"]]))
+    # "01" is not element 1's label, however warm the memo of "1" is
+    with pytest.raises(WRelFormatError, match="^X: unknown label '01'; element 1 is labelled '1'$"):
+        wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["01"], ["1"], "3"]]))
     with pytest.raises(WRelFormatError, match="^X: label '2' out of range$"):
         wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["2"], ["0"], "3"]]))
 
@@ -852,3 +855,79 @@ def test_each_tensor_row_is_psi_of_its_two_rows(case):
     sr, f, g = case
     assert _exact(wrel_tensor(sr, f, g)) == _exact(_rowwise_psi(sr, f, g))
     assert _exact(wrel_tensor(sr, g, f)) == _exact(_rowwise_psi(sr, g, f))
+
+
+# dom(f) is its defining composite copy ; (id x mass(f)).  Structure.dom
+# builds only the rows (x, x) of the tensor that copy reads; the composite
+# written out from the public builders, and the closed form, are references.
+
+DOM_CARRIERS = [
+    BOOL, NAT, QPLUS, load_semiring("fuzzy-max-min"), GF2, load_semiring("gf(3)"), Z4
+]
+
+
+@st.composite
+def _dom_cases(draw):
+    """(sr, f) with f: X -> Y, each word of up to two sorts of size 0 to 3
+    or the unit word, a quarter of the rows and half the cells empty, the
+    rest carrier samples, zero included."""
+    rng = draw(st.randoms(use_true_random=False))
+    sr = rng.choice(DOM_CARRIERS)
+    values = sr.sample_elements(rng) + [sr.zero, sr.one]
+    x, y = (
+        tuple(FinSet(f"S{n}", n) for n in (rng.randint(0, 3) for _ in range(rng.randint(0, 2))))
+        for _ in range(2)
+    )
+    return sr, wrel_make(sr, x, y, {
+        a: {b: rng.choice(values) for b in word_elements(y) if rng.random() < 0.5}
+        for a in word_elements(x)
+        if rng.random() < 0.75
+    })
+
+
+def _dom_composite(sr, f):
+    x, y = f.dom, f.cod
+    mass = wrel_compose(sr, f, wrel_del(sr, y))
+    return wrel_compose(sr, wrel_copy(sr, x), wrel_tensor(sr, wrel_id(sr, x), mass))
+
+
+AB = (FinSet("A", 2), FinSet("B", 3))
+
+
+@given(_dom_cases())
+@example((NAT, wrel_make(NAT, I, I, {(): {(): 3}})))
+@example((NAT, wrel_make(NAT, I, X, {})))
+@example((QPLUS, wrel_make(QPLUS, AB, X, {(0, 2): {(1,): Fraction(1, 3)}, (1, 0): {(0,): 2}})))
+@example((Z4, wrel_make(Z4, X, AB, {(0,): {(0, 0): _TWO, (1, 1): _TWO}, (1,): {(0, 1): _TWO}})))
+@example((GF2, wrel_make(GF2, AB, I, {(0, 0): {(): GF2.one}})))
+@settings(max_examples=300, deadline=None)
+def test_dom_is_its_defining_composite(case):
+    sr, f = case
+    dom = Structure(sr).dom(f)
+    assert _exact(dom) == _exact(_dom_composite(sr, f))
+    assert _exact(dom) == _exact(wrel_dom_closed(sr, f))
+
+
+@pytest.mark.parametrize("sr", [NAT, QPLUS], ids=["nat", "nonneg-rational"])
+def test_dom_builds_only_the_tensor_rows_copy_reads(monkeypatch, sr):
+    """A dense arrow on an 8 x 6 domain: copy reads 48 of the 48 * 48 rows
+    of id x mass(f), and only those 48 are built."""
+    built = []
+
+    def counted(sr, pairs, _rows=gsrel.wrel._tensor_rows):
+        rows = _rows(sr, pairs)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(gsrel.wrel, "_tensor_rows", counted)
+    x, y = (FinSet("A", 8), FinSet("B", 6)), (FinSet("B", 6),)
+    f = wrel_make(sr, x, y, {
+        a: {b: sr.parse(str(1 + (3 * a[0] + a[1] + b[0]) % 4)) for b in word_elements(y)}
+        for a in word_elements(x)
+    })
+    assert _exact(wrel_dom(sr, f)) == _exact(wrel_dom_closed(sr, f))
+    assert sum(built) <= 48
+    # the whole tensor, as the composite written out builds it, has 2,304
+    built.clear()
+    _dom_composite(sr, f)
+    assert built == [48 * 48]
