@@ -557,7 +557,7 @@ def wrel_to_doc(sr: Semiring, f: WRel) -> dict:
 
 
 def wrel_from_doc(sr: Semiring, doc) -> WRel:
-    return _build_arrow(sr, _check_arrow_doc(sr, doc))
+    return _build_arrow(sr, _check_arrow_doc(sr, doc, _Labels()))
 
 
 class _CheckedArrow(NamedTuple):
@@ -570,7 +570,7 @@ class _CheckedArrow(NamedTuple):
     rows: dict
 
 
-def _check_arrow_doc(sr: Semiring, doc, labels: _Labels | None = None) -> _CheckedArrow:
+def _check_arrow_doc(sr: Semiring, doc, labels: _Labels) -> _CheckedArrow:
     """The checking pass of wrel_from_doc: every field, entry shape, label,
     value label and repeated entry, each refused with WRelFormatError.
 
@@ -581,9 +581,9 @@ def _check_arrow_doc(sr: Semiring, doc, labels: _Labels | None = None) -> _Check
     and the duplicate test: a hit implies every check _check_entry would
     make, with the same result.  Every other entry (a miss, an unhashable
     or non-string label, a list subclass) takes _check_entry, which makes
-    each check in order.  The memos live in labels, a fresh _Labels by
-    default; load_interpretation passes one _Labels to every generator it
-    checks, so they share the memo of each word."""
+    each check in order.  The memos live in labels: wrel_from_doc gives a
+    fresh _Labels, and load_interpretation one _Labels to every generator
+    it checks, so they share the memo of each word."""
     if not isinstance(doc, dict):
         raise WRelFormatError("arrow document must be an object")
     for key in ("dom", "cod", "entries"):
@@ -593,8 +593,6 @@ def _check_arrow_doc(sr: Semiring, doc, labels: _Labels | None = None) -> _Check
             raise WRelFormatError(f"arrow field {key!r} must be a list")
     dom = tuple(finset_from_doc(d) for d in doc["dom"])
     cod = tuple(finset_from_doc(d) for d in doc["cod"])
-    if labels is None:
-        labels = _Labels()
     dom_keys, cod_keys = labels.words.setdefault(dom, {}), labels.words.setdefault(cod, {})
     values = labels.values
     rows: dict = {}
@@ -605,7 +603,9 @@ def _check_arrow_doc(sr: Semiring, doc, labels: _Labels | None = None) -> _Check
             if type(row_labels) is list and type(col_labels) is list and type(value_label) is str:
                 try:  # x is assigned only if all three are hits
                     x, y, v = (
-                        dom_keys[tuple(row_labels)], cod_keys[tuple(col_labels)], values[value_label]
+                        dom_keys[tuple(row_labels)],
+                        cod_keys[tuple(col_labels)],
+                        values[value_label],
                     )
                 except (KeyError, TypeError):
                     pass

@@ -491,7 +491,9 @@ def test_from_doc_label_memo_keeps_index_of_results():
     for bad in ([0], ["0"]), (["0"], [["0"]]), (["1"], [True]):
         with pytest.raises(WRelFormatError, match="is not a string"):
             wrel_from_doc(NAT, _arrow_doc(seen + [[*bad, "1"]]))
-    f = wrel_from_doc(NAT, _arrow_doc([[["1"], ["0"], "2"], [["1"], ["1"], "3"], [["0"], ["1"], "4"]]))
+    f = wrel_from_doc(
+        NAT, _arrow_doc([[["1"], ["0"], "2"], [["1"], ["1"], "3"], [["0"], ["1"], "4"]])
+    )
     assert f.value(NAT, (1,), (0,)) == 2 and f.value(NAT, (1,), (1,)) == 3
     assert f.value(NAT, (0,), (1,)) == 4
     with pytest.raises(WRelFormatError, match="duplicate entry"):
