@@ -359,15 +359,22 @@ def sample_maps(
     would miss them; membership is always re-checked, never assumed.  The
     stream is built lazily and stops at the n-th distinct member.  A
     repeated random draw yields nothing, because it would only repeat maps
-    already yielded.
+    already yielded.  The list holds every member; sample_arrows reads the
+    same members lazily, drawing each on first read.
     """
+    return list(_sampled_members(sr, word, variant, seed, n, tag))
+
+
+def _sampled_members(sr: Semiring, word: Word, variant: str, seed: int, n: int, tag: str):
+    """The members sample_maps returns, in order, lazily: a member and the
+    candidates before it are drawn only when it is read."""
     # Small finite map spaces are enumerated outright; anything bigger falls
     # through to the seeded stream below, which works for finite carriers too.
     keys = list(word_elements(word))
     if _enumerable(sr, len(keys)):
-        return list(islice(_maps_over(sr, keys, variant), n))
+        return islice(_maps_over(sr, keys, variant), n)
     rng = derive_rng(seed, "sample-maps", sr.name, variant, tag, _word_tag(word), n)
-    return _first_members(sr, _sample_stream(sr, keys, rng, n), variant, n)
+    return islice(_members(sr, _sample_stream(sr, keys, rng, n), variant), n)
 
 
 def _sample_stream(sr: Semiring, keys: list, rng, n: int):
@@ -421,15 +428,18 @@ def _sample_stream(sr: Semiring, keys: list, rng, n: int):
 def _first_members(sr: Semiring, candidates, variant: str, n: int) -> list[WeightMap]:
     """The first n distinct variant members of a candidate stream, in stream
     order; nothing after the n-th member is pulled from the stream."""
-    def members():
-        seen = set()
-        for h in candidates:
-            if h not in seen:
-                seen.add(h)
-                if in_variant(sr, h, variant):
-                    yield h
+    return list(islice(_members(sr, candidates, variant), n))
 
-    return list(islice(members(), n))
+
+def _members(sr: Semiring, candidates, variant: str):
+    """The distinct variant members of a candidate stream, in stream order,
+    each pulled from the stream only when it is read."""
+    seen = set()
+    for h in candidates:
+        if h not in seen:
+            seen.add(h)
+            if in_variant(sr, h, variant):
+                yield h
 
 
 def variant_maps(

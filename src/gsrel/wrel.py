@@ -46,7 +46,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from typing import NamedTuple
 
@@ -57,9 +57,9 @@ from .weightmap import (
     WeightMap,
     Word,
     _enumerable,
+    _sampled_members,
     in_variant,
     enumerate_maps,
-    sample_maps,
     wm_empty,
     wm_eta,
     wm_make,
@@ -444,12 +444,19 @@ def wrel_classify(sr: Semiring, f: WRel) -> ArrowFlags:
 
 def enumerate_arrows(sr: Semiring, dom: Word, cod: Word, variant: str = "M") -> list[WRel]:
     """All arrows whose rows are variant members; finite carriers only."""
+    return list(_arrows_over(sr, dom, cod, variant))
+
+
+def _arrows_over(sr: Semiring, dom: Word, cod: Word, variant: str):
+    """The arrows of enumerate_arrows, in order, each built when it is read."""
     keys = list(word_elements(dom))
-    choices = enumerate_maps(sr, cod, variant)
-    return [
+    # An empty domain has one arrow, the empty one, which reads no row: its
+    # rows are not enumerated, though an infinite carrier is still refused.
+    choices = enumerate_maps(sr, cod, variant) if keys or not sr.finite else []
+    return (
         WRel._canonical(dom, cod, dict(zip(keys, rows)))
         for rows in product(choices, repeat=len(keys))
-    ]
+    )
 
 
 def sample_arrows(
@@ -458,17 +465,27 @@ def sample_arrows(
     """Deterministic seeded arrow sample; rows drawn from variant map samples.
 
     The stream starts with systematic products of the smallest row shapes, so
-    witnesses land on small readable arrows before random draws begin.
+    witnesses land on small readable arrows before random draws begin.  The
+    rows come from the pool sample_maps(sr, cod, variant, seed, max(6, n // 4),
+    f"{tag}-rows") returns, but each is drawn on first read: the products
+    read the first three rows, the i-th of them at the i-th arrow, and only
+    the random draws after them read, and so draw, the whole pool.  An
+    enumerable arrow space gives its first n arrows, building no others.
     """
     if _enumerable(sr, word_size(dom) * word_size(cod)):
-        return enumerate_arrows(sr, dom, cod, variant)[:n]
+        return list(islice(_arrows_over(sr, dom, cod, variant), n))
     keys = list(word_elements(dom))
-    row_pool = sample_maps(sr, cod, variant, seed, max(6, n // 4), tag=f"{tag}-rows")
+    rows = _sampled_members(sr, cod, variant, seed, max(6, n // 4), f"{tag}-rows")
+    # Distinct row tuples give distinct arrows, and the i-th tuple of the
+    # product over three rows spells i in base 3, so the products stop at
+    # the n-th arrow having read no row past the n-th.  An X0 domain reads
+    # one row, to tell an empty family.  Only the rows read are drawn here.
+    row_pool = list(islice(rows, min(3, max(1, n)) if keys else 1))
     if not row_pool:
         return []
     out = []
     seen = set()
-    for assignment in product(row_pool[:3], repeat=len(keys)):
+    for assignment in product(row_pool, repeat=len(keys)):
         arrow = WRel._canonical(dom, cod, dict(zip(keys, assignment)))
         if arrow not in seen:
             seen.add(arrow)
@@ -477,6 +494,7 @@ def sample_arrows(
             return out
     if not keys:
         return out
+    row_pool += rows  # rng.choice reads the length of the whole pool
     rng = derive_rng(seed, "sample-arrows", sr.name, variant, tag, len(keys), n)
     while len(out) < n:
         arrow = WRel._canonical(dom, cod, {k: rng.choice(row_pool) for k in keys})

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gsrel.weightmap
 import gsrel.wrel
 from gsrel import (
     ArrowFlags,
@@ -20,6 +21,7 @@ from gsrel import (
     derive_rng,
     enumerate_arrows,
     evaluate_term,
+    in_variant,
     hom_scalar_mul,
     check_term_equality,
     load_interpretation,
@@ -27,6 +29,7 @@ from gsrel import (
     load_table_semiring,
     parse_term,
     sample_arrows,
+    sample_maps,
     wm_eta,
     wm_make,
     wm_psi,
@@ -46,9 +49,11 @@ from gsrel import (
     wrel_tensor,
     wrel_to_doc,
     word_elements,
+    word_size,
 )
 from gsrel.diagram import gsm_axiom_pairs
 from gsrel.semiring import CATALOG
+from gsrel.weightmap import VARIANTS, _enumerable
 
 BOOL = load_semiring("bool")
 NAT = load_semiring("nat")
@@ -933,3 +938,114 @@ def test_dom_builds_only_the_tensor_rows_copy_reads(monkeypatch, sr):
     built.clear()
     _dom_composite(sr, f)
     assert built == [48 * 48]
+
+
+def _reference_sample_arrows(sr, dom, cod, variant, seed, n, tag="arrows"):
+    """sample_arrows as written before its rows were drawn on first read:
+    the whole public sample_maps row pool first, then the products over its
+    first three rows and the seeded random draws over all of it."""
+    if _enumerable(sr, word_size(dom) * word_size(cod)):
+        return enumerate_arrows(sr, dom, cod, variant)[:n]
+    keys = list(word_elements(dom))
+    row_pool = sample_maps(sr, cod, variant, seed, max(6, n // 4), tag=f"{tag}-rows")
+    if not row_pool:
+        return []
+    out = []
+    seen = set()
+    for assignment in itertools.product(row_pool[:3], repeat=len(keys)):
+        arrow = WRel(dom, cod, dict(zip(keys, assignment)))
+        if arrow not in seen:
+            seen.add(arrow)
+            out.append(arrow)
+        if len(out) >= n:
+            return out
+    if not keys:
+        return out
+    rng = derive_rng(seed, "sample-arrows", sr.name, variant, tag, len(keys), n)
+    while len(out) < n:
+        arrow = WRel(dom, cod, {k: rng.choice(row_pool) for k in keys})
+        if arrow not in seen:
+            seen.add(arrow)
+            out.append(arrow)
+        elif len(row_pool) ** max(1, len(keys)) <= len(out):
+            break
+    return out
+
+
+def _xs(size):
+    return (FinSet("X", size),)
+
+
+def _ys(size):
+    return (FinSet("Y", size),)
+
+
+@pytest.mark.parametrize(
+    "name", ["nat", "nonneg-rational", "fuzzy-max-min", "fuzzy-max-times", "gf(101)"]
+)
+def test_sample_arrows_match_the_whole_pool_reference(name):
+    """Rows drawn on first read give the arrows, in the order, of the whole
+    pool drawn first; gf(101) takes the enumerable branch where dom x cod
+    has at most one cell."""
+    sr = load_semiring(name)
+    for variant, d, c, n, seed in itertools.product(
+        VARIANTS, range(3), range(3), (1, 2, 3, 24), (11, 5)
+    ):
+        got = sample_arrows(sr, _xs(d), _ys(c), variant, seed, n)
+        assert got == _reference_sample_arrows(sr, _xs(d), _ys(c), variant, seed, n), (
+            variant, d, c, n, seed,
+        )
+
+
+@pytest.mark.parametrize(
+    "variant, cod_size, members", [("Ma", 1, 1), ("Mr", 2, 3), ("Ma", 0, 0)]
+)
+def test_sample_arrows_over_small_row_families(variant, cod_size, members):
+    """Families with fewer than three rows, or fewer than the pool asks
+    for: the products and the random draws read the rows there are."""
+    for n in (1, 2, 3, 24):
+        pool = sample_maps(NAT, _ys(cod_size), variant, 11, max(6, n // 4), tag="arrows-rows")
+        assert len(pool) == members
+        for d in range(3):
+            got = sample_arrows(NAT, _xs(d), _ys(cod_size), variant, 11, n)
+            assert got == _reference_sample_arrows(NAT, _xs(d), _ys(cod_size), variant, 11, n)
+            assert len(got) == (min(n, members ** d) if members else 0)
+
+
+@pytest.mark.parametrize("dom_size, rows_read", [(1, 2), (0, 1)])
+def test_sample_arrows_draw_no_row_past_the_last_read(monkeypatch, dom_size, rows_read):
+    """nat/Mr over Y2 has three members, found only by running the row
+    stream dry; two arrows on X1 read two rows, and the one arrow on X0
+    reads one row, to tell the family is not empty."""
+    pulled = []
+
+    def recorded(*args, _stream=gsrel.weightmap._sample_stream):
+        for h in _stream(*args):
+            pulled.append(h)
+            yield h
+
+    monkeypatch.setattr(gsrel.weightmap, "_sample_stream", recorded)
+    arrows = sample_arrows(NAT, _xs(dom_size), _ys(2), "Mr", seed=11, n=2)
+    members = [h for h in dict.fromkeys(pulled) if in_variant(NAT, h, "Mr")]
+    assert len(members) == rows_read
+    assert pulled[-1] == members[-1]
+    if dom_size:
+        assert [f.row(NAT, (0,)) for f in arrows] == members
+    else:
+        assert arrows == [WRel(_xs(0), _ys(2), {})]
+
+
+def test_an_empty_domain_enumerates_no_row(monkeypatch):
+    """X0 -> Y3 over gf(101) has the one empty arrow for every variant, as
+    the product over no rows gives, and none of the 101 ** 3 rows is built;
+    an infinite carrier is still refused."""
+    gf101 = load_semiring("gf(101)")
+    for variant in VARIANTS:
+        assert enumerate_arrows(gf101, _xs(0), _ys(3), variant) == [WRel(_xs(0), _ys(3), {})]
+    calls = []
+    monkeypatch.setattr(gsrel.wrel, "enumerate_maps", lambda *args: calls.append(args))
+    assert sample_arrows(gf101, _xs(0), _ys(3), "Ma", seed=11, n=4) == [WRel(_xs(0), _ys(3), {})]
+    assert calls == []
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="carrier is not enumerable"):
+        enumerate_arrows(NAT, _xs(0), _ys(2))
