@@ -14,7 +14,9 @@ fixed seed, so the suite doubles as a CI gate and its reports diff cleanly.
 Each run builds one document: its rows for taxonomy, one JSON object for
 the other subcommands.  --format structured writes that document and
 --format human renders it as text, from the document alone, so the two
-formats carry the same facts.
+formats carry the same facts.  For the other subcommands, --format
+structured writes exactly the bytes of json.dumps(doc, indent=2); a test
+checks it.
 
 SPEC is a catalog name (listed by `gsrel check-semiring --help`) or a path
 to a JSON table file.
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .diagram import (
     DiagramError,
@@ -133,11 +136,41 @@ def _suite_kwargs(args) -> dict:
 # subcommands
 
 
+def _indented_json(o, pad: str = "\n") -> str:
+    """json.dumps(o, indent=2), byte for byte, for o nested at pad's depth.
+
+    Strings, ints, and non-empty lists and str-keyed dicts of them are
+    written here, a list of strings in one join.  Any other value, the
+    empty containers included, goes to json.dumps itself, re-indented to the
+    depth: its ASCII text has no newline but those of its layout.  With an
+    indent, json.dumps on Python 3.11 runs its pure-Python encoder, which
+    takes about twice as long over eval and eq documents."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is list and o:
+        inner = pad + "  "
+        sep = "," + inner
+        if type(o[0]) is str:
+            try:
+                return "[" + inner + sep.join(map(encode_basestring_ascii, o)) + pad + "]"
+            except TypeError:  # an item past the first is not a str
+                pass
+        return "[" + inner + sep.join([_indented_json(x, inner) for x in o]) + pad + "]"
+    if t is dict and o and all(type(k) is str for k in o):
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is int:
+        return int.__repr__(o)
+    return json.dumps(o, indent=2).replace("\n", pad)
+
+
 def _write(args, doc: dict, render) -> None:
     """Write the run's one document: as JSON, or as the human lines that
     render makes from the document alone, so both formats carry one set of
     facts."""
-    lines = [json.dumps(doc, indent=2)] if args.format == "structured" else render(doc)
+    lines = [_indented_json(doc)] if args.format == "structured" else render(doc)
     _emit("\n".join(lines) + "\n", args.out)
 
 
@@ -341,19 +374,13 @@ def _add_common(p, laws=True, sizes=True):
     p.add_argument("--out", default=None, help="write the report to this path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gsrel",
-        description="Semiring-weighted relations: law checking, classification, diagram evaluation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-semiring", help="check semiring axioms and derived flags")
+def _check_semiring_args(p) -> None:
     p.add_argument("semiring", help=f"catalog name ({', '.join(CATALOG)}) or JSON table path")
     _add_common(p, sizes=False)
     p.set_defaults(func=cmd_check_semiring)
 
-    p = sub.add_parser("classify", help="dual-oracle classification of a variant over a semiring")
+
+def _classify_args(p) -> None:
     p.add_argument("semiring", help="catalog name or JSON table path")
     p.add_argument(
         "--variant",
@@ -364,14 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("eval", help="evaluate a diagram term file under an interpretation")
+
+def _eval_args(p) -> None:
     p.add_argument("termfile", help="diagram term file")
     p.add_argument("interp", help="interpretation JSON file")
     p.add_argument("--term", default=None, help="binding to evaluate (default: main)")
     _add_common(p, laws=False, sizes=False)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("eq", help="decide equality of two diagram term files")
+
+def _eq_args(p) -> None:
     p.add_argument("left", help="first term file")
     p.add_argument("right", help="second term file")
     p.add_argument("interp", help="interpretation JSON file")
@@ -380,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, laws=False, sizes=False)
     p.set_defaults(func=cmd_eq)
 
-    p = sub.add_parser("taxonomy", help="run the full law suite over the catalog")
+
+def _taxonomy_args(p) -> None:
     p.add_argument(
         "--semiring",
         action="append",
@@ -392,12 +422,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.set_defaults(func=cmd_taxonomy)
+
+
+# name: (help, adds its arguments and function), in the order --help lists them
+_COMMANDS = {
+    "check-semiring": ("check semiring axioms and derived flags", _check_semiring_args),
+    "classify": ("dual-oracle classification of a variant over a semiring", _classify_args),
+    "eval": ("evaluate a diagram term file under an interpretation", _eval_args),
+    "eq": ("decide equality of two diagram term files", _eq_args),
+    "taxonomy": ("run the full law suite over the catalog", _taxonomy_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gsrel parser with every subcommand, or with only the one named."""
+    parser = argparse.ArgumentParser(
+        prog="gsrel",
+        description="Semiring-weighted relations: law checking, classification, diagram evaluation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only the subparser that
+    argv[0] names.  A help request, an unknown command and any argument
+    that subparser leaves over go to the full tree, so every help and usage
+    text is the full tree's: an extra argument, say, is refused with the
+    usage line that lists every command."""
+    if argv and argv[0] in _COMMANDS and "-h" not in argv and "--help" not in argv:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None, _ops_override=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     args.ops = _ops_override or DEFAULT_OPS
     try:
         _check_options(args)

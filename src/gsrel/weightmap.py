@@ -360,8 +360,11 @@ def sample_maps(
     stream is built lazily and stops at the n-th distinct member.  A
     repeated random draw yields nothing, because it would only repeat maps
     already yielded.  The list holds every member; sample_arrows reads the
-    same members lazily, drawing each on first read.
+    same members lazily, drawing each on first read.  An n of 0 or less
+    gives no map.
     """
+    if n <= 0:
+        return []
     return list(_sampled_members(sr, word, variant, seed, n, tag))
 
 

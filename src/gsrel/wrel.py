@@ -471,7 +471,10 @@ def sample_arrows(
     read the first three rows, the i-th of them at the i-th arrow, and only
     the random draws after them read, and so draw, the whole pool.  An
     enumerable arrow space gives its first n arrows, building no others.
+    An n of 0 or less gives no arrow.
     """
+    if n <= 0:
+        return []
     if _enumerable(sr, word_size(dom) * word_size(cod)):
         return list(islice(_arrows_over(sr, dom, cod, variant), n))
     keys = list(word_elements(dom))
@@ -563,10 +566,20 @@ def _value_label(sr: Semiring, v) -> str:
 
 
 def wrel_to_doc(sr: Semiring, f: WRel) -> dict:
+    """The arrow as a document: its boundary sorts, and one
+    [row labels, column labels, value label] entry per entry of its rows.
+
+    A key's labels are built once per call and copied into each entry, so
+    no two entries share a list."""
+    cod_labels = {}
     entries = []
     for x, h in f.rows:
+        x_labels = word_labels(f.dom, x)
         for y, v in h.entries:
-            entries.append([word_labels(f.dom, x), word_labels(f.cod, y), _value_label(sr, v)])
+            y_labels = cod_labels.get(y)
+            if y_labels is None:
+                y_labels = cod_labels[y] = word_labels(f.cod, y)
+            entries.append([x_labels[:], y_labels[:], _value_label(sr, v)])
     return {
         "dom": [finset_to_doc(s) for s in f.dom],
         "cod": [finset_to_doc(s) for s in f.cod],

@@ -1012,6 +1012,17 @@ def test_sample_arrows_over_small_row_families(variant, cod_size, members):
             assert len(got) == (min(n, members ** d) if members else 0)
 
 
+@pytest.mark.parametrize("sr", [BOOL, NAT], ids=["bool", "nat"])
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_a_sample_of_no_more_than_zero_is_empty(sr, n):
+    """Every branch, enumerated or sampled, on an empty or a full domain,
+    gives no arrow and no map for an n of 0 or less."""
+    for variant, d, c in itertools.product(VARIANTS, (0, 1, 3), (0, 2, 5)):
+        assert sample_arrows(sr, _xs(d), _ys(c), variant, 11, n) == [], (variant, d, c)
+        assert sample_maps(sr, _ys(c), variant, 11, n) == [], (variant, c)
+        assert sample_maps(sr, _ys(4) + _xs(4), variant, 11, n) == [], variant
+
+
 @pytest.mark.parametrize("dom_size, rows_read", [(1, 2), (0, 1)])
 def test_sample_arrows_draw_no_row_past_the_last_read(monkeypatch, dom_size, rows_read):
     """nat/Mr over Y2 has three members, found only by running the row
