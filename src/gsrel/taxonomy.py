@@ -60,6 +60,18 @@ semiring and drops it before the next, so every variant's rows read the
 same structural arrows and the same gsm/ reports; each public law suite
 is a thin call on a fresh one, as wrel_dom is on Structure.  Memos of
 monad operations live on a _BoundOps and stay local to one law-suite call.
+The run holds the row memo: a row that another variant of the run has
+checked over equal enumerated cases is replayed, not checked again.  Only
+rows whose predicate reads nothing but the run's ops, its Structure and
+the case share it: the _EQUATIONS rows of the monad laws, the
+diagram.LAW_TABLE rows of classify_kleisli, structural/ and homm/, and the
+two crosscheck/ rows.  A sampled row is never replayed, since its draws
+are tagged per variant, and neither is a row that reads the variant:
+closure/, kleisli/weakly-markov, the pointwise monadflag/ criteria,
+monadflag/weakly-affine-diagram and coincidence/.  The other monadflag/
+diagrams, over a handful of maps each, are checked per variant too.  A
+replayed row's checks_performed counts the cases its verdict covers, which
+the run checked once.
 
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
@@ -78,10 +90,10 @@ same seed and configuration produce byte-identical structured output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
@@ -146,7 +158,9 @@ class MonadOps:
 
     Tests plant broken operations here to confirm the suite catches them.
     Each operation must be a pure, deterministic function of its arguments:
-    a suite call may evaluate a shared sub-term once and reuse the result.
+    a suite call may evaluate a shared sub-term once and reuse the result,
+    and one run may reuse a row's report for every variant whose cases are
+    equal (see _Run).
     """
 
     eta: Callable
@@ -284,8 +298,8 @@ def _memo(op):
     """op(*args), evaluated once per distinct args.
 
     The dict lives only as long as the returned function, which a law suite
-    builds inside one call.  Keys are maps, arrows and _TableFns, which
-    outlive the call's cases.
+    builds inside one call, or a _Run for the run.  Keys are maps, arrows,
+    words and _TableFns, which outlive the call's cases.
     """
     seen = {}
     missing = object()
@@ -323,11 +337,22 @@ class _TableFn:
 
 class _Pool(list):
     """Pool members or case tuples, and whether they are all of them:
-    complete when enumerated, not when a seeded sample stands in."""
+    complete when enumerated, not when a seeded sample stands in.  `parts`,
+    when given, are the pools whose member lists fix these items, which
+    makes a complete pool a key of the run's row memo (see _Run).  `source`
+    is set by _Run.nested on the pools it filters from a candidate list."""
 
-    def __init__(self, items, complete: bool):
+    def __init__(self, items, complete: bool, parts=None):
         super().__init__(items)
         self.complete = complete
+        self.parts = parts
+        self.source = None
+
+    def key(self, members):
+        """The parts by member list when the pool is complete and has them."""
+        if not self.complete or self.parts is None:
+            return None
+        return tuple(map(members, self.parts))
 
 
 def _functions(dom_word: Word, cod_word: Word) -> _Pool:
@@ -335,6 +360,11 @@ def _functions(dom_word: Word, cod_word: Word) -> _Pool:
     dom_keys = list(word_elements(dom_word))
     images = product(word_elements(cod_word), repeat=len(dom_keys))
     return _Pool((_TableFn(dict(zip(dom_keys, image))) for image in images), True)
+
+
+def _tensor(f: _TableFn, g: _TableFn) -> _TableFn:
+    """f x g on concatenated keys."""
+    return _TableFn({x + y: f(x) + g(y) for x in f.table for y in g.table})
 
 
 def _keyed(pools: dict) -> _Pool:
@@ -345,17 +375,49 @@ def _keyed(pools: dict) -> _Pool:
     )
 
 
-def _cases(pools, samples, seed, tag, targeted=()) -> _Pool:
-    """Case tuples over the pools: their full product, complete, when every
-    pool is complete and the product affordable; otherwise targeted cases
-    followed by seeded draws."""
-    if all(p.complete for p in pools) and prod(map(len, pools)) <= max(samples, _CASE_CAP):
-        return _Pool(product(*pools), True)
+def _enumerated(pools, samples) -> bool:
+    """Whether _cases enumerates the pools: every pool is complete and their
+    product affordable."""
+    return all(p.complete for p in pools) and prod(map(len, pools)) <= max(samples, _CASE_CAP)
+
+
+def _cases(pools, samples, seed, tag, targeted=()):
+    """Case tuples over the pools, lazily: their full product when
+    _enumerated; otherwise targeted cases followed by seeded draws."""
+    if _enumerated(pools, samples):
+        return product(*pools)
     if not all(pools):
-        return _Pool(targeted, False)
+        return targeted
     rng = derive_rng(seed, "cases", tag)
-    draws = (tuple(rng.choice(p) for p in pools) for _ in range(samples))
-    return _Pool([*targeted, *draws], False)
+    return chain(targeted, (tuple(rng.choice(p) for p in pools) for _ in range(samples)))
+
+
+class _Cases:
+    """One law's cases over groups (pools, tag, prefix, suffix[, targeted]),
+    each case built as prefix + case + suffix only when it is read.  The
+    cases are complete when every group is _enumerated, which the pools
+    decide before any case is built."""
+
+    def __init__(self, groups, samples, seed):
+        self.groups = groups
+        self.samples = samples
+        self.seed = seed
+        self.complete = all(_enumerated(pools, samples) for pools, *_ in groups)
+
+    def __iter__(self):
+        for pools, tag, prefix, suffix, *targeted in self.groups:
+            for case in _cases(pools, self.samples, self.seed, tag, *targeted):
+                yield prefix + case + suffix
+
+    def key(self, members):
+        """Each group's pools by member list, with its prefix and suffix,
+        when the cases are complete; None for sampled cases."""
+        if not self.complete:
+            return None
+        return tuple(
+            (tuple(map(members, pools)), prefix, suffix)
+            for pools, _, prefix, suffix, *_ in self.groups
+        )
 
 
 class _Run:
@@ -367,12 +429,25 @@ class _Run:
     without repeats) and budget positive; samples is clamped once to the
     budget and to at least one, so a sampled pass is never a pass over no
     cases.  Drop the holder with the run: its Structure keeps every arrow it
-    has built.
+    has built, and its memos keep what they hold.
 
     Every law family draws its pools through maps, nested and arrows, the
     only callers of the pool builders, and each pool says whether it is
     complete.  A word family's map pools are complete only when every
     word's pool is enumerated (see the module docstring for why).
+
+    The row memo.  check_cases and check_laws give a row checked earlier in
+    the run over the same enumerated cases a copy of that row's report, so
+    a variant whose pools equal another's, as Md's equal M's over a
+    distributive lattice, is not checked twice.  A row is keyed by its law
+    and by what fixes its cases: each group's pools by member list, with
+    its prefix and suffix, or the parts of a _Pool; never the case list.
+    Only rows whose predicate and witness read nothing but the run's ops,
+    its Structure and the case go through these two methods; a row that
+    reads the variant calls report.check_cases itself.  Sampled cases are
+    never keyed, because their draws are tagged per variant.  The
+    _TableFns in the keys compare by identity, so functions and tensor
+    build them once per run.
     """
 
     def __init__(self, variants, sr, sizes, budget, seed, samples, ops=DEFAULT_OPS):
@@ -388,6 +463,11 @@ class _Run:
         self.seed = seed
         self.samples = max(1, min(samples, budget))
         self.ops = ops
+        self.functions = _memo(_functions)
+        self.tensor = _memo(_tensor)
+        self._rows = {}
+        # one object per distinct pool, however many row keys hold it
+        self._members = {}
 
     @cached_property
     def st(self) -> Structure:
@@ -442,8 +522,19 @@ class _Run:
                     for support in combinations(inner, k)
                     for values in product(nonzero, repeat=k)
                 )
-                members = (H for H in candidates if in_variant(sr, H, variant))
-                return _Pool(members, inner.complete)
+                mask = bytearray()
+
+                def admitted():
+                    for H in candidates:
+                        mask.append(in_variant(sr, H, variant))
+                        if mask[-1]:
+                            yield H
+
+                pool = _Pool(admitted(), inner.complete)
+                # the candidates follow from inner and max_support (over the
+                # run's semiring), so with the mask they fix the members
+                pool.source = (inner, max_support, bytes(mask))
+                return pool
         rng = derive_rng(self.seed, "nested", sr.name, variant, tag, len(inner), n)
         stream = _nested_stream(sr, inner, rng, n, max_support)
         return _Pool(_first_members(sr, stream, variant, n), False)
@@ -460,23 +551,56 @@ class _Run:
             for u in self.words("X")
             for v in self.words("Y")
         ]
-        return _Pool((f for cell in cells for f in cell), all(cell.complete for cell in cells))
+        return _Pool(
+            (f for cell in cells for f in cell), all(cell.complete for cell in cells), cells
+        )
 
-    def grouped_cases(self, groups, floor) -> _Pool:
+    def grouped_cases(self, groups, floor) -> _Cases:
         """One law's cases over groups (pools, tag, prefix, suffix[, targeted]).
 
         Each group gets max(floor, samples // len(groups)) cases from _cases,
-        each case wrapped as prefix + case + suffix; the pool is complete
-        when every group was enumerated in full.
+        each case wrapped as prefix + case + suffix and built as it is read;
+        the cases are complete when every group is enumerated in full.
         """
-        n = max(floor, self.samples // len(groups))
-        cases = _Pool([], True)
-        # group by group, so that only one group's bare cases are alive at once
-        for pools, tag, prefix, suffix, *targeted in groups:
-            group = _cases(pools, n, self.seed, tag, *targeted)
-            cases.extend(prefix + c + suffix for c in group)
-            cases.complete = cases.complete and group.complete
-        return cases
+        return _Cases(groups, max(floor, self.samples // len(groups)), self.seed)
+
+    def members(self, pool) -> tuple:
+        """What fixes the pool's members, as one object for equal pools: the
+        members as a tuple or, for a pool that nested filters from
+        candidates, the inner pool's key with the support bound and the
+        filter mask, which keep far fewer objects alive than the members."""
+        if pool.source is None:
+            fixed = tuple(pool)
+        else:
+            inner, max_support, mask = pool.source
+            fixed = (self.members(inner), max_support, mask)
+        return self._members.setdefault(fixed, fixed)
+
+    def check_cases(self, law, cases, holds, describe) -> LawReport:
+        """report.check_cases over the cases, replayed from the row memo when
+        the run has checked this law over equal enumerated cases."""
+        [report] = self._replay(
+            (law,), cases, lambda full: [check_cases(law, cases, holds, describe, full)]
+        )
+        return report
+
+    def check_laws(self, laws, cases, holds_for, describe) -> list[LawReport]:
+        """report.check_laws over the cases, replayed as check_cases is."""
+        return self._replay(
+            tuple(laws), cases, lambda full: check_laws(laws, cases, holds_for, describe, full)
+        )
+
+    def _replay(self, laws, cases, check) -> list[LawReport]:
+        """check(cases.complete), or copies of the reports it gave for equal
+        enumerated cases earlier in the run."""
+        key = cases.key(self.members)
+        if key is None:
+            return check(cases.complete)
+        reports = self._rows.get((laws, key))
+        if reports is None:
+            reports = self._rows[laws, key] = check(True)
+        # copies: callers rename the law and rewrap the witness
+        return [replace(r) for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +664,7 @@ def _closure_reports(run, variant):
             "pushforward",
             run.grouped_cases(
                 [
-                    ([_functions(u, v), pools[u]], f"push-{site}-{uv}", (u, v), ())
+                    ([run.functions(u, v), pools[u]], f"push-{site}-{uv}", (u, v), ())
                     for u, v, uv in pairs
                 ],
                 4,
@@ -677,7 +801,7 @@ def _monad_laws(run, variant):
     }
     site = f"{sr.name}-{variant}"
     name = _word_name
-    fn_pairs = [(u, v, fn) for u in words for v in words for fn in _functions(u, v)]
+    fn_pairs = [(u, v, fn) for u in words for v in words for fn in run.functions(u, v)]
 
     def per_word(tag):
         groups = [([pools[w]], f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
@@ -716,7 +840,7 @@ def _monad_laws(run, variant):
         ),
         (
             "monad/eta-natural",
-            _Pool([(u, fn, x) for u, _, fn in fn_pairs for x in word_elements(u)], True),
+            _Pool([(u, fn, x) for u, _, fn in fn_pairs for x in word_elements(u)], True, ()),
             lambda c: {"word": name(c[0]), "function": c[1].describe(), "key": list(c[2])},
         ),
         (
@@ -736,7 +860,7 @@ def _monad_laws(run, variant):
             mdescribe,
         ),
         (
-            # the last case item is fn x gn, built once per group
+            # the last case item is fn x gn, built once per run
             "monad/psi-natural",
             run.grouped_cases(
                 [
@@ -744,7 +868,7 @@ def _monad_laws(run, variant):
                         [pools[u1], pools[u2]],
                         f"psi-nat-{site}-{name(u1)}{name(v1)}{name(u2)}{name(v2)}",
                         (u1, fn, gn),
-                        (_TableFn({x + y: fn(x) + gn(y) for x in fn.table for y in gn.table}),),
+                        (run.tensor(fn, gn),),
                     )
                     for u1, v1, fn in fn_pairs
                     for u2, v2, gn in fn_pairs
@@ -807,6 +931,7 @@ def _monad_laws(run, variant):
                     for y in word_elements(v)
                 ],
                 True,
+                (),
             ),
             lambda c: {"word": name(c[0]), "left_key": list(c[1]), "right_key": list(c[2])},
         ),
@@ -830,7 +955,7 @@ def _monad_laws(run, variant):
     ]
     m = _BoundOps(sr, run.ops)
     return [
-        check_cases(law, cases, lambda c, eq=_EQUATIONS[law]: eq(m, *c), describe, cases.complete)
+        run.check_cases(law, cases, lambda c, eq=_EQUATIONS[law]: eq(m, *c), describe)
         for law, cases, describe in specs
     ]
 
@@ -1027,12 +1152,11 @@ def classify_kleisli(
 
 def _classify_kleisli(run, variant):
     arrows = run.arrow_grid(variant, run.samples, "classify-{variant}-{ds}x{cs}")
-    flag_reports = check_laws(
+    flag_reports = run.check_laws(
         _FLAG_LAWS.values(),
         arrows,
         lambda f: _arrow_case(run.st, f).holds,
         lambda f: {"sizes": [f.dom[0].size, f.cod[0].size], "arrow": wrel_to_doc(run.sr, f)},
-        arrows.complete,
     )
     reports = {}
     for equation, r in zip(_FLAG_LAWS, flag_reports):
@@ -1149,7 +1273,7 @@ def _crosscheck(run, variant):
     arrows = run.arrow_grid(variant, run.samples, "domx-{variant}-{ds}x{cs}")
     dom = _memo(run.st.dom)
     return tuple(
-        check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f), arrows.complete)
+        run.check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f))
         for law, holds in (
             (
                 "crosscheck/dom-closed-form",
@@ -1172,7 +1296,7 @@ def _structural_reports(run, variant, domain_category):
     arrows = run.arrow_grid(
         variant, max(4, run.samples // len(run.sizes) ** 2), "structural-{variant}-{ds}x{cs}"
     )
-    reports = check_laws(
+    reports = run.check_laws(
         (
             "structural/dom-after-discharge",
             "structural/dom-after-copy",
@@ -1181,7 +1305,6 @@ def _structural_reports(run, variant, domain_category):
         arrows,
         lambda f: _arrow_case(run.st, f).holds,
         lambda f: wrel_to_doc(run.sr, f),
-        arrows.complete,
     )
     if not domain_category:
         reports[-1].law = "gated/dom-before-copy"
@@ -1206,18 +1329,18 @@ def _hom_monoid_reports(run, variant):
     unit = _Pool(
         ((f,) for pool in pools.values() for f in pool),
         all(pool.complete for pool in pools.values()),
+        list(pools.values()),
     )
 
     def docs(c):
         return [wrel_to_doc(sr, f) for f in c]
 
     return [
-        check_cases(
+        run.check_cases(
             law,
             cases,
             lambda c, law=law: _LawCase(run.st, {"Y": c[0].dom}, dict(zip("fgh", c))).holds(law),
             describe,
-            cases.complete,
         )
         for law, cases, describe in (
             ("homm/mul-assoc", assoc, docs),

@@ -563,11 +563,11 @@ def test_grouped_cases_are_complete_only_when_every_group_is_enumerated():
     full, part, big = _Pool("ab", True), _Pool("ab", False), _Pool(range(200), True)
     both = run.grouped_cases([([full], "a", (0,), ()), ([full, full], "b", (), ("z",))], 1)
     assert both.complete
-    assert both == [(0, "a"), (0, "b"), *[(x, y, "z") for x in "ab" for y in "ab"]]
+    assert list(both) == [(0, "a"), (0, "b"), *[(x, y, "z") for x in "ab" for y in "ab"]]
     assert not run.grouped_cases([([full], "a", (), ()), ([part], "b", (), ())], 1).complete
     # complete pools whose product (40,000) is past the cap are sampled
     sampled = run.grouped_cases([([big, big], "c", (), ())], 1)
-    assert not sampled.complete and len(sampled) == 24
+    assert not sampled.complete and len(list(sampled)) == 24
 
 
 def test_functions_are_a_complete_pool():
