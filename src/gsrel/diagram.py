@@ -16,9 +16,12 @@ and 'mass' are primitives of the term language and are expanded by the
 evaluator into their defining composites, so every equation is decided
 along a single semantic path.  One evaluation query ('evaluate_term', or
 both sides of 'check_term_equality') builds each structurally distinct
-sub-term once and reuses its arrow wherever the sub-term recurs, and builds
-each structural arrow (id, copy, del, swap) once per word.  '#' starts a
-line comment.
+sub-term at most once and reuses its arrow wherever the sub-term recurs, and
+builds each structural arrow (id, copy, del, swap) once per word.  A tensor
+composed into, the a * b of f ; (a * b), is not built whole unless it is
+also evaluated on its own: only its rows at the column keys of f are built,
+each once per query however many composites read it.  '#' starts a line
+comment.
 
 The parser rejects a term whose syntax tree is more than MAX_TERM_DEPTH
 levels high, or whose parentheses (those of dom and mass included) nest
@@ -59,6 +62,7 @@ from .wrel import (
     _Labels,
     _build_arrow,
     _check_arrow_doc,
+    _compose_tensor,
     _value_label,
     _word_str,
     finset_from_doc,
@@ -543,9 +547,12 @@ def _query_case(interp: Interpretation) -> _LawCase:
 def _eval(term, case: _LawCase) -> WRel:
     """Arrow of a typechecked term.  `case.memo` maps each sub-term evaluated
     on the case to its arrow; AST nodes are frozen, so structurally equal
-    sub-terms share one entry and are built once.  `case.st` builds the
-    structural arrows of the id/copy/del/swap nodes and of the dom/mass
-    expansions once per word."""
+    sub-terms share one entry and are built once.  f ; (a * b), where the
+    memo has no arrow of a * b, evaluates f, a and b and composes f with
+    the rows of a * b that it reads, built by wrel._compose_tensor and kept
+    in `case.rows` under the tensor term.  `case.st` builds the structural
+    arrows of the id/copy/del/swap nodes and of the dom/mass expansions once
+    per word."""
     arrow = case.memo.get(term)
     if arrow is not None:
         return arrow
@@ -560,9 +567,15 @@ def _eval(term, case: _LawCase) -> WRel:
         arrow = st.swap(case.word(term.left), case.word(term.right))
     elif isinstance(term, Gen):
         arrow = case.generators[term.name]
-    elif isinstance(term, (Seq, Tensor)):
-        op = wrel_compose if isinstance(term, Seq) else wrel_tensor
-        arrow = op(st.sr, _eval(term.left, case), _eval(term.right, case))
+    elif isinstance(term, Seq):
+        f, g = _eval(term.left, case), term.right
+        if isinstance(g, Tensor) and g not in case.memo:
+            rows = case.rows.setdefault(g, {})
+            arrow = _compose_tensor(st.sr, f, _eval(g.left, case), _eval(g.right, case), rows)
+        else:
+            arrow = wrel_compose(st.sr, f, _eval(g, case))
+    elif isinstance(term, Tensor):
+        arrow = wrel_tensor(st.sr, _eval(term.left, case), _eval(term.right, case))
     elif isinstance(term, Dom):
         arrow = st.dom(_eval(term.term, case))
     elif isinstance(term, Mass):
@@ -727,10 +740,12 @@ class _LawCase:
     for a multi-set word or the empty word) and generators to arrows.
 
     A law-table row and a diagram query are both evaluated on one.  It keeps
-    one memo, so the terms evaluated on the case share their sub-terms; `st`
-    is the structure holder of the run or of the query."""
+    one memo, so the terms evaluated on the case share their sub-terms, and
+    one row memo, tensor term -> {row key: row}, so the composites into a
+    tensor share its rows; both die with the case.  `st` is the structure
+    holder of the run or of the query."""
 
-    __slots__ = ("st", "sorts", "generators", "memo")
+    __slots__ = ("st", "sorts", "generators", "memo", "rows")
 
     def __init__(self, st: Structure, sorts: Mapping, generators: Mapping | None = None):
         self.st = st
@@ -738,6 +753,7 @@ class _LawCase:
         # not copied: an interpretation's mapping builds each arrow when first read
         self.generators = {} if generators is None else generators
         self.memo: dict = {}
+        self.rows: dict = {}
 
     def word(self, sort_word: tuple) -> tuple:
         return tuple(s for name in sort_word for s in self.sorts[name])

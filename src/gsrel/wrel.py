@@ -20,14 +20,17 @@ to (), wrel_swap exchanges two blocks.  A Structure holder builds each of
 these once per word and keeps it for as long as the holder lives: one
 semiring's run of the law suites, or one diagram query.  Over its arrows
 it defines dom by its defining composite copy ; (id x (f ; del)), and mass
-as f ; del; wrel_dom and wrel_mass run them on a fresh holder.  copy reads
-only the rows (x, x) of id x (f ; del), so dom builds only those, with the
-row kernel of wrel_tensor, and composes with copy through wrel_compose.
-The closed form of dom (the row total on the diagonal) is exposed
-separately as an independent oracle.  The scalar product of arrows into the unit, the
-canonical semigroup and the per-arrow flags are terms and equations of the
-law table in gsrel.diagram: hom_scalar_mul, canonical_semigroup_mul and
-wrel_classify evaluate them there.
+as f ; del; wrel_dom and wrel_mass run them on a fresh holder.  A composite
+into a tensor, f ; (a x b), reads only the rows of a x b at the column keys
+of f, and _compose_tensor builds only those, with the row kernel of
+wrel_tensor, then composes through wrel_compose.  dom is one instance, copy
+reading the rows (x, x) of id x (f ; del); the diagram evaluator composes
+so into every tensor it has not built whole.  The closed form of dom (the
+row total on the diagonal) is exposed separately as an independent oracle.
+The scalar product of arrows into the unit, the canonical semigroup and the
+per-arrow flags are terms and equations of the law table in gsrel.diagram:
+hom_scalar_mul, canonical_semigroup_mul and wrel_classify evaluate them
+there.
 
 Invariant: every row key of an arrow is an element of its domain word and
 every entry key an element of its codomain word.  Keys are checked once,
@@ -35,8 +38,8 @@ where they enter: by WRel(...), which wrel_make, the dom oracles and any
 caller use, and by the checking pass of wrel_from_doc, whose label lookups
 prove each key, and whose memos hold only label tuples that index_of has
 accepted.  Its build step, which an interpretation runs only for the
-generators a query reads, wrel_compose, wrel_tensor (and the rows of it
-that Structure.dom builds), the structural builders (id, copy, del,
+generators a query reads, wrel_compose, wrel_tensor (and the rows of a
+tensor that _compose_tensor builds), the structural builders (id, copy, del,
 swap), enumerate_arrows and sample_arrows keep the invariant by
 construction, from checked keys or from word_elements, and build through
 WRel._canonical without checking again.
@@ -262,11 +265,11 @@ def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
 
 def _tensor_rows(sr: Semiring, pairs) -> dict:
     """Row xf + xg of a tensor f * g for each pair ((xf, hf), (xg, hg)) of a
-    row of f and a row of g; wrel_tensor passes every pair, Structure.dom the
-    pairs that copy reads.  Each row is wm_psi of its two rows, built here
-    without the call: entry keys are flat tuples, so joining them is
-    concatenation.  Over plain rationals each row is put over its lcm once
-    per call, keyed by its row key on its side."""
+    row of f and a row of g; wrel_tensor passes every pair, _compose_tensor
+    the pairs that its composite reads.  Each row is wm_psi of its two rows,
+    built here without the call: entry keys are flat tuples, so joining them
+    is concatenation.  Over plain rationals each row is put over its lcm
+    once per call, keyed by its row key on its side."""
     rows = {}
     if sr.plain_rational:
         lefts: dict = {}
@@ -288,6 +291,29 @@ def _tensor_rows(sr: Semiring, pairs) -> dict:
                 sr, {x + y: mul(a, b) for x, a in hf.entries for y, b in hg.entries}
             )
     return rows
+
+
+def _compose_tensor(sr: Semiring, f: WRel, left: WRel, right: WRel, built: dict) -> WRel:
+    """f ; (left * right), building only the rows of the tensor that the
+    composite reads.  A row of f ; g reads only the rows of g at the keys of
+    its entries, so this equals wrel_compose(sr, f, wrel_tensor(sr, left,
+    right)) over every semiring, and its rows come from _tensor_rows as
+    wrel_tensor's do.  built maps a row key of the tensor to its row, for
+    the rows built so far; the rows built here are added to it, so callers
+    that compose into one tensor again and pass the same dict build each
+    row once.  wrel_compose checks the boundaries."""
+    cut = len(left.dom)
+    lefts, rights = left._index, right._index
+    pairs = []
+    for y in {y for _x, h in f.rows for y, _v in h.entries}:
+        if y not in built:
+            yl, yr = y[:cut], y[cut:]
+            hl, hr = lefts.get(yl), rights.get(yr)
+            # an empty factor row makes an empty row, which adds nothing
+            if hl is not None and hr is not None:
+                pairs.append(((yl, hl), (yr, hr)))
+    built.update(_tensor_rows(sr, pairs))
+    return wrel_compose(sr, f, WRel._canonical(left.dom + right.dom, left.cod + right.cod, built))
 
 
 def wrel_copy(sr: Semiring, word: Word) -> WRel:
@@ -351,13 +377,10 @@ class Structure:
     def dom(self, f: WRel) -> WRel:
         """Defining composite copy ; (id x mass(f)); the right unitor is a
         no-op because tensoring with the empty word does not change index
-        tuples.  copy reads only the rows (x, x) of the tensor, so only
-        those are built: one per row x of mass(f), the others being empty
-        or unread."""
+        tuples.  Like every composite into a tensor, it builds only the rows
+        of the tensor that copy reads, (x, x) for x in mass(f)."""
         x = f.dom
-        ident = self.id(x)._index
-        spread = _tensor_rows(self.sr, (((k, ident[k]), (k, m)) for k, m in self.mass(f).rows))
-        return wrel_compose(self.sr, self.copy(x), WRel._canonical(x + x, x, spread))
+        return _compose_tensor(self.sr, self.copy(x), self.id(x), self.mass(f), {})
 
 
 def wrel_mass(sr: Semiring, f: WRel) -> WRel:

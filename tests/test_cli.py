@@ -650,11 +650,17 @@ def test_eval_and_eq_read_no_environment(files, monkeypatch):
 
 
 def deep_terms(depth):
-    """A chain of compositions, and parentheses nested around the group of
-    dom(id[A]), each `depth` levels deep; both evaluate to f."""
+    """A chain of compositions, parentheses nested around the group of
+    dom(id[A]), and compositions into tensors, id[A] ; (t * id[]) around f,
+    whose levels alternate ';' and '*'; each `depth` levels deep, and each
+    evaluates to f."""
+    alternating = "f" if depth % 2 else "id[A] ; f"
+    for _ in range((depth - 1) // 2):
+        alternating = f"id[A] ; ({alternating} * id[])"
     return {
         "chain": " ; ".join(["id[A]"] * (depth - 1) + ["f"]),
         "parens": "(" * (depth - 1) + "dom(id[A]) ; f" + ")" * (depth - 1),
+        "alternating": alternating,
     }
 
 
@@ -666,7 +672,7 @@ def deep_argv(cmd, term_file, files):
 
 
 @pytest.mark.parametrize("cmd", ["eval", "eq"])
-@pytest.mark.parametrize("shape", ["chain", "parens"])
+@pytest.mark.parametrize("shape", ["chain", "parens", "alternating"])
 @pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 601, 3000])
 def test_too_deep_terms_exit_2(files, tmp_path, capsys, cmd, shape, depth):
     path = tmp_path / "deep.gsd"
@@ -678,13 +684,13 @@ def test_too_deep_terms_exit_2(files, tmp_path, capsys, cmd, shape, depth):
 
 
 @pytest.mark.parametrize("cmd", ["eval", "eq"])
-@pytest.mark.parametrize("shape", ["chain", "parens"])
+@pytest.mark.parametrize("shape", ["chain", "parens", "alternating"])
 def test_terms_at_the_depth_limit_evaluate(files, tmp_path, capsys, cmd, shape):
     path = tmp_path / "deep.gsd"
     path.write_text(deep_terms(MAX_TERM_DEPTH)[shape])
     assert run(deep_argv(cmd, path, files)) == 0
     if cmd == "eval":
-        # both shapes evaluate to f
+        # every shape evaluates to f
         assert capsys.readouterr().out.splitlines()[1:] == [
             "boundary: [A] -> [C]",
             "  (a) -> (c) : 2",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gsrel.diagram as diagram
+import gsrel.wrel as wrel
 from gsrel import (
     Copy,
     Del,
@@ -318,27 +319,42 @@ def test_check_term_equality_boundary_mismatch():
 
 def test_check_term_equality_builds_shared_sub_terms_once(monkeypatch):
     # P ; L ; S against P ; R ; S, where L = R is copy-cocomm: P = dom(f) ; f
-    # and S = g * g are built once, though each side holds both
+    # is composed once, though each side holds it, and both sides compose
+    # into S = g * g, whose rows the tensor kernel builds once each
     p, s = "(dom(f) ; f)", "(g * g)"
     t1 = parse_term(f"{p} ; (copy[B] ; swap[B;B]) ; {s}")
     t2 = parse_term(f"{p} ; copy[B] ; {s}")
-    built = []
-    for name in ("wrel_compose", "wrel_tensor"):
-        def counted(sr, f, g, _name=name, _op=getattr(diagram, name)):
-            built.append((_name, f, g))
-            return _op(sr, f, g)
+    composed, built = [], []
 
-        monkeypatch.setattr(diagram, name, counted)
+    def compose(sr, f, g, _compose=diagram.wrel_compose):
+        composed.append((f, g))
+        return _compose(sr, f, g)
+
+    def tensor_rows(sr, pairs, _rows=wrel._tensor_rows):
+        pairs = list(pairs)
+        built.extend(pairs)
+        return _rows(sr, pairs)
+
+    monkeypatch.setattr(diagram, "wrel_compose", compose)
+    monkeypatch.setattr(wrel, "_tensor_rows", tensor_rows)
+    f, g = INTERP.generators["f"], INTERP.generators["g"]
+    g_rows = set(g.rows)
+
+    def rows_of_g_g():
+        return [xf + xg for (xf, hf), (xg, hg) in built if {(xf, hf), (xg, hg)} <= g_rows]
+
     separate = [evaluate_term(t1, INTERP), evaluate_term(t2, INTERP)]
-    calls_separate = len(built)
+    separate_rows, separate_composed = rows_of_g_g(), len(composed)
+    composed.clear()
     built.clear()
     rep = check_term_equality(t1, t2, INTERP)
-    f, g = INTERP.generators["f"], INTERP.generators["g"]
-    dom_f = wrel_dom(NAT, f)
-    assert [c[0] for c in built].count("wrel_tensor") == 1
-    assert [(c[1], c[2]) for c in built].count((dom_f, f)) == 1
-    assert [(c[1], c[2]) for c in built if c[0] == "wrel_tensor"] == [(g, g)]
-    assert len(built) == calls_separate - 2
+    shared_rows = rows_of_g_g()
+    assert composed.count((wrel_dom(NAT, f), f)) == 1
+    assert len(composed) == separate_composed - 1
+    # copy reads the rows (b, b) of g * g at the columns b of P, each built
+    # once; the two other rows over g's two rows are not built
+    assert sorted(shared_rows) == [(0, 0), (1, 1)]
+    assert sorted(separate_rows) == sorted(shared_rows * 2)
 
     # the report is the one two separate evaluations give
     left, right = separate

@@ -368,6 +368,25 @@ def test_closure_with_zero_samples_checks_at_least_one_case():
         assert r.checks_performed > 0, (key, r.status)
 
 
+def test_composition_closure_composes_only_where_a_case_can_fail(monkeypatch):
+    # every arrow is an M arrow, so M's cases hold without their composites
+    composed = []
+
+    def counted(sr, f, g, _compose=taxonomy.wrel_compose):
+        composed.append((f, g))
+        return _compose(sr, f, g)
+
+    monkeypatch.setattr(taxonomy, "wrel_compose", counted)
+    run = _Run(["M", "Md"], BOOL, (0, 1, 2), DEFAULT_BUDGET, 11, 24)
+    # bool pools of arrows X_a -> Y_b are enumerated: 2 ** (a * b) each
+    pairs = sum(2 ** (a * b + b * c) for a in (0, 1, 2) for b in (0, 1, 2) for c in (0, 1, 2))
+    for variant, calls in (("M", 0), ("Md", pairs)):
+        composed.clear()
+        report = taxonomy._composition_closure_report(run, variant)
+        assert (report.status, report.checks_performed) == (EXHAUSTIVE_PASS, pairs), variant
+        assert len(composed) == calls, variant
+
+
 def test_known_closure_refutations():
     cases = {
         ("Mm", QPLUS): {"mu"},

@@ -5,7 +5,7 @@ sound only for values that are sums and products of values of canonical
 maps.  So the modules of gsrel name it only inside the six functions whose
 values are made that way: wm_psi, wm_mu and wm_pushforward in weightmap,
 and wrel_compose, _compose_over_ints and _tensor_rows in wrel (the row
-kernel of wrel_tensor and Structure.dom, which builds each row as the
+kernel of wrel_tensor and _compose_tensor, which builds each row as the
 wm_psi of two rows, without calling wm_psi).  Everything
 else goes through WeightMap(...): outside input too, whose arrows
 wrel_from_doc and the lazy generators of an interpretation build with
