@@ -65,13 +65,17 @@ checked over equal enumerated cases is replayed, not checked again.  Only
 rows whose predicate reads nothing but the run's ops, its Structure and
 the case share it: the _EQUATIONS rows of the monad laws, the
 diagram.LAW_TABLE rows of classify_kleisli, structural/ and homm/, and the
-two crosscheck/ rows.  A sampled row is never replayed, since its draws
-are tagged per variant, and neither is a row that reads the variant:
-closure/, kleisli/weakly-markov, the pointwise monadflag/ criteria,
-monadflag/weakly-affine-diagram and coincidence/.  The other monadflag/
-diagrams, over a handful of maps each, are checked per variant too.  A
-replayed row's checks_performed counts the cases its verdict covers, which
-the run checked once.
+two crosscheck/ rows.  A sampled row of these is walked for every variant,
+since its draws are tagged per variant, but each of its verdicts is
+decided once per run: the run keeps a verdict per (law, case), and a case
+equal to one the law was already asked on, by any variant, is answered
+from it.  The walk is the variant's own, so its checks_performed, its
+first failure and the witness describe makes of it are too.  A row that
+reads the variant shares neither memo: closure/, kleisli/weakly-markov,
+the pointwise monadflag/ criteria, monadflag/weakly-affine-diagram and
+coincidence/.  The other monadflag/ diagrams, over a handful of maps
+each, are checked per variant too.  A replayed row's checks_performed
+counts the cases its verdict covers, which the run checked once.
 
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
@@ -160,7 +164,8 @@ class MonadOps:
     Each operation must be a pure, deterministic function of its arguments:
     a suite call may evaluate a shared sub-term once and reuse the result,
     and one run may reuse a row's report for every variant whose cases are
-    equal (see _Run).
+    equal, and a law's verdict on a sampled case for every variant that
+    draws an equal case (see _Run).
     """
 
     eta: Callable
@@ -445,7 +450,10 @@ class _Run:
     Only rows whose predicate and witness read nothing but the run's ops,
     its Structure and the case go through these two methods; a row that
     reads the variant calls report.check_cases itself.  Sampled cases are
-    never keyed, because their draws are tagged per variant.  The
+    never keyed as a row, because their draws are tagged per variant.
+    Instead the two methods walk them as report.check_cases and check_laws
+    do, and ask the predicate only on a (law, case) that the verdict memo
+    lacks; the walk, so the count and the witness, is unchanged.  The
     _TableFns in the keys compare by identity, so functions and tensor
     build them once per run.
     """
@@ -466,6 +474,7 @@ class _Run:
         self.functions = _memo(_functions)
         self.tensor = _memo(_tensor)
         self._rows = {}
+        self._verdicts = {}
         # one object per distinct pool, however many row keys hold it
         self._members = {}
 
@@ -578,29 +587,47 @@ class _Run:
 
     def check_cases(self, law, cases, holds, describe) -> LawReport:
         """report.check_cases over the cases, replayed from the row memo when
-        the run has checked this law over equal enumerated cases."""
-        [report] = self._replay(
-            (law,), cases, lambda full: [check_cases(law, cases, holds, describe, full)]
-        )
+        the run has checked this law over equal enumerated cases; over
+        sampled cases, holds is asked only for verdicts the run lacks."""
+        if not cases.complete:
+            return check_cases(
+                law, cases, lambda c: self._recall(law, c, partial(holds, c)), describe, False
+            )
+        [report] = self._replay((law,), cases, lambda: [check_cases(law, cases, holds, describe)])
         return report
 
     def check_laws(self, laws, cases, holds_for, describe) -> list[LawReport]:
         """report.check_laws over the cases, replayed as check_cases is."""
+        if not cases.complete:
+
+            def recalled(case):
+                holds = holds_for(case)
+                return lambda law: self._recall(law, case, partial(holds, law))
+
+            return check_laws(laws, cases, recalled, describe, False)
         return self._replay(
-            tuple(laws), cases, lambda full: check_laws(laws, cases, holds_for, describe, full)
+            tuple(laws), cases, lambda: check_laws(laws, cases, holds_for, describe)
         )
 
     def _replay(self, laws, cases, check) -> list[LawReport]:
-        """check(cases.complete), or copies of the reports it gave for equal
-        enumerated cases earlier in the run."""
+        """check(), or copies of the reports it gave for equal enumerated
+        cases earlier in the run."""
         key = cases.key(self.members)
         if key is None:
-            return check(cases.complete)
+            return check()
         reports = self._rows.get((laws, key))
         if reports is None:
-            reports = self._rows[laws, key] = check(True)
+            reports = self._rows[laws, key] = check()
         # copies: callers rename the law and rewrap the witness
         return [replace(r) for r in reports]
+
+    def _recall(self, law, case, holds) -> bool:
+        """holds(), or the verdict the run already has for law on case."""
+        key = law, case
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = holds()
+        return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,9 @@ def sample_maps(
     doubled-unit point maps, rescaled and max-normalized random maps) so
     that the common membership patterns appear even when random draws
     would miss them; membership is always re-checked, never assumed.  The
-    stream is built lazily and stops at the n-th distinct member.  A
+    stream is built lazily and stops at the n-th distinct member, and it
+    draws the carrier's sample values only when it reads past the shapes
+    that need none, so a pool those shapes fill draws nothing.  A
     repeated random draw yields nothing, because it would only repeat maps
     already yielded.  The list holds every member; sample_arrows reads the
     same members lazily, drawing each on first read.  An n of 0 or less
@@ -381,8 +383,11 @@ def _sampled_members(sr: Semiring, word: Word, variant: str, seed: int, n: int, 
 
 
 def _sample_stream(sr: Semiring, keys: list, rng, n: int):
-    """The candidate maps of sample_maps, in order, drawn from rng on demand."""
-    values = [v for v in sr.sample_elements(rng) if v != sr.zero]
+    """The candidate maps of sample_maps, in order, drawn from rng on demand.
+
+    The carrier values are drawn from rng only after the shapes that need
+    none, so a stream read no further than those draws nothing; nothing
+    reads rng before that draw, so every later draw is the same."""
     two = sr.add(sr.one, sr.one)
     yield wm_empty(sr)
     if not keys:
@@ -392,6 +397,7 @@ def _sample_stream(sr: Semiring, keys: list, rng, n: int):
     for k in keys[1:]:
         yield wm_eta(sr, k)
     yield WeightMap(sr, {k: sr.one for k in keys})
+    values = [v for v in sr.sample_elements(rng) if v != sr.zero]
     for v in values[:4]:
         yield WeightMap(sr, {keys[0]: v})
     if not values:

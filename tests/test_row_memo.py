@@ -1,10 +1,14 @@
-"""One run checks each enumerated law row once and replays it for the rest.
+"""One run checks each enumerated law row once and replays it for the rest,
+and decides each sampled (law, case) verdict once.
 
 A _Run keeps a memo of report rows keyed by the law and by the pools that
 generate the row's cases.  A variant whose pools equal an earlier
 variant's gets a copy of the earlier row: the same status, count and
-witness it would get from a run of its own.  Sampled rows and rows that
-read the variant are checked for every variant.
+witness it would get from a run of its own.  Sampled rows are walked for
+every variant over its own draws; a verdict the run has already decided
+for the law on an equal case is replayed, not asked again, so the count,
+the first failure and its witness stay the variant's own.  Rows that read
+the variant are checked for every variant, every case asked afresh.
 """
 from collections import Counter
 
@@ -66,8 +70,9 @@ def computed(monkeypatch):
 
 
 @pytest.mark.parametrize("ops", [DEFAULT_OPS, FIRST_ENTRY_OPS], ids=["sound", "first-entry-psi"])
-@pytest.mark.parametrize("sr", ["bool", "gf(2)"])
+@pytest.mark.parametrize("sr", ["bool", "gf(2)", "nat", "fuzzy-max-min"])
 def test_a_shared_run_gives_every_variant_its_own_reports(sr, ops, computed):
+    # bool and gf(2) pools are enumerated, nat and fuzzy-max-min pools sampled
     shared = _Run(VARIANTS, sr, (0, 1, 2), DEFAULT_BUDGET, 11, 24, ops)
     got = {v: _reports(shared, v) for v in VARIANTS}
     in_shared = len(computed)
@@ -77,8 +82,10 @@ def test_a_shared_run_gives_every_variant_its_own_reports(sr, ops, computed):
     # the shared run replayed rows that the runs of their own checked
     assert in_shared < len(computed) - in_shared
     if ops is FIRST_ENTRY_OPS:
-        # over bool, Md's failing rows are M's, replayed
-        failed = [r for r in got["Md"]["monad"] if not r.passed]
+        # over bool, Md's failing rows are M's, replayed; over the sampled
+        # carriers Mi, checked last, fails on its own draws
+        later = "Md" if sr in ("bool", "gf(2)") else "Mi"
+        failed = [r for r in got[later]["monad"] if not r.passed]
         assert failed and all(r.witness is not None for r in failed)
 
 
@@ -154,6 +161,58 @@ def test_sampled_rows_draw_their_own_cases(computed):
     assert counting.calls["psi"] and counting.calls["pushforward"]
     alone = _Run(["Md"], "nat", (0, 1), DEFAULT_BUDGET, 11, 24)
     assert md_reports == _monad_laws(alone, "Md")
+
+
+def test_sampled_verdicts_are_replayed_across_variants():
+    # Md's draws over nat repeat cases whose verdicts M decided; the shared
+    # run recalls those and asks the operations for the rest
+    counting = CountingOps()
+    run = _Run(["M", "Md"], "nat", (0, 1, 2), DEFAULT_BUDGET, 11, 24, counting.ops)
+    _monad_laws(run, "M")
+    counting.calls.clear()
+    md_reports = _monad_laws(run, "Md")
+    fresh = CountingOps()
+    alone = _Run(["Md"], "nat", (0, 1, 2), DEFAULT_BUDGET, 11, 24, fresh.ops)
+    assert md_reports == _monad_laws(alone, "Md")
+    after_m = counting.calls["psi"] + counting.calls["pushforward"]
+    assert 0 < after_m < fresh.calls["psi"] + fresh.calls["pushforward"]
+
+
+def test_rows_that_read_the_variant_ask_every_sampled_case(monkeypatch):
+    asked = []  # (law, sampled, predicate calls, checks_performed), one per row
+
+    def spy(law, cases, holds, describe, exhaustive=True, _check=taxonomy.check_cases):
+        calls = 0
+
+        def counted(case):
+            nonlocal calls
+            calls += 1
+            return holds(case)
+
+        report = _check(law, cases, counted, describe, exhaustive)
+        asked.append((law, not exhaustive, calls, report.checks_performed))
+        return report
+
+    monkeypatch.setattr(taxonomy, "check_cases", spy)
+    run = _Run(VARIANTS, "nat", (0, 1), DEFAULT_BUDGET, 11, 24)
+    for variant in VARIANTS:
+        _classify_monad(run, variant)
+        _classify_kleisli(run, variant)
+    reading = {
+        law
+        for law, *_ in asked
+        if law.startswith("closure/")
+        or law == "kleisli/weakly-markov"
+        or (law.startswith("monadflag/") and law.endswith("-pointwise"))
+    }
+    assert len(reading) == 5 + 1 + 6
+    rows = [row for row in asked if row[0] in reading]
+    assert Counter(law for law, *_ in rows) == {law: len(VARIANTS) for law in reading}
+    assert {law for law, sampled, *_ in rows if sampled} >= {"closure/psi", "closure/mu"}
+    # each row asks its own predicate on every case it walks, and the run
+    # holds no verdict of it to replay
+    assert all(calls == checks for *_, calls, checks in rows)
+    assert not reading & {law for law, _ in run._verdicts}
 
 
 def test_a_row_sampled_over_equal_complete_pools_draws_per_variant(computed):
