@@ -17,17 +17,16 @@ each monad flag once: its law stem, pointwise criterion, case sets and
 closure preconditions.  Four pointwise criteria are sub-family
 memberships, asked through in_variant: affine asks the unit-word maps to
 be in Ma, domain_preserving asks Md, and mass_preserving and
-unital_domain_preserving ask Mm.  check_monad_laws, classify_monad and
-variant_closure_reports make one check_cases call per law.  The theorem and
-implication rows of each pair come from the module tables _THEOREMS and
-_IMPLICATIONS.  The Kleisli-level rows (gsm/, cansem/, structural/, homm/
-and the kleisli/ flags) are the term equations of diagram.LAW_TABLE, which
-the diagram evaluator decides case by case.  The gsm/, cansem/ and
-structural/ rows and the four per-arrow kleisli/ flags go through
+unital_domain_preserving ask Mm.  The theorem and implication rows of
+each pair come from the module tables _THEOREMS and _IMPLICATIONS.  The
+Kleisli-level rows (gsm/, cansem/, structural/, homm/ and the kleisli/
+flags) are the term equations of diagram.LAW_TABLE, which the diagram
+evaluator decides case by case.  Every row is checked by
 report.check_laws, which takes the rows over one list of cases in one
 pass: it builds each case once for all of them and stops each row at its
 first failure, so every row gets the report check_cases would give it
-alone.
+alone.  A row over a run's pools goes through _Run.check; only the gsm/
+and cansem/ rows, over words alone, call report.check_laws directly.
 
 Pools carry their own completeness.  Every law family draws its pools
 through three _Run methods: maps (a variant's map pools over a word
@@ -61,21 +60,18 @@ same structural arrows and the same gsm/ reports; each public law suite
 is a thin call on a fresh one, as wrel_dom is on Structure.  Memos of
 monad operations live on a _BoundOps and stay local to one law-suite call.
 The run holds the row memo: a row that another variant of the run has
-checked over equal enumerated cases is replayed, not checked again.  Only
-rows whose predicate reads nothing but the run's ops, its Structure and
-the case share it: the _EQUATIONS rows of the monad laws, the
-diagram.LAW_TABLE rows of classify_kleisli, structural/ and homm/, and the
-two crosscheck/ rows.  A sampled row of these is walked for every variant,
-since its draws are tagged per variant, but each of its verdicts is
-decided once per run: the run keeps a verdict per (law, case), and a case
-equal to one the law was already asked on, by any variant, is answered
-from it.  The walk is the variant's own, so its checks_performed, its
-first failure and the witness describe makes of it are too.  A row that
-reads the variant shares neither memo: closure/, kleisli/weakly-markov,
-the pointwise monadflag/ criteria, monadflag/weakly-affine-diagram and
-coincidence/.  The other monadflag/ diagrams, over a handful of maps
-each, are checked per variant too.  A replayed row's checks_performed
-counts the cases its verdict covers, which the run checked once.
+checked over equal enumerated cases is replayed, not checked again.  A
+sampled row is walked for every variant, since its draws are tagged per
+variant, but each of its verdicts is decided once per run: the run keeps
+a verdict per (law, case), and a case equal to one the law was already
+asked on, by any variant, is answered from it.  The walk is the variant's
+own, so its checks_performed, its first failure and the witness describe
+makes of it are too.  A replayed row's checks_performed counts the cases
+its verdict covers, which the run checked once.  Both memos are sound
+only for a row whose predicate and witness read nothing but the run's
+ops, its Structure and the case.  The laws whose predicate or witness
+reads the variant are declared once, in _READS_VARIANT, and _Run.check
+shares neither memo with them.
 
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
@@ -107,7 +103,6 @@ from .report import (
     EXHAUSTIVE_PASS,
     SAMPLED_PASS,
     LawReport,
-    check_cases,
     check_laws,
     derive_rng,
 )
@@ -149,6 +144,10 @@ from .wrel import (
 )
 
 _CASE_CAP = 20000
+
+# The law ids, or id prefixes, whose predicate or witness reads the variant.
+# _Run.check shares neither memo with them: every variant asks every case.
+_READS_VARIANT = ("closure/", "kleisli/weakly-markov", "monadflag/weakly-affine-")
 
 
 class SuiteArgumentError(ValueError):
@@ -441,21 +440,19 @@ class _Run:
     complete.  A word family's map pools are complete only when every
     word's pool is enumerated (see the module docstring for why).
 
-    The row memo.  check_cases and check_laws give a row checked earlier in
-    the run over the same enumerated cases a copy of that row's report, so
-    a variant whose pools equal another's, as Md's equal M's over a
-    distributive lattice, is not checked twice.  A row is keyed by its law
-    and by what fixes its cases: each group's pools by member list, with
-    its prefix and suffix, or the parts of a _Pool; never the case list.
-    Only rows whose predicate and witness read nothing but the run's ops,
-    its Structure and the case go through these two methods; a row that
-    reads the variant calls report.check_cases itself.  Sampled cases are
-    never keyed as a row, because their draws are tagged per variant.
-    Instead the two methods walk them as report.check_cases and check_laws
-    do, and ask the predicate only on a (law, case) that the verdict memo
-    lacks; the walk, so the count and the witness, is unchanged.  The
-    _TableFns in the keys compare by identity, so functions and tensor
-    build them once per run.
+    The row memo.  check gives a row checked earlier in the run over the
+    same enumerated cases a copy of that row's report, so a variant whose
+    pools equal another's, as Md's equal M's over a distributive lattice,
+    is not checked twice.  A row is keyed by its laws and by what fixes its
+    cases: each group's pools by member list, with its prefix and suffix,
+    or the parts of a _Pool; never the case list.  Cases with no key, a
+    _Pool without parts, are checked afresh.  Sampled cases are never keyed
+    as a row, because their draws are tagged per variant.  Instead check
+    walks them as report.check_laws does, and asks a law only on a case
+    that the verdict memo lacks; the walk, so the count and the witness, is
+    unchanged.  A law of _READS_VARIANT shares neither memo.  The _TableFns
+    in the keys compare by identity, so functions and tensor build them
+    once per run.
     """
 
     def __init__(self, variants, sr, sizes, budget, seed, samples, ops=DEFAULT_OPS):
@@ -585,39 +582,26 @@ class _Run:
             fixed = (self.members(inner), max_support, mask)
         return self._members.setdefault(fixed, fixed)
 
-    def check_cases(self, law, cases, holds, describe) -> LawReport:
-        """report.check_cases over the cases, replayed from the row memo when
-        the run has checked this law over equal enumerated cases; over
-        sampled cases, holds is asked only for verdicts the run lacks."""
-        if not cases.complete:
-            return check_cases(
-                law, cases, lambda c: self._recall(law, c, partial(holds, c)), describe, False
-            )
-        [report] = self._replay((law,), cases, lambda: [check_cases(law, cases, holds, describe)])
-        return report
-
-    def check_laws(self, laws, cases, holds_for, describe) -> list[LawReport]:
-        """report.check_laws over the cases, replayed as check_cases is."""
-        if not cases.complete:
+    def check(self, laws, cases, holds_for, describe) -> list[LawReport]:
+        """report.check_laws over the cases, sharing the run's memos unless
+        a law reads the variant (_READS_VARIANT).  Over enumerated cases,
+        the run's reports for these laws over equal cases are replayed; over
+        sampled cases, a law is asked only for verdicts the run lacks."""
+        laws = tuple(laws)
+        shared = not any(law.startswith(_READS_VARIANT) for law in laws)
+        if shared and not cases.complete:
 
             def recalled(case):
                 holds = holds_for(case)
                 return lambda law: self._recall(law, case, partial(holds, law))
 
             return check_laws(laws, cases, recalled, describe, False)
-        return self._replay(
-            tuple(laws), cases, lambda: check_laws(laws, cases, holds_for, describe)
-        )
-
-    def _replay(self, laws, cases, check) -> list[LawReport]:
-        """check(), or copies of the reports it gave for equal enumerated
-        cases earlier in the run."""
-        key = cases.key(self.members)
+        key = cases.key(self.members) if shared else None
         if key is None:
-            return check()
+            return check_laws(laws, cases, holds_for, describe, cases.complete)
         reports = self._rows.get((laws, key))
         if reports is None:
-            reports = self._rows[laws, key] = check()
+            reports = self._rows[laws, key] = check_laws(laws, cases, holds_for, describe)
         # copies: callers rename the law and rewrap the witness
         return [replace(r) for r in reports]
 
@@ -716,8 +700,9 @@ def _closure_reports(run, variant):
         ),
     ]
     return {
-        name: check_cases(f"closure/{name}", cases, holds, describe, cases.complete)
+        name: report
         for name, cases, holds, describe in specs
+        for report in run.check([f"closure/{name}"], cases, lambda c: lambda _: holds(c), describe)
     }
 
 
@@ -830,8 +815,8 @@ def _monad_laws(run, variant):
     name = _word_name
     fn_pairs = [(u, v, fn) for u in words for v in words for fn in run.functions(u, v)]
 
-    def per_word(tag):
-        groups = [([pools[w]], f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
+    def per_word(tag, over=pools):
+        groups = [([over[w]], f"{tag}-{site}-{name(w)}", (w,), ()) for w in words]
         return run.grouped_cases(groups, 4)
 
     def mdescribe(c):
@@ -849,22 +834,7 @@ def _monad_laws(run, variant):
     specs = [
         ("monad/mu-unit-left", per_word("mu-unit-left"), mdescribe),
         ("monad/mu-unit-right", per_word("mu-unit-right"), mdescribe),
-        (
-            "monad/mu-assoc",
-            run.grouped_cases(
-                [
-                    (
-                        [outer[w]],
-                        f"mu-assoc-{site}-{name(w)}",
-                        (w,),
-                        (),
-                    )
-                    for w in words
-                ],
-                4,
-            ),
-            mdescribe,
-        ),
+        ("monad/mu-assoc", per_word("mu-assoc", outer), mdescribe),
         (
             "monad/eta-natural",
             _Pool([(u, fn, x) for u, _, fn in fn_pairs for x in word_elements(u)], True, ()),
@@ -981,9 +951,14 @@ def _monad_laws(run, variant):
         ),
     ]
     m = _BoundOps(sr, run.ops)
+
+    def equations(c):
+        return lambda law: _EQUATIONS[law](m, *c)
+
     return [
-        run.check_cases(law, cases, lambda c, eq=_EQUATIONS[law]: eq(m, *c), describe)
+        report
         for law, cases, describe in specs
+        for report in run.check([law], cases, equations, describe)
     ]
 
 
@@ -1087,6 +1062,9 @@ def _classify_monad(run, variant):
 
     diagrams = {**_EQUATIONS, "monadflag/weakly-affine-diagram": weakly_affine}
 
+    def diagram(c):
+        return lambda law: diagrams[law](m, *c)
+
     def describe(c):
         return {"word": _word_name(c[0]), "map": render_map(sr, c[1])}
 
@@ -1095,20 +1073,15 @@ def _classify_monad(run, variant):
         test, family = (
             (in_variant, pointwise) if isinstance(pointwise, str) else (pointwise, variant)
         )
-        p_law, d_law = f"monadflag/{stem}-pointwise", f"monadflag/{stem}-diagram"
-        p_cases, d_cases = cases[p_kind], cases[d_kind]
+        [p_report] = run.check(
+            [f"monadflag/{stem}-pointwise"],
+            cases[p_kind],
+            lambda c: lambda _: test(sr, c[1], family),
+            describe,
+        )
+        [d_report] = run.check([f"monadflag/{stem}-diagram"], cases[d_kind], diagram, describe)
         flags[flag] = FlagVerdict(
-            pointwise=check_cases(
-                p_law, p_cases, lambda c: test(sr, c[1], family), describe, p_cases.complete
-            ),
-            diagram=check_cases(
-                d_law,
-                d_cases,
-                lambda c, eq=diagrams[d_law]: eq(m, *c),
-                describe,
-                d_cases.complete,
-            ),
-            well_posed=all(closure[n].passed for n in preconditions),
+            p_report, d_report, all(closure[n].passed for n in preconditions)
         )
     return MonadClassification(
         variant=variant, semiring=sr.name, flags=flags, closure=closure
@@ -1179,7 +1152,7 @@ def classify_kleisli(
 
 def _classify_kleisli(run, variant):
     arrows = run.arrow_grid(variant, run.samples, "classify-{variant}-{ds}x{cs}")
-    flag_reports = run.check_laws(
+    flag_reports = run.check(
         _FLAG_LAWS.values(),
         arrows,
         lambda f: _arrow_case(run.st, f).holds,
@@ -1224,7 +1197,8 @@ def _weakly_markov_report(run, variant):
             witness["reason"] = "no inverse under the scalar multiplication"
         return witness
 
-    return check_cases("kleisli/weakly-markov", cases, holds, describe, cases.complete)
+    [report] = run.check(["kleisli/weakly-markov"], cases, lambda c: lambda _: holds(c), describe)
+    return report
 
 
 def _hom_inverse(sr, variant, f: WRel):
@@ -1263,17 +1237,19 @@ def _composition_closure_report(run, variant):
         ],
         2,
     )
-    return check_cases(
-        "closure/composition",
+    [report] = run.check(
+        ["closure/composition"],
         cases,
-        lambda c: variant == "M" or arrow_in_variant(sr, wrel_compose(sr, c[0], c[1]), variant),
+        lambda c: lambda _: (
+            variant == "M" or arrow_in_variant(sr, wrel_compose(sr, c[0], c[1]), variant)
+        ),
         lambda c: {
             "left": wrel_to_doc(sr, c[0]),
             "right": wrel_to_doc(sr, c[1]),
             "composite": wrel_to_doc(sr, wrel_compose(sr, c[0], c[1])),
         },
-        cases.complete,
     )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1300,21 +1276,16 @@ def _crosscheck(run, variant):
     sr = run.sr
     arrows = run.arrow_grid(variant, run.samples, "domx-{variant}-{ds}x{cs}")
     dom = _memo(run.st.dom)
-    return tuple(
-        run.check_cases(law, arrows, holds, lambda f: wrel_to_doc(sr, f))
-        for law, holds in (
-            (
-                "crosscheck/dom-closed-form",
-                lambda f: wrel_eq(dom(f), wrel_dom_closed(sr, f)),
-            ),
-            (
-                "crosscheck/dom-monad-path",
-                lambda f: wrel_eq(
-                    wrel_compose(sr, dom(f), f), wrel_dom_via_kleisli_path(sr, f)
-                ),
-            ),
-        )
+    checks = {
+        "crosscheck/dom-closed-form": lambda f: wrel_eq(dom(f), wrel_dom_closed(sr, f)),
+        "crosscheck/dom-monad-path": lambda f: wrel_eq(
+            wrel_compose(sr, dom(f), f), wrel_dom_via_kleisli_path(sr, f)
+        ),
+    }
+    reports = run.check(
+        checks, arrows, lambda f: lambda law: checks[law](f), lambda f: wrel_to_doc(sr, f)
     )
+    return tuple(reports)
 
 
 def _structural_reports(run, variant, domain_category):
@@ -1324,7 +1295,7 @@ def _structural_reports(run, variant, domain_category):
     arrows = run.arrow_grid(
         variant, max(4, run.samples // len(run.sizes) ** 2), "structural-{variant}-{ds}x{cs}"
     )
-    reports = run.check_laws(
+    reports = run.check(
         (
             "structural/dom-after-discharge",
             "structural/dom-after-copy",
@@ -1360,21 +1331,20 @@ def _hom_monoid_reports(run, variant):
         list(pools.values()),
     )
 
+    def case(c):
+        return _LawCase(run.st, {"Y": c[0].dom}, dict(zip("fgh", c))).holds
+
     def docs(c):
         return [wrel_to_doc(sr, f) for f in c]
 
     return [
-        run.check_cases(
-            law,
-            cases,
-            lambda c, law=law: _LawCase(run.st, {"Y": c[0].dom}, dict(zip("fgh", c))).holds(law),
-            describe,
-        )
+        report
         for law, cases, describe in (
             ("homm/mul-assoc", assoc, docs),
             ("homm/mul-comm", comm, docs),
             ("homm/mul-unit", unit, lambda c: wrel_to_doc(sr, c[0])),
         )
+        for report in run.check([law], cases, case, describe)
     ]
 
 

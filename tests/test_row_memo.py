@@ -7,8 +7,10 @@ variant's gets a copy of the earlier row: the same status, count and
 witness it would get from a run of its own.  Sampled rows are walked for
 every variant over its own draws; a verdict the run has already decided
 for the law on an equal case is replayed, not asked again, so the count,
-the first failure and its witness stay the variant's own.  Rows that read
-the variant are checked for every variant, every case asked afresh.
+the first failure and its witness stay the variant's own.  Every row over
+the run's pools goes through _Run.check, which shares no memo with the
+laws that taxonomy._READS_VARIANT declares: those are checked for every
+variant, every case asked afresh.
 """
 from collections import Counter
 
@@ -39,9 +41,12 @@ FIRST_ENTRY_OPS = MonadOps(
 
 
 def _reports(run, variant):
-    """Every family that may share the memo, in the suite's order."""
+    """Every family checked through _Run.check, in the suite's order."""
+    mc = _classify_monad(run, variant)
     kc = _classify_kleisli(run, variant)
     return {
+        "flags": mc.flags,
+        "closure": mc.closure,
         "kleisli": kc.reports,
         "composition": kc.composition_closure,
         "monad": _monad_laws(run, variant),
@@ -53,18 +58,13 @@ def _reports(run, variant):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The laws that report.check_cases and check_laws ran, in order."""
+    """The laws that report.check_laws ran, in order."""
     laws = []
-
-    def spy_cases(law, *args, _check=taxonomy.check_cases):
-        laws.append(law)
-        return _check(law, *args)
 
     def spy_laws(names, *args, _check=taxonomy.check_laws):
         laws.extend(names)
         return _check(names, *args)
 
-    monkeypatch.setattr(taxonomy, "check_cases", spy_cases)
     monkeypatch.setattr(taxonomy, "check_laws", spy_laws)
     return laws
 
@@ -87,6 +87,30 @@ def test_a_shared_run_gives_every_variant_its_own_reports(sr, ops, computed):
         later = "Md" if sr in ("bool", "gf(2)") else "Mi"
         failed = [r for r in got[later]["monad"] if not r.passed]
         assert failed and all(r.witness is not None for r in failed)
+
+
+class _MapsOfM(_Run):
+    """A run whose map pools hold M's nonempty maps under every variant, so
+    that one variant's cases lie outside another's sub-family."""
+
+    def maps(self, variant, words, tag):
+        pools = super().maps("M", words, tag)
+        return {w: _Pool([h for h in p if len(h)], p.complete) for w, p in pools.items()}
+
+
+def test_rows_that_read_the_variant_keep_their_verdicts_per_variant():
+    # over nonneg-rational the inverse of {(): 2} is {(): 1/2}, in M but
+    # not in Md: on that case the weakly-affine rows hold under M and fail
+    # under Md, which a verdict shared across variants would hide.  (The
+    # empty map, which fails under every variant, would end each walk first.)
+    shared = _MapsOfM(VARIANTS, "nonneg-rational", (0, 1), DEFAULT_BUDGET, 11, 24)
+    got = {v: _classify_monad(shared, v) for v in VARIANTS}
+    for variant in VARIANTS:
+        alone = _MapsOfM([variant], "nonneg-rational", (0, 1), DEFAULT_BUDGET, 11, 24)
+        assert got[variant] == _classify_monad(alone, variant), variant
+    for side in ("pointwise", "diagram"):
+        verdicts = {getattr(got[v].flags["weakly_affine"], side).passed for v in VARIANTS}
+        assert verdicts == {True, False}, side
 
 
 def test_a_replayed_row_is_a_copy():
@@ -181,38 +205,49 @@ def test_sampled_verdicts_are_replayed_across_variants():
 def test_rows_that_read_the_variant_ask_every_sampled_case(monkeypatch):
     asked = []  # (law, sampled, predicate calls, checks_performed), one per row
 
-    def spy(law, cases, holds, describe, exhaustive=True, _check=taxonomy.check_cases):
-        calls = 0
+    def spy(laws, cases, holds_for, describe, exhaustive=True, _check=taxonomy.check_laws):
+        calls = Counter()
 
         def counted(case):
-            nonlocal calls
-            calls += 1
-            return holds(case)
+            holds = holds_for(case)
 
-        report = _check(law, cases, counted, describe, exhaustive)
-        asked.append((law, not exhaustive, calls, report.checks_performed))
-        return report
+            def ask(law):
+                calls[law] += 1
+                return holds(law)
 
-    monkeypatch.setattr(taxonomy, "check_cases", spy)
+            return ask
+
+        reports = _check(laws, cases, counted, describe, exhaustive)
+        asked.extend((r.law, not exhaustive, calls[r.law], r.checks_performed) for r in reports)
+        return reports
+
+    monkeypatch.setattr(taxonomy, "check_laws", spy)
     run = _Run(VARIANTS, "nat", (0, 1), DEFAULT_BUDGET, 11, 24)
     for variant in VARIANTS:
         _classify_monad(run, variant)
         _classify_kleisli(run, variant)
     reading = {
-        law
-        for law, *_ in asked
-        if law.startswith("closure/")
-        or law == "kleisli/weakly-markov"
-        or (law.startswith("monadflag/") and law.endswith("-pointwise"))
+        "closure/eta",
+        "closure/psi",
+        "closure/pushforward",
+        "closure/mu",
+        "closure/composition",
+        "kleisli/weakly-markov",
+        "monadflag/weakly-affine-pointwise",
+        "monadflag/weakly-affine-diagram",
     }
-    assert len(reading) == 5 + 1 + 6
     rows = [row for row in asked if row[0] in reading]
     assert Counter(law for law, *_ in rows) == {law: len(VARIANTS) for law in reading}
     assert {law for law, sampled, *_ in rows if sampled} >= {"closure/psi", "closure/mu"}
     # each row asks its own predicate on every case it walks, and the run
     # holds no verdict of it to replay
     assert all(calls == checks for *_, calls, checks in rows)
-    assert not reading & {law for law, _ in run._verdicts}
+    decided = {law for law, _ in run._verdicts}
+    assert not reading & decided
+    # the other pointwise flag criteria read no variant and share the
+    # verdict memo over nat's sampled pools
+    pointwise = {law for law, *_ in asked if law.endswith("-pointwise")} - reading
+    assert len(pointwise) == 5 and pointwise <= decided
 
 
 def test_a_row_sampled_over_equal_complete_pools_draws_per_variant(computed):
