@@ -68,6 +68,16 @@ def check_laws(
 
     `holds_for(case)` is the case's predicate on a law, so the laws share
     whatever the case builds.  Each law stops at its first violation."""
+    status = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
+    if len(laws) == 1:
+        # one law walks as check_cases does, with no bookkeeping across laws
+        [law] = laws
+        n = 0
+        for case in cases:
+            n += 1
+            if not holds_for(case)(law):
+                return [LawReport(law, COUNTEREXAMPLE, n, describe(case))]
+        return [LawReport(law, status, n)]
     failed = {}
     n = 0
     for case in cases:
@@ -78,7 +88,6 @@ def check_laws(
                 failed[law] = LawReport(law, COUNTEREXAMPLE, n, describe(case))
         if len(failed) == len(laws):
             break
-    status = EXHAUSTIVE_PASS if exhaustive else SAMPLED_PASS
     return [failed.get(law) or LawReport(law, status, n) for law in laws]
 
 

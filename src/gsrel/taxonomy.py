@@ -73,6 +73,19 @@ ops, its Structure and the case.  The laws whose predicate or witness
 reads the variant are declared once, in _READS_VARIANT, and _Run.check
 shares neither memo with them.
 
+The per-arrow laws are row-local: row x of both sides reads only row x of
+the arrow, or of the scalar arrows f, g and h, so a law holds on an arrow
+exactly when it holds on each one-row arrow X1 -> Y cut from its rows, and
+vacuously on an arrow from an empty word.  They are declared once, in
+_ROW_LOCAL, and _Run.check decides each case of theirs as the AND of its
+rows' verdicts.  The run keeps a verdict per law, codomain and row (or
+tuple of rows at one key), so an arrow's verdict is decided once per
+distinct row, across arrows, pool tags and variants; the walk over whole
+arrows, so the count, the first failure and its witness, is unchanged.
+closure/composition, which reads the variant, keeps its verdicts per
+(row of f, g) for one call, and only for the rows it cuts from an f with
+several.
+
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
 with "closure/" or "gated/" are informational: they surface sub-family
@@ -129,6 +142,7 @@ from .weightmap import (
     wm_pushforward,
     wm_total,
     word_elements,
+    word_size,
 )
 from .diagram import _FLAG_LAWS, _arrow_case, _LawCase
 from .wrel import (
@@ -148,6 +162,20 @@ _CASE_CAP = 20000
 # The law ids, or id prefixes, whose predicate or witness reads the variant.
 # _Run.check shares neither memo with them: every variant asks every case.
 _READS_VARIANT = ("closure/", "kleisli/weakly-markov", "monadflag/weakly-affine-")
+
+# The law ids, or id prefixes, that are row-local: a case holds exactly when
+# each one-row case cut from it holds (see _cut).  _Run.check decides them
+# row by row, each distinct row once.
+_ROW_LOCAL = (
+    "kleisli/markov",
+    "kleisli/restriction",
+    "kleisli/domain-category",
+    "kleisli/mass-category",
+    "structural/",
+    "crosscheck/dom-",
+    "homm/",
+    "closure/composition",
+)
 
 
 class SuiteArgumentError(ValueError):
@@ -424,6 +452,46 @@ class _Cases:
         )
 
 
+def _rows(f: WRel, empty) -> tuple:
+    """f's rows in key order, `empty` at a zero row."""
+    index = dict(f.rows)
+    return tuple(index.get(x, empty) for x in word_elements(f.dom))
+
+
+def _cut(case, empty):
+    """A row-local law's case cut at each key of its first arrow's domain.
+
+    A case is an arrow or a tuple of arrows.  Every arrow over the first
+    one's domain is cut at the key, and the others are kept whole:
+    closure/composition cuts f and keeps g.  Returns what every cut shares
+    (the cut arrows' codomains and the arrows kept whole), the distinct
+    rows at one key, `empty` standing for a zero row, and the builder of
+    the one-row case of such a row, whose cut arrows have a one-element
+    domain.  Where several arrows are cut, a row is the tuple of their
+    rows.  A case over a one-element domain is its own one-row case, and
+    has no builder.
+    """
+    arrows = case if isinstance(case, tuple) else (case,)
+    dom = arrows[0].dom
+    cut = [a.dom == dom for a in arrows]
+    fixed = tuple(a.cod if c else a for a, c in zip(arrows, cut))
+    tables = [_rows(a, empty) for a, c in zip(arrows, cut) if c]
+    rows = dict.fromkeys(tables[0] if len(tables) == 1 else zip(*tables))
+    if word_size(dom) == 1:
+        return fixed, rows, None
+
+    def one_row(at):
+        one = tuple(FinSet(s.name, 1) for s in dom)
+        key = (0,) * len(one)
+        at = iter(at if len(tables) > 1 else (at,))
+        built = tuple(
+            WRel._canonical(one, a.cod, {key: next(at)}) if c else a for a, c in zip(arrows, cut)
+        )
+        return built if isinstance(case, tuple) else built[0]
+
+    return fixed, rows, one_row
+
+
 class _Run:
     """One semiring's run of the law suites: the checked arguments, one
     Structure and the gsm/ reports, the last two built on first use.
@@ -453,6 +521,15 @@ class _Run:
     unchanged.  A law of _READS_VARIANT shares neither memo.  The _TableFns
     in the keys compare by identity, so functions and tensor build them
     once per run.
+
+    The row-verdict memo.  A law of _ROW_LOCAL is asked on one-row cases
+    only (see _cut): check decides each case as the AND of its rows'
+    verdicts, which the run keeps as booleans keyed by law, codomain and
+    row (or tuple of rows at one key), and which every later arrow, pool
+    tag and variant reads.  It takes the place of the verdict memo for
+    these laws; the row memo still replays their enumerated rows.  A law
+    that also reads the variant keeps its row verdicts for one check (see
+    _by_rows).
     """
 
     def __init__(self, variants, sr, sizes, budget, seed, samples, ops=DEFAULT_OPS):
@@ -472,6 +549,7 @@ class _Run:
         self.tensor = _memo(_tensor)
         self._rows = {}
         self._verdicts = {}
+        self._row_verdicts = {}
         # one object per distinct pool, however many row keys hold it
         self._members = {}
 
@@ -586,10 +664,18 @@ class _Run:
         """report.check_laws over the cases, sharing the run's memos unless
         a law reads the variant (_READS_VARIANT).  Over enumerated cases,
         the run's reports for these laws over equal cases are replayed; over
-        sampled cases, a law is asked only for verdicts the run lacks."""
+        sampled cases, a law is asked only for verdicts the run lacks.  Row-
+        local laws (_ROW_LOCAL) are decided row by row, each row's verdict
+        kept for the run, or for this call when a law reads the variant.  A
+        holds_for of None says that every case holds unread: the cases are
+        walked for their count alone."""
         laws = tuple(laws)
+        if holds_for is None:
+            return check_laws(laws, cases, lambda _: lambda _: True, describe, cases.complete)
         shared = not any(law.startswith(_READS_VARIANT) for law in laws)
-        if shared and not cases.complete:
+        if all(law.startswith(_ROW_LOCAL) for law in laws):
+            holds_for = self._by_rows(holds_for, self._row_verdicts if shared else None)
+        elif shared and not cases.complete:
 
             def recalled(case):
                 holds = holds_for(case)
@@ -612,6 +698,41 @@ class _Run:
         if verdict is None:
             verdict = self._verdicts[key] = holds()
         return verdict
+
+    def _by_rows(self, holds_for, verdicts=None):
+        """holds_for of row-local laws, deciding a case as the AND of its
+        rows' verdicts (see _cut).  A row's verdict for a law is taken from
+        `verdicts` or decided there once, on the row's one-row case.  With
+        no `verdicts`, for a law that reads the variant, they are kept for
+        this call only, and a case over a one-element domain is asked as it
+        is: within one call its verdict seldom recurs, and keeping every one
+        of them cost memory."""
+        empty = wm_empty(self.sr)
+        local = verdicts is None
+        if local:
+            verdicts = {}
+
+        def by_rows(case):
+            if local and word_size((case[0] if isinstance(case, tuple) else case).dom) == 1:
+                return holds_for(case)
+            fixed, rows, one_row = _cut(case, empty)
+            asked = {}
+
+            def holds(law):
+                for row in rows:
+                    key = law, fixed, row
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        if row not in asked:
+                            asked[row] = holds_for(case if one_row is None else one_row(row))
+                        verdict = verdicts[key] = asked[row](law)
+                    if not verdict:
+                        return False
+                return True
+
+            return holds
+
+        return by_rows
 
 
 # ---------------------------------------------------------------------------
@@ -1217,7 +1338,7 @@ def _hom_inverse(sr, variant, f: WRel):
 
 def _composition_closure_report(run, variant):
     """Composites of variant arrows should have variant rows.  Every arrow
-    is an M arrow, so under M each case holds without its composite."""
+    is an M arrow, so under M each case holds unread."""
     sr = run.sr
     triples = list(product(run.sizes, repeat=3))
     n = max(2, run.samples // len(triples))
@@ -1240,9 +1361,9 @@ def _composition_closure_report(run, variant):
     [report] = run.check(
         ["closure/composition"],
         cases,
-        lambda c: lambda _: (
-            variant == "M" or arrow_in_variant(sr, wrel_compose(sr, c[0], c[1]), variant)
-        ),
+        None
+        if variant == "M"
+        else lambda c: lambda _: arrow_in_variant(sr, wrel_compose(sr, c[0], c[1]), variant),
         lambda c: {
             "left": wrel_to_doc(sr, c[0]),
             "right": wrel_to_doc(sr, c[1]),

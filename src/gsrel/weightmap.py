@@ -385,21 +385,34 @@ def _sampled_members(sr: Semiring, word: Word, variant: str, seed: int, n: int, 
 def _sample_stream(sr: Semiring, keys: list, rng, n: int):
     """The candidate maps of sample_maps, in order, drawn from rng on demand.
 
+    A candidate whose dict equals the one before it is not built: it would
+    only repeat the map just yielded, which _members drops.  No draw moves,
+    since every draw is made in _candidate_dicts."""
+    before = None
+    for picked in _candidate_dicts(sr, keys, rng, n):
+        if picked != before:
+            yield WeightMap(sr, picked)
+        before = picked
+
+
+def _candidate_dicts(sr: Semiring, keys: list, rng, n: int):
+    """The items of the candidate maps of sample_maps, in order.
+
     The carrier values are drawn from rng only after the shapes that need
     none, so a stream read no further than those draws nothing; nothing
     reads rng before that draw, so every later draw is the same."""
     two = sr.add(sr.one, sr.one)
-    yield wm_empty(sr)
+    yield {}
     if not keys:
         return
-    yield wm_eta(sr, keys[0])
-    yield WeightMap(sr, {keys[0]: two})
+    yield {keys[0]: sr.one}
+    yield {keys[0]: two}
     for k in keys[1:]:
-        yield wm_eta(sr, k)
-    yield WeightMap(sr, {k: sr.one for k in keys})
+        yield {k: sr.one}
+    yield {k: sr.one for k in keys}
     values = [v for v in sr.sample_elements(rng) if v != sr.zero]
     for v in values[:4]:
-        yield WeightMap(sr, {keys[0]: v})
+        yield {keys[0]: v}
     if not values:
         return
     # Keys and values are drawn by index: rng.choice(range(m)) uses the rng
@@ -420,18 +433,18 @@ def _sample_stream(sr: Semiring, keys: list, rng, n: int):
         if (mask, picks) in drawn:
             continue
         drawn.add((mask, picks))
+        # keys in key order and no zero value, as in the map's entries
         picked = {keys[i]: values[j] for i, j in zip(mask, picks)}
-        h = WeightMap(sr, picked)
-        yield h
+        yield picked
         # Rescale by the inverse of the total when one exists, to land on
         # normalized members; otherwise force the first value to one.
-        t = wm_total(sr, h)
+        t = sr.sum(picked.values())
         inv = mul_inverse(sr, t) if t != sr.zero else None
         if inv is not None:
-            yield WeightMap(sr, {k: sr.mul(v, inv) for k, v in picked.items()})
+            yield {k: sr.mul(v, inv) for k, v in picked.items()}
         forced = dict(picked)
         forced[keys[mask[0]]] = sr.one
-        yield WeightMap(sr, forced)
+        yield forced
 
 
 def _first_members(sr: Semiring, candidates, variant: str, n: int) -> list[WeightMap]:

@@ -7,7 +7,7 @@ carrier values are drawn after them, so a pool filled by those shapes
 makes no draw, and a pool that reads further gets the same draws as a
 stream that drew first.  The member filter keeps the first n distinct
 candidates that are members, in stream order, whatever order it asks
-its two tests in.
+its two tests in.  A candidate equal to the one before it is not built.
 """
 import dataclasses
 
@@ -15,7 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsrel import VARIANTS, FinSet, WeightMap, WeightMapError, in_variant, load_semiring
+from gsrel import word_elements
+from gsrel.report import derive_rng
 from gsrel.weightmap import _first_members, sample_maps
+from gsrel.weightmap import _candidate_dicts, _sample_stream
 from gsrel.wrel import sample_arrows
 
 X2, Y1 = (FinSet("X", 2),), (FinSet("Y", 1),)
@@ -106,3 +109,30 @@ def test_an_unknown_variant_is_refused():
         _first_members(nat, [WeightMap(nat, {})], "Mx", 1)
     with pytest.raises(WeightMapError, match="unknown variant"):
         sample_maps(nat, X2, "Mx", 11, 24)
+
+
+def test_a_candidate_equal_to_the_one_before_it_is_not_built(monkeypatch):
+    # over fuzzy-max-min 1 + 1 = 1, so the doubled-unit point map repeats the
+    # unit one, and a draw whose total is 1 rescales to itself
+    sr = load_semiring("fuzzy-max-min")
+    keys = list(word_elements(X2))
+    dicts = list(_candidate_dicts(sr, keys, derive_rng(11, "t"), 24))
+    repeats = sum(a == b for a, b in zip(dicts, dicts[1:]))
+    built = []
+    init = WeightMap.__init__
+
+    def counted(self, sr, items):
+        built.append(1)
+        init(self, sr, items)
+
+    monkeypatch.setattr(WeightMap, "__init__", counted)
+    stream = list(_sample_stream(sr, keys, derive_rng(11, "t"), 24))
+    assert repeats > 0
+    assert len(built) == len(stream) == len(dicts) - repeats
+    assert all(a != b for a, b in zip(stream, stream[1:]))
+    # the members are those of every candidate built
+    every = [WeightMap(sr, d) for d in dicts]
+    for variant in VARIANTS:
+        assert _first_members(sr, iter(stream), variant, 100) == reference_members(
+            sr, every, variant, 100
+        )

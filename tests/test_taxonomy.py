@@ -1,6 +1,7 @@
 """Classification oracles, law suite wiring, and the planted-bug check."""
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -281,15 +282,19 @@ def test_structural_arrows_are_built_once_per_word(monkeypatch):
             return _op(sr, word)
 
         monkeypatch.setattr(wrel, name, counted)
-    xs = {(FinSet("X", n),) for n in (0, 1, 3)}
-    ys = {(FinSet("Y", n),) for n in (0, 1, 3)}
-
-    closed, monad_path = crosscheck_dom_paths(BOOL, "M", sizes=(0, 1, 3))
-    assert closed.passed and monad_path.passed
-    assert len(built) == len(set(built)), "an arrow was built twice"
-    assert {w for name, w in built if name == "wrel_copy"} == xs
-    assert {w for name, w in built if name == "wrel_id"} == xs
-    assert {w for name, w in built if name == "wrel_del"} == ys
+    # the crosschecks are row-local: every arrow X_n -> Y is decided on the
+    # one-row arrows X1 -> Y cut from it, so copy and id are built over X1
+    # alone, whatever the sizes, and del over every Y
+    for sizes in ((0, 1, 3), (0, 3)):
+        built.clear()
+        closed, monad_path = crosscheck_dom_paths(BOOL, "M", sizes=sizes)
+        assert closed.passed and monad_path.passed
+        assert len(built) == len(set(built)), "an arrow was built twice"
+        assert {w for name, w in built if name == "wrel_copy"} == {(FinSet("X", 1),)}
+        assert {w for name, w in built if name == "wrel_id"} == {(FinSet("X", 1),)}
+        assert {w for name, w in built if name == "wrel_del"} == {
+            (FinSet("Y", n),) for n in sizes
+        }
 
     built.clear()
     classify_kleisli("M", BOOL, sizes=(0, 1, 3))
@@ -377,14 +382,26 @@ def test_composition_closure_composes_only_where_a_case_can_fail(monkeypatch):
         return _compose(sr, f, g)
 
     monkeypatch.setattr(taxonomy, "wrel_compose", counted)
-    run = _Run(["M", "Md"], BOOL, (0, 1, 2), DEFAULT_BUDGET, 11, 24)
+    sizes = (0, 1, 2)
+    run = _Run(["M", "Md"], BOOL, sizes, DEFAULT_BUDGET, 11, 24)
     # bool pools of arrows X_a -> Y_b are enumerated: 2 ** (a * b) each
-    pairs = sum(2 ** (a * b + b * c) for a in (0, 1, 2) for b in (0, 1, 2) for c in (0, 1, 2))
-    for variant, calls in (("M", 0), ("Md", pairs)):
+    pairs = sum(2 ** (a * b + b * c) for a in sizes for b in sizes for c in sizes)
+    # the law is row-local in f.  An arrow from X0 has no row, so its cases
+    # compose nothing.  The rows of the arrows X_a -> Y_b, a >= 1, are the
+    # 2 ** b maps over Y_b, so each of the one-row cases (a = 1) is a distinct
+    # (row of f, g), composed once; the X2 cases compose each distinct
+    # (row, g) once more, the row a one-row arrow X1 -> Y_b
+    rows_and_gs = sum(2**b * 2 ** (b * c) for b in sizes for c in sizes)
+    assert (pairs, rows_and_gs) == (499, 101)
+    for variant, calls in (("M", 0), ("Md", 2 * rows_and_gs)):
         composed.clear()
         report = taxonomy._composition_closure_report(run, variant)
         assert (report.status, report.checks_performed) == (EXHAUSTIVE_PASS, pairs), variant
         assert len(composed) == calls, variant
+    # every composite is of a one-row arrow X1 -> Y_b: the 101 pairs, each
+    # once as an X1 case and once as the row of X2 cases
+    assert {f.dom for f, _ in composed} == {(FinSet("X", 1),)}
+    assert set(Counter(composed).values()) == {2} and len(set(composed)) == rows_and_gs
 
 
 def test_known_closure_refutations():
@@ -524,6 +541,30 @@ def test_check_laws_gives_each_law_its_check_cases_report():
     # the walk ends once every law has failed
     assert check_laws(["even", "never"], range(1, 8), holds_for, str)[0].checks_performed == 1
     assert asked[-1] == ("never", 1)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+@pytest.mark.parametrize(
+    "cases, holds",
+    [
+        (range(1, 8), lambda n: n < 10),
+        (range(1, 8), lambda n: n < 4),
+        (range(1, 8), lambda n: False),
+        ((), lambda n: False),
+    ],
+    ids=["passing", "failing-at-4", "failing-first", "empty"],
+)
+def test_check_laws_with_one_law_is_check_cases(cases, holds, exhaustive):
+    asked = []
+
+    def holds_for(n):
+        asked.append(n)
+        return lambda law: law == "one" and holds(n)
+
+    got = check_laws(["one"], iter(cases), holds_for, lambda n: {"n": n}, exhaustive)
+    assert got == [check_cases("one", cases, holds, lambda n: {"n": n}, exhaustive)]
+    # the walk stops at the first failure
+    assert asked == list(cases)[: got[0].checks_performed]
 
 
 def test_coincidence_row_names_an_arrow_missing_from_md():
