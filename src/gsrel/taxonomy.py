@@ -34,6 +34,10 @@ family), nested (variant maps keyed by the maps of a pool) and arrows (one
 dom and cod; arrow_grid joins them over every pair of sizes).  Each pool
 is a _Pool, a list that says whether it is complete, that is enumerated,
 or a seeded sample; a nested pool is complete only when its inner pool is.
+An enumerated pool reads no tag, so maps and arrows build each complete
+pool of a variant once, keyed by the variant and the word, or dom and
+cod, and every family that asks for it again gets the same object; a
+sampled pool is drawn afresh under its tag.
 A law's cases come in groups, one per word, word pair, function pair or
 size triple; _Run.grouped_cases gives each group an equal share of the
 samples, enumerating the group instead when its pools are complete and the
@@ -58,7 +62,9 @@ across runs, that no semiring name repeats.  It makes one _Run per
 semiring and drops it before the next, so every variant's rows read the
 same structural arrows and the same gsm/ reports; each public law suite
 is a thin call on a fresh one, as wrel_dom is on Structure.  Memos of
-monad operations live on a _BoundOps and stay local to one law-suite call.
+monad operations live on a _BoundOps and stay local to one law-suite call;
+they are dicts, subscripted as psi_once[h, k], so a repeated application
+costs one lookup.
 The run holds the row memo: a row that another variant of the run has
 checked over equal enumerated cases is replayed, not checked again.  A
 sampled row is walked for every variant, since its draws are tagged per
@@ -126,6 +132,7 @@ from .weightmap import (
     WeightMap,
     WeightMapError,
     Word,
+    _distinct_maps,
     _enumerable,
     _first_members,
     _maps_over,
@@ -303,47 +310,64 @@ def _word_name(word: Word) -> str:
     return "*".join(f"{s.name}{s.size}" for s in word)
 
 
-def _nested_stream(sr, inner, rng, n, max_support):
-    """The candidate maps of _Run.nested, in order, drawn from rng on demand."""
+def _nested_dicts(sr, inner, rng, n, max_support):
+    """The items of the candidate maps of _Run.nested, in order, drawn from
+    rng on demand; _distinct_maps builds each distinct one."""
     vals = [v for v in sr.sample_elements(rng) if v != sr.zero]
     two = sr.add(sr.one, sr.one)
     inv2 = mul_inverse(sr, two) if two != sr.zero else None
     weights = _dedup_values([sr.one, two] + ([inv2] if inv2 is not None else []) + vals[:4], sr)
     head = min(4, len(inner))
-    yield wm_empty(sr)
+    yield {}
     for g in inner[:3]:
-        yield wm_eta(sr, g)
+        yield {g: sr.one}
     for a, b in combinations(range(head), 2):
         for w1 in weights[:4]:
             for w2 in weights[:4]:
-                yield WeightMap(sr, {inner[a]: w1, inner[b]: w2})
+                yield {inner[a]: w1, inner[b]: w2}
     for a, b, c in combinations(range(head), 3):
-        yield WeightMap(sr, {inner[a]: sr.one, inner[b]: sr.one, inner[c]: sr.one})
+        yield {inner[a]: sr.one, inner[b]: sr.one, inner[c]: sr.one}
     bound = max_support if max_support is not None else len(inner)
     for _ in range(4 * n):
         k = rng.randint(1, max(1, min(bound, 3)))
         support = rng.sample(inner, min(k, len(inner)))
-        yield WeightMap(sr, {g: rng.choice(weights + vals) for g in support})
+        yield {g: rng.choice(weights + vals) for g in support}
 
 
-def _memo(op):
-    """op(*args), evaluated once per distinct args.
+class _memo(dict):
+    """op(*args), evaluated once per distinct args: memo[a, b] is op(a, b),
+    and so is memo(a, b).  A subscription that hits is one dict lookup with
+    no Python frame; a miss reaches __missing__.
 
-    The dict lives only as long as the returned function, which a law suite
-    builds inside one call, or a _Run for the run.  Keys are maps, arrows,
-    words and _TableFns, which outlive the call's cases.
+    The dict lives only as long as its holder: a _BoundOps, which a law
+    suite builds inside one call, or a _Run for the run.  Keys are maps,
+    arrows, words and _TableFns, which outlive the call's cases.
     """
-    seen = {}
-    missing = object()
 
-    def call(*args):
-        # one lookup on a hit: hashing args hashes every map in it
-        out = seen.get(args, missing)
-        if out is missing:
-            out = seen[args] = op(*args)
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, args):
+        out = self[args] = self.op(*args)
         return out
 
-    return call
+    def __call__(self, *args):
+        return self[args]
+
+
+class _memo1(_memo):
+    """A _memo of a one-argument op, keyed by the argument itself, which is
+    never unpacked: memo[x] and memo(x) are op(x)."""
+
+    __slots__ = ()
+
+    def __missing__(self, arg):
+        out = self[arg] = self.op(arg)
+        return out
+
+    __call__ = dict.__getitem__
 
 
 def _dedup_values(values, sr):
@@ -354,17 +378,20 @@ def _dedup_values(values, sr):
     return out
 
 
-class _TableFn:
-    """Function between word element sets, tabulated for stable witnesses."""
+class _TableFn(dict):
+    """Function between word element sets, tabulated for stable witnesses:
+    the table of key -> image, called with no Python frame.  Two functions
+    compare and hash by identity, as memo keys; _Run.functions and
+    _Run.tensor build each once per run."""
 
-    def __init__(self, table: dict):
-        self.table = dict(table)
-
-    def __call__(self, key):
-        return self.table[key]
+    __slots__ = ()
+    __call__ = dict.__getitem__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def describe(self):
-        return [[list(k), list(v)] for k, v in sorted(self.table.items())]
+        return [[list(k), list(v)] for k, v in sorted(self.items())]
 
 
 class _Pool(list):
@@ -391,12 +418,12 @@ def _functions(dom_word: Word, cod_word: Word) -> _Pool:
     """Every function between the words' element sets: a complete pool."""
     dom_keys = list(word_elements(dom_word))
     images = product(word_elements(cod_word), repeat=len(dom_keys))
-    return _Pool((_TableFn(dict(zip(dom_keys, image))) for image in images), True)
+    return _Pool((_TableFn(zip(dom_keys, image)) for image in images), True)
 
 
 def _tensor(f: _TableFn, g: _TableFn) -> _TableFn:
     """f x g on concatenated keys."""
-    return _TableFn({x + y: f(x) + g(y) for x in f.table for y in g.table})
+    return _TableFn({x + y: f(x) + g(y) for x in f for y in g})
 
 
 def _keyed(pools: dict) -> _Pool:
@@ -506,7 +533,11 @@ class _Run:
     Every law family draws its pools through maps, nested and arrows, the
     only callers of the pool builders, and each pool says whether it is
     complete.  A word family's map pools are complete only when every
-    word's pool is enumerated (see the module docstring for why).
+    word's pool is enumerated (see the module docstring for why).  maps and
+    arrows keep the complete pools of the variant they last drew (see
+    _kept): the theorem suite draws one variant at a time, and its families
+    ask for the same word's maps or the same arrows under several tags.
+    nested keeps nothing, since no run asks for one nested pool twice.
 
     The row memo.  check gives a row checked earlier in the run over the
     same enumerated cases a copy of that row's report, so a variant whose
@@ -552,6 +583,8 @@ class _Run:
         self._row_verdicts = {}
         # one object per distinct pool, however many row keys hold it
         self._members = {}
+        # the complete pools of one variant, by what fixes them (see _kept)
+        self._kept_variant, self._complete = None, {}
 
     @cached_property
     def st(self) -> Structure:
@@ -567,17 +600,32 @@ class _Run:
     def words(self, name: str = "X") -> list[Word]:
         return [(FinSet(name, s),) for s in self.sizes]
 
+    def _kept(self, variant, key, build) -> _Pool:
+        """build(), or the complete pool that it gave before under the
+        variant and key, which name what fixes an enumerated pool and never
+        a tag.  Only the last variant's complete pools are kept: the theorem
+        suite draws one variant's pools at a time."""
+        if variant != self._kept_variant:
+            self._kept_variant, self._complete = variant, {}
+        pool = self._complete.get(key)
+        if pool is None:
+            pool = build()
+            if pool.complete:
+                self._complete[key] = pool
+        return pool
+
     def maps(self, variant, words, tag) -> dict[Word, _Pool]:
         """Variant map pools over each word, each complete only when every
         word's pool was enumerated."""
-        drawn = {
-            w: variant_maps(
-                self.sr, w, variant, self.seed, self.samples, tag=f"{tag}-{_word_name(w)}"
-            )
-            for w in words
-        }
-        complete = all(full for _, full in drawn.values())
-        return {w: _Pool(pool, complete) for w, (pool, _) in drawn.items()}
+
+        def draw(w):
+            tagged = f"{tag}-{_word_name(w)}"
+            return _Pool(*variant_maps(self.sr, w, variant, self.seed, self.samples, tagged))
+
+        drawn = {w: self._kept(variant, w, partial(draw, w)) for w in words}
+        if all(pool.complete for pool in drawn.values()):
+            return drawn
+        return {w: _Pool(pool, False) for w, pool in drawn.items()}
 
     def nested(self, variant, inner: _Pool, n, tag, max_support=None) -> _Pool:
         """Variant maps keyed by the maps of `inner`, complete only when
@@ -620,12 +668,16 @@ class _Run:
                 pool.source = (inner, max_support, bytes(mask))
                 return pool
         rng = derive_rng(self.seed, "nested", sr.name, variant, tag, len(inner), n)
-        stream = _nested_stream(sr, inner, rng, n, max_support)
+        stream = _distinct_maps(sr, _nested_dicts(sr, inner, rng, n, max_support))
         return _Pool(_first_members(sr, stream, variant, n), False)
 
     def arrows(self, variant, dom: Word, cod: Word, n, tag) -> _Pool:
         """Variant arrows dom -> cod, complete when enumerated."""
-        return _Pool(*variant_arrows(self.sr, dom, cod, variant, self.seed, n, tag=tag))
+        return self._kept(
+            variant,
+            (dom, cod),
+            lambda: _Pool(*variant_arrows(self.sr, dom, cod, variant, self.seed, n, tag=tag)),
+        )
 
     def arrow_grid(self, variant, n, tag) -> _Pool:
         """Variant arrows X(ds) -> Y(cs) over every pair of sizes, in one
@@ -835,8 +887,9 @@ class _BoundOps:
     """A run's MonadOps bound to its semiring for one law-suite call.
 
     eta(x), mu(H), psi(h, k) and push(f, h) evaluate afresh; psi0 is the
-    unit pairing.  mu_once, psi_once and push_once evaluate each distinct
-    application once per call, so the equations use them only on arguments
+    unit pairing.  mu_once[H], psi_once[h, k] and push_once[f, h] are
+    _memos that evaluate each distinct application once per call, a hit
+    costing one dict lookup, so the equations use them only on arguments
     that recur across cases: pool maps and the _TableFns of the call's
     function pairs, never a per-case lambda.
     """
@@ -847,9 +900,16 @@ class _BoundOps:
         self.psi = partial(ops.psi, sr)
         self.push = partial(ops.pushforward, sr)
         self.psi0 = wm_psi0(sr)
-        self.mu_once = _memo(self.mu)
+        self.mu_once = _memo1(self.mu)
         self.psi_once = _memo(self.psi)
         self.push_once = _memo(self.push)
+
+
+def _law_holds(table, m, case, law):
+    """Whether the row of law in table holds on the case, through m.  A
+    suite's predicate is partial(partial, _law_holds, table, m): it makes
+    each case's predicate with no Python frame of its own."""
+    return table[law](m, *case)
 
 
 # The monad-level equations, one per report row: a predicate over the row's
@@ -864,14 +924,14 @@ _EQUATIONS = {
     # naturality
     "monad/eta-natural": lambda m, u, f, x: m.push(f, m.eta(x)) == m.eta(f(x)),
     "monad/mu-natural": lambda m, u, f, H: (
-        m.push(f, m.mu_once(H)) == m.mu(m.push(lambda h: m.push_once(f, h), H))
+        m.push(f, m.mu_once[H]) == m.mu(m.push(lambda h: m.push_once[f, h], H))
     ),
     "monad/psi-natural": lambda m, u, f, g, h, k, fg: (
-        m.psi_once(m.push_once(f, h), m.push_once(g, k)) == m.push(fg, m.psi_once(h, k))
+        m.psi_once[m.push_once[f, h], m.push_once[g, k]] == m.push(fg, m.psi_once[h, k])
     ),
     # lax structure: associativity, unit squares, symmetry
     "monad/lax-assoc": lambda m, w, h1, h2, h3: (
-        m.psi(m.psi_once(h1, h2), h3) == m.psi(h1, m.psi_once(h2, h3))
+        m.psi(m.psi_once[h1, h2], h3) == m.psi(h1, m.psi_once[h2, h3])
     ),
     "monad/lax-unit-left": lambda m, w, h: m.psi(m.psi0, h) == h,
     "monad/lax-unit-right": lambda m, w, h: m.psi(h, m.psi0) == h,
@@ -916,7 +976,7 @@ def check_monad_laws(
     Each law is its row of _EQUATIONS, and the sharing is written there:
     an application spelled *_once is evaluated once per distinct arguments
     per call.  So psi-natural and lax-assoc share psi_once, psi-natural and
-    mu-natural share push_once, and mu-natural takes each mu_once(H) once;
+    mu-natural share push_once, and mu-natural takes each mu_once[H] once;
     every other application is evaluated afresh.
     """
     return _monad_laws(_Run([variant], sr, sizes, budget, seed, samples, ops), variant)
@@ -1071,11 +1131,7 @@ def _monad_laws(run, variant):
             mdescribe,
         ),
     ]
-    m = _BoundOps(sr, run.ops)
-
-    def equations(c):
-        return lambda law: _EQUATIONS[law](m, *c)
-
+    equations = partial(partial, _law_holds, _EQUATIONS, _BoundOps(sr, run.ops))
     return [
         report
         for law, cases, describe in specs
@@ -1182,9 +1238,7 @@ def _classify_monad(run, variant):
         return in_variant(sr, antipode, variant) and m.psi(s, antipode) == m.eta(())
 
     diagrams = {**_EQUATIONS, "monadflag/weakly-affine-diagram": weakly_affine}
-
-    def diagram(c):
-        return lambda law: diagrams[law](m, *c)
+    diagram = partial(partial, _law_holds, diagrams, m)
 
     def describe(c):
         return {"word": _word_name(c[0]), "map": render_map(sr, c[1])}
@@ -1396,7 +1450,7 @@ def crosscheck_dom_paths(
 def _crosscheck(run, variant):
     sr = run.sr
     arrows = run.arrow_grid(variant, run.samples, "domx-{variant}-{ds}x{cs}")
-    dom = _memo(run.st.dom)
+    dom = _memo1(run.st.dom)
     checks = {
         "crosscheck/dom-closed-form": lambda f: wrel_eq(dom(f), wrel_dom_closed(sr, f)),
         "crosscheck/dom-monad-path": lambda f: wrel_eq(

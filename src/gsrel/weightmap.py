@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, product
 
 from .report import derive_rng
@@ -170,15 +171,20 @@ class WeightMap:
         return h
 
     def _store(self, kept: dict) -> None:
-        try:
-            # the keys are unique, so values are never compared
-            entries = tuple(sorted(kept.items()))
-        except TypeError:
-            raise WeightMapError("keys of different kinds in one map") from None
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_index", kept)
+        # fewer than two entries are in order already; the slots are set
+        # through their descriptors, since __setattr__ refuses every write
+        if len(kept) < 2:
+            entries = tuple(kept.items())
+        else:
+            try:
+                # the keys are unique, so values are never compared
+                entries = tuple(sorted(kept.items()))
+            except TypeError:
+                raise WeightMapError("keys of different kinds in one map") from None
+        _set_entries(self, entries)
+        _set_index(self, kept)
         # most maps are compared but never hashed; __hash__ fills this in
-        object.__setattr__(self, "_hash", None)
+        _set_hash(self, None)
 
     def __setattr__(self, *_):
         raise AttributeError("WeightMap is immutable")
@@ -205,12 +211,17 @@ class WeightMap:
         h = self._hash
         if h is None:
             h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self.entries)
         return "WeightMap({%s})" % inner
+
+
+_set_entries, _set_index, _set_hash = (
+    WeightMap.__dict__[slot].__set__ for slot in WeightMap.__slots__
+)
 
 
 def wm_make(sr: Semiring, items) -> WeightMap:
@@ -372,35 +383,42 @@ def sample_maps(
 
 def _sampled_members(sr: Semiring, word: Word, variant: str, seed: int, n: int, tag: str):
     """The members sample_maps returns, in order, lazily: a member and the
-    candidates before it are drawn only when it is read."""
+    candidates before it are drawn only when it is read, and the rng is
+    derived only when the first carrier value is drawn."""
     # Small finite map spaces are enumerated outright; anything bigger falls
     # through to the seeded stream below, which works for finite carriers too.
     keys = list(word_elements(word))
     if _enumerable(sr, len(keys)):
         return islice(_maps_over(sr, keys, variant), n)
-    rng = derive_rng(seed, "sample-maps", sr.name, variant, tag, _word_tag(word), n)
-    return islice(_members(sr, _sample_stream(sr, keys, rng, n), variant), n)
+    make_rng = partial(derive_rng, seed, "sample-maps", sr.name, variant, tag, _word_tag(word), n)
+    return islice(_members(sr, _sample_stream(sr, keys, make_rng, n), variant), n)
 
 
-def _sample_stream(sr: Semiring, keys: list, rng, n: int):
-    """The candidate maps of sample_maps, in order, drawn from rng on demand.
-
-    A candidate whose dict equals the one before it is not built: it would
-    only repeat the map just yielded, which _members drops.  No draw moves,
-    since every draw is made in _candidate_dicts."""
-    before = None
-    for picked in _candidate_dicts(sr, keys, rng, n):
-        if picked != before:
-            yield WeightMap(sr, picked)
-        before = picked
+def _sample_stream(sr: Semiring, keys: list, make_rng, n: int):
+    """The candidate maps of sample_maps, in order, drawn on demand from the
+    rng that make_rng() gives; see _distinct_maps."""
+    return _distinct_maps(sr, _candidate_dicts(sr, keys, make_rng, n))
 
 
-def _candidate_dicts(sr: Semiring, keys: list, rng, n: int):
+def _distinct_maps(sr: Semiring, dicts):
+    """The map of each dict of the stream whose items no dict before it had,
+    lazily.  A repeated dict would only repeat a map already yielded, which
+    _members drops, so it is not built; the stream still makes every draw."""
+    seen = set()
+    for d in dicts:
+        items = tuple(d.items())
+        if items not in seen:
+            seen.add(items)
+            yield WeightMap(sr, d)
+
+
+def _candidate_dicts(sr: Semiring, keys: list, make_rng, n: int):
     """The items of the candidate maps of sample_maps, in order.
 
-    The carrier values are drawn from rng only after the shapes that need
-    none, so a stream read no further than those draws nothing; nothing
-    reads rng before that draw, so every later draw is the same."""
+    The rng is made, by make_rng(), and the carrier values drawn from it
+    only after the shapes that need none, so a stream read no further than
+    those makes no rng; nothing reads the rng before that draw, so every
+    later draw is the same."""
     two = sr.add(sr.one, sr.one)
     yield {}
     if not keys:
@@ -410,6 +428,7 @@ def _candidate_dicts(sr: Semiring, keys: list, rng, n: int):
     for k in keys[1:]:
         yield {k: sr.one}
     yield {k: sr.one for k in keys}
+    rng = make_rng()
     values = [v for v in sr.sample_elements(rng) if v != sr.zero]
     for v in values[:4]:
         yield {keys[0]: v}

@@ -126,10 +126,12 @@ class WRel:
         return f
 
     def _store(self, dom: Word, cod: Word, kept: dict) -> None:
-        object.__setattr__(self, "dom", tuple(dom))
-        object.__setattr__(self, "cod", tuple(cod))
-        object.__setattr__(self, "rows", tuple(sorted(kept.items())))
-        object.__setattr__(self, "_index", kept)
+        # as WeightMap._store: no sort below two rows, slots set through
+        # their descriptors
+        _set_dom(self, tuple(dom))
+        _set_cod(self, tuple(cod))
+        _set_rows(self, tuple(kept.items()) if len(kept) < 2 else tuple(sorted(kept.items())))
+        _set_index(self, kept)
 
     def __setattr__(self, *_):
         raise AttributeError("WRel is immutable")
@@ -159,6 +161,9 @@ class WRel:
         d = "*".join(s.name for s in self.dom) or "I"
         c = "*".join(s.name for s in self.cod) or "I"
         return f"WRel({d} -> {c}, {len(self.rows)} rows)"
+
+
+_set_dom, _set_cod, _set_rows, _set_index = (WRel.__dict__[slot].__set__ for slot in WRel.__slots__)
 
 
 def wrel_make(sr: Semiring, dom: Word, cod: Word, entries) -> WRel:

@@ -636,8 +636,8 @@ def test_functions_are_a_complete_pool():
         fns = _functions(dom, cod)
         assert fns.complete and len(fns) == count
     # the empty table: the one function out of an empty set
-    assert [fn.table for fn in _functions(X0, Y0)] == [{}]
-    assert len({tuple(sorted(fn.table.items())) for fn in _functions(X2, Y3)}) == 9
+    assert [dict(fn) for fn in _functions(X0, Y0)] == [{}]
+    assert len({tuple(sorted(fn.items())) for fn in _functions(X2, Y3)}) == 9
 
 
 def test_a_word_family_is_sampled_unless_every_word_is_enumerated():

@@ -619,7 +619,7 @@ def test_sample_stream_ends_once_every_draw_is_made():
 
     keys, n = [(0,)], 200
     rng, reference_rng = Counting(5), Counting(5)
-    stream = list(_sample_stream(NAT, keys, rng, n))
+    stream = list(_sample_stream(NAT, keys, lambda: rng, n))
     reference = list(_reference_stream(NAT, keys, reference_rng, n))
     assert list(dict.fromkeys(stream)) == list(dict.fromkeys(reference))
     assert reference_rng.calls == 6 * n
