@@ -47,13 +47,14 @@ class TableFormatError(SemiringError):
 class Semiring:
     """Carrier plus exact operations.  Instances are immutable and shareable.
 
-    `plain_rational` asserts that the values are Fractions and that add and
-    mul are the ordinary + and x of the rationals.  wrel_compose and
-    wrel_tensor then run each row as integers over a common denominator and
-    call neither add nor mul.  Only the nonneg-rational row sets it.  A copy
-    that replaces add or mul must clear it, unless the new functions still
-    compute + and x (a wrapper that counts calls, say), and then those
-    calls are not made.
+    `plain_type` names the plain number type of the values, when add and
+    mul are its ordinary + and x and every value is >= 0: int on nat,
+    Fraction on nonneg-rational, None on every other row.  wrel_compose
+    then packs rows into big integers and wrel_tensor (over Fraction) runs
+    each row as integers over a common denominator; neither calls add nor
+    mul.  A copy that replaces add or mul must clear it (set it to None),
+    unless the new functions still compute + and x (a wrapper that counts
+    calls, say), and then those calls are not made.
 
     `positive` asserts that no sum and no product of nonzero values of the
     carrier is zero: the carrier is zero-sum-free and has no zero divisors.
@@ -76,7 +77,7 @@ class Semiring:
     sample_pool: Callable[[object], list] | None = None
     label: Callable[[object], str] = field(default=str)
     parse: Callable[[str], object] = field(default=None)
-    plain_rational: bool = False
+    plain_type: type | None = None
     positive: bool = False
 
     @property
@@ -184,6 +185,7 @@ _BUILTINS = {
             "nat", 0, 1, operator.add, operator.mul, _only_one(1),
             sample_pool=_nat_pool,
             parse=_checked(int, lambda v: v >= 0, "nat label is negative"),
+            plain_type=int,
             positive=True,
         ),
         Semiring(
@@ -191,7 +193,7 @@ _BUILTINS = {
             lambda a: None if a == 0 else _Q1 / a,
             sample_pool=_rational_pool,
             parse=_checked(_fraction, lambda v: v >= 0, "nonneg-rational label is negative"),
-            plain_rational=True,
+            plain_type=Fraction,
             positive=True,
         ),
         # min(a, m) = 1 forces a = m = 1, so 1 is the only invertible element.

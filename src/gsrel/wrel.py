@@ -6,11 +6,17 @@ element with nonzero support; composition is the semiring matrix product
     (f ; g)(x, z) = sum over y of f(x, y) * g(y, z)
 
 and the tensor is the Kronecker product on concatenated words.  Both call
-the semiring's add and mul per cell, except over a semiring that sets
-plain_rational (nonneg-rational): there a row is scaled once to integers
-over the lcm of its denominators, a row of f ; g adds its integer products
-over the lcm of their denominators, and each output cell becomes one
-Fraction; a row of f with one entry just multiplies, having nothing to add.
+the semiring's add and mul per cell, except over a semiring that names a
+plain_type, the number type whose + and x its add and mul are (int on nat,
+Fraction on nonneg-rational).  There _compose_over_ints composes by
+Kronecker substitution: the rows of g are packed into big integers, one
+fixed-width slot per column, after each is put over the lcm of its
+denominators, so a row of f ; g costs one big-integer multiply-add per
+entry of f and an unpack; a row of f with one entry just multiplies, and
+with weight 1 is g's row itself.  The packing needs values >= 0 and
+refuses a negative one with WeightMapError.  Over Fraction, the tensor
+puts each row over the lcm of its denominators once and makes one
+Fraction per cell.
 The unit object is the empty word, whose product has the single element ().
 Words are strict: tensoring is tuple concatenation, so unitors and
 associators are identities on index tuples and never appear at runtime.
@@ -46,11 +52,13 @@ WRel._canonical without checking again.
 """
 from __future__ import annotations
 
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, compress, islice, product, repeat
 from math import lcm
+from operator import floordiv, mul
 from typing import NamedTuple
 
 from .report import derive_rng
@@ -58,6 +66,7 @@ from .semiring import Semiring
 from .weightmap import (
     FinSet,
     WeightMap,
+    WeightMapError,
     Word,
     _enumerable,
     _sampled_members,
@@ -197,12 +206,12 @@ def wrel_id(sr: Semiring, word: Word) -> WRel:
 
 
 def _over_lcm(entries) -> tuple[int, list]:
-    """Fraction-valued entries as integers over their least common
-    denominator d: (d, [(key, v * d)])."""
-    d = 1
-    for _, v in entries:
-        d = lcm(d, v.denominator)
-    return d, [(k, v.numerator * (d // v.denominator)) for k, v in entries]
+    """Fraction-valued entries, at least one, as integers over their least
+    common denominator d: (d, [(key, v * d)])."""
+    keys, values = zip(*entries)
+    ns, ds = zip(*[v.as_integer_ratio() for v in values])
+    d = lcm(*ds)
+    return d, list(zip(keys, map(mul, ns, map(floordiv, repeat(d), ds))))
 
 
 def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
@@ -210,7 +219,7 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
         raise BoundaryError(
             f"compose mismatch: {_word_str(f.cod)} vs {_word_str(g.dom)}"
         )
-    if sr.plain_rational:
+    if sr.plain_type is not None:
         return _compose_over_ints(sr, f, g)
     # rows g does not store are empty and add nothing
     g_rows = g._index
@@ -231,37 +240,106 @@ def wrel_compose(sr: Semiring, f: WRel, g: WRel) -> WRel:
 
 
 def _compose_over_ints(sr: Semiring, f: WRel, g: WRel) -> WRel:
-    """wrel_compose over plain rationals.  A row of f with one entry v at y
-    has nothing to add: its cells are v * w over the entries w of g's row
-    y.  A longer row adds its terms (n / d) * (ints / dy) as integers over
-    their common denominator, the lcm of the d * dy, and makes one Fraction
-    per cell; each row of g it reaches is put over its own lcm dy once."""
-    g_index, g_rows = g._index, {}
-    rows = {}
+    """wrel_compose over a plain number type (sr.plain_type), by Kronecker
+    substitution.  A row of f with one entry v at y has nothing to add: it
+    is g's row y itself when v is 1, else the products v * w.  A longer row
+    is put over integers: each row of g it reads once over the lcm dy of
+    its denominators, and its own terms (n / d) * (ints / dy) over the lcm
+    den of their d * dy, so that a cell is the integer sum of a_y * ints_y
+    over den (den is 1 over nat).  Each such cell is at most the sum of
+    a_y * max(ints_y), and the widest bound of the call fixes one slot
+    width.  Each row of g that a longer row reads is packed once into an
+    integer, one slot per column (the sorted keys of those rows); a row of
+    f ; g is then the sum of a_y * packed_y, one big-integer multiply per
+    entry of f, whose nonzero slots are its cells, Fraction(n, den) over
+    the rationals.  Packing needs values >= 0, which the carrier ensures
+    and WeightMap(...) does not check: a negative value in a longer row of
+    f, or in a row of g that one reads, raises WeightMapError."""
+    g_index, fraction = g._index, sr.plain_type is Fraction
+    rows, longer = {}, []
     for x, frow in f.rows:
         if len(frow.entries) == 1:
             ((y, v),) = frow.entries
-            if y in g_index:
-                rows[x] = WeightMap._canonical(sr, {z: v * w for z, w in g_index[y].entries})
-            continue
-        terms, den = [], 1
-        for y, v in frow.entries:
-            if y not in g_rows:
-                if y not in g_index:
-                    continue
-                g_rows[y] = _over_lcm(g_index[y].entries)
-            dy, ints = g_rows[y]
-            n, d = v.as_integer_ratio()
-            terms.append((n, d * dy, ints))
-            den = lcm(den, d * dy)
-        acc: dict = {}
-        for n, d, ints in terms:
-            a = n * (den // d)
-            for z, w in ints:
-                acc[z] = acc.get(z, 0) + a * w
-        if acc:
-            rows[x] = WeightMap._canonical(sr, {z: Fraction(n, den) for z, n in acc.items()})
+            grow = g_index.get(y)
+            if grow is not None:
+                rows[x] = grow if v == 1 else WeightMap._canonical(
+                    sr, {z: v * w for z, w in grow.entries}
+                )
+        else:
+            longer.append((x, *zip(*frow.entries)))
+    if not longer:
+        return WRel._canonical(f.dom, g.cod, rows)
+    dens, ints, tops = {}, {}, {}  # per row of g read: dy, {key: int}, max
+    for y in dict.fromkeys(chain.from_iterable(ys for _, ys, _ in longer)):
+        dens[y], ints[y], tops[y] = _over_ints(g_index.get(y), fraction)
+    terms, widest = [], 0
+    for x, ys, vs in longer:
+        if fraction:
+            ns, ds = zip(*[v.as_integer_ratio() for v in vs])
+            ds = list(map(mul, ds, map(dens.__getitem__, ys)))
+            den = lcm(*ds)
+            a = list(map(mul, ns, map(floordiv, repeat(den), ds)))
+        else:
+            den, a = 1, vs
+        if min(a) < 0:
+            raise WeightMapError(_NEGATIVE)
+        widest = max(widest, sum(map(mul, a, map(tops.__getitem__, ys))))
+        terms.append((x, ys, den, a))
+    cols = sorted(set().union(*ints.values()))
+    size = -(-widest.bit_length() // 8)
+    size = next((n for n in _SLOT_CODES if n >= size), size)
+    code = _SLOT_CODES.get(size)
+    packed = {y: _pack(list(map(row.get, cols, repeat(0))), size, code) for y, row in ints.items()}
+    for x, ys, den, a in terms:
+        cells = _unpack(sum(map(mul, a, map(packed.__getitem__, ys))), len(cols), size, code)
+        kept = compress(zip(cols, cells), cells)
+        rows[x] = WeightMap._canonical(
+            sr, {z: Fraction(n, den) for z, n in kept} if fraction else dict(kept)
+        )
     return WRel._canonical(f.dom, g.cod, rows)
+
+
+_NEGATIVE = "cannot pack a negative value to compose over a plain number type"
+
+
+def _over_ints(h, fraction: bool) -> tuple[int, dict, int]:
+    """A row h of g for _compose_over_ints, None for a row g does not
+    store: (dy, {key: value * dy}, the largest value * dy), where dy is the
+    lcm of its denominators.  A negative value raises WeightMapError."""
+    if h is None:
+        return 1, {}, 0
+    if fraction:
+        dy, scaled = _over_lcm(h.entries)
+        values = dict(scaled)
+    else:
+        dy, values = 1, h._index
+    if min(values.values()) < 0:
+        raise WeightMapError(_NEGATIVE)
+    return dy, values, max(values.values())
+
+
+# the native struct code of each slot size in bytes that struct packs and
+# memoryview unpacks directly, smallest first; _pack and _unpack run a wider
+# slot through int.to_bytes.  struct, not array: Python loads struct at
+# start-up, and loading array's extension module added about 0.15 MB to the
+# peak RSS of a run (Python 3.11, x86-64 Linux)
+_SLOT_CODES = {struct.calcsize(code): code for code in "BHIQ"}
+
+
+def _pack(slots: list, size: int, code) -> int:
+    """The integer whose bytes, in sys.byteorder, are the values of slots
+    one after another, each in size bytes."""
+    if code is not None:
+        return int.from_bytes(struct.pack(f"{len(slots)}{code}", *slots), sys.byteorder)
+    return int.from_bytes(b"".join(v.to_bytes(size, sys.byteorder) for v in slots), sys.byteorder)
+
+
+def _unpack(packed: int, count: int, size: int, code) -> list:
+    """The count size-byte slots of packed, slot 0 first: _pack's inverse."""
+    data = packed.to_bytes(count * size, sys.byteorder)
+    if code is not None:
+        return memoryview(data).cast(code).tolist()
+    return [int.from_bytes(data[i:i + size], sys.byteorder) for i in range(0, len(data), size)]
 
 
 def wrel_tensor(sr: Semiring, f: WRel, g: WRel) -> WRel:
@@ -276,7 +354,7 @@ def _tensor_rows(sr: Semiring, pairs) -> dict:
     is concatenation.  Over plain rationals each row is put over its lcm
     once per call, keyed by its row key on its side."""
     rows = {}
-    if sr.plain_rational:
+    if sr.plain_type is Fraction:
         lefts: dict = {}
         rights: dict = {}
         for (xf, hf), (xg, hg) in pairs:

@@ -166,12 +166,15 @@ BOOL_TABLE = {
 }
 
 
-def test_only_nonneg_rational_runs_the_integer_kernels():
+def test_only_nat_and_nonneg_rational_run_the_integer_kernels():
     builtins = gsrel.semiring._BUILTINS
-    assert [name for name, sr in builtins.items() if sr.plain_rational] == ["nonneg-rational"]
-    assert load_semiring("q+").plain_rational
-    assert not any(load_semiring(f"gf({p})").plain_rational for p in (2, 3, 7, 997))
-    assert not load_table_semiring(BOOL_TABLE).plain_rational
+    assert {name: sr.plain_type for name, sr in builtins.items() if sr.plain_type} == {
+        "nat": int,
+        "nonneg-rational": Fraction,
+    }
+    assert load_semiring("q+").plain_type is Fraction
+    assert not any(load_semiring(f"gf({p})").plain_type for p in (2, 3, 7, 997))
+    assert load_table_semiring(BOOL_TABLE).plain_type is None
 
 
 # `positive` lets the monad operations skip the zero test, so a carrier

@@ -66,7 +66,7 @@ def _value(rng, sr):
         return sr.zero
     if sr.elements is not None:
         return rng.choice(sr.elements)
-    if sr.plain_rational:
+    if sr.plain_type is Fraction:
         return Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 4)))
     return rng.randint(1, 5)
 

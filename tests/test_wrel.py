@@ -614,15 +614,20 @@ def test_results_stay_canonical_where_values_vanish(sr):
         assert _canonical_and_checked(h)
 
 
-# The integer kernels.  Over nonneg-rational, wrel_compose and wrel_tensor
-# scale rows to integers and never call add or mul.  The reference is the
-# generic loop, written densely with the semiring's own add and mul, so it
-# holds for every carrier; fuzzy-max-times has Fraction values too, but max
-# for add, so a kernel chosen by value type instead of plain_rational fails.
+# The integer kernels.  Over nat and nonneg-rational, wrel_compose packs rows
+# into big integers and wrel_tensor scales rational rows to integers, and
+# neither calls add or mul.  The reference is the generic loop, written
+# densely with the semiring's own add and mul, so it holds for every
+# carrier; fuzzy-max-times has Fraction values too, but max for add, so a
+# kernel chosen by value type instead of plain_type fails.  Values are
+# compared by repr, so an int where a Fraction belongs differs.
 
 FMT = load_semiring("fuzzy-max-times")
 # the last three are pairwise coprime and large
 DENOMINATORS = (1, 2, 3, 4, 6, 9, 10**9 + 7, 998_244_353, 2**61 - 1)
+# bit sizes of the largest nat value of an arrow: the cells of a compose
+# then fill slots of 1, 2, 4 and 8 bytes, and wider ones up to 2**70 squared
+NAT_BITS = (1, 2, 3, 6, 12, 28, 31, 33, 70)
 
 
 def _dense_compose(sr, f, g):
@@ -654,15 +659,22 @@ def _exact(f):
 
 
 def _arrow(rng, sr, dom, cod):
-    """A sparse arrow: a quarter of the rows zero, half the cells zero."""
+    """A sparse arrow: a quarter of the rows zero, half the cells zero, and
+    one nonzero cell in ten the carrier's one."""
+    top = 2 ** rng.choice(NAT_BITS)
     rows = {}
     for x in word_elements(dom):
         if rng.random() < 0.75:
             rows[x] = {}
             for y in word_elements(cod):
                 if rng.random() < 0.5:
-                    d = rng.choice(DENOMINATORS)
-                    rows[x][y] = Fraction(rng.randint(1, d if sr is FMT else 10**12), d)
+                    if rng.random() < 0.1:
+                        rows[x][y] = sr.one
+                    elif sr is NAT:
+                        rows[x][y] = rng.randint(1, top)
+                    else:
+                        d = rng.choice(DENOMINATORS)
+                        rows[x][y] = Fraction(rng.randint(1, d if sr is FMT else 10**12), d)
     return wrel_make(sr, dom, cod, rows)
 
 
@@ -671,7 +683,7 @@ def _kernel_cases(draw):
     """(sr, f, g, h) with f: X -> Y, g: Y -> Z and h: Z -> X, each word of
     up to two sorts of size 0 to 3; () is the unit word."""
     rng = draw(st.randoms(use_true_random=False))
-    sr = rng.choice([QPLUS, FMT])
+    sr = rng.choice([NAT, QPLUS, FMT])
     x, y, z = (
         tuple(FinSet(f"S{n}", n) for n in (rng.randint(0, 3) for _ in range(rng.randint(0, 2))))
         for _ in range(3)
@@ -681,34 +693,89 @@ def _kernel_cases(draw):
 
 # Explicit cases: coprime denominators, a zero row x1 in _XY, a zero
 # column x0 in the I -> X arrow, the unit word I and the size-0 sort E;
-# last, a row of two terms that fuzzy-max-times takes the max of.
+# over nat, weight-one and other single-entry rows into rows of 2**70, and
+# an empty row; last, a row of two terms that fuzzy-max-times takes the
+# max of.
 _P, _Q = Fraction(1, 10**9 + 7), Fraction(3, 998_244_353)
 _XY = wrel_make(QPLUS, X, Y, {(0,): {(0,): _P, (1,): _Q}})
 _YI = wrel_make(QPLUS, Y, I, {(0,): {(): Fraction(5, 2**61 - 1)}, (1,): {(): _Q}})
 _HALF = {(): Fraction(1, 2)}
+_NAT_YX = wrel_make(NAT, Y, X, {(0,): {(0,): 2**70, (1,): 3}, (1,): {(1,): 2**70 - 1}})
 
 
 @given(_kernel_cases())
 @example((QPLUS, _XY, _YI, wrel_make(QPLUS, I, X, {(): {(1,): _P}})))
 @example((QPLUS, wrel_make(QPLUS, E, Y, {}), _YI, wrel_make(QPLUS, I, E, {})))
 @example((
+    NAT,
+    wrel_make(NAT, X, Y, {(0,): {(0,): 1}, (1,): {(1,): 5}}),
+    _NAT_YX,
+    wrel_make(NAT, X, X, {(0,): {(0,): 1, (1,): 2**70}, (1,): {}}),
+))
+@example((
+    NAT,
+    wrel_make(NAT, I, Y, {(): {(0,): 1, (1,): 1}}),
+    wrel_make(NAT, Y, E, {}),
+    wrel_make(NAT, E, I, {}),
+))
+@example((
     FMT,
     wrel_make(FMT, X, Y, {(0,): {(0,): Fraction(1, 2), (1,): Fraction(1, 3)}}),
     wrel_make(FMT, Y, I, {(0,): _HALF, (1,): _HALF}),
     wrel_make(FMT, I, X, {}),
 ))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_integer_kernels_give_the_generic_result(case):
     sr, f, g, h = case
-    generic = dataclasses.replace(sr, plain_rational=False)
+    generic = dataclasses.replace(sr, plain_type=None)
     for op, dense, left, right in (
         (wrel_compose, _dense_compose, f, g),
+        (wrel_compose, _dense_compose, g, h),
         (wrel_tensor, _dense_tensor, f, g),
         (wrel_tensor, _dense_tensor, h, f),
     ):
         got = _exact(op(sr, left, right))
         assert got == _exact(dense(sr, left, right))
         assert got == _exact(op(generic, left, right))
+
+
+@pytest.mark.parametrize("cell", [2**8 - 1, 2**8, 2**16, 2**32 - 1, 2**64 - 1, 2**64, 2**70])
+@pytest.mark.parametrize("sr", [NAT, QPLUS])
+def test_compose_cells_at_each_slot_edge(sr, cell):
+    # f's row (1, cell - 1) reads two rows of g of all ones: two adjacent
+    # cells of exactly `cell`, the largest value of a slot width or the
+    # smallest of the next, so a slot one byte short carries into the other
+    num = sr.plain_type
+    f = wrel_make(sr, I, X, {(): {(0,): num(1), (1,): num(cell - 1)}})
+    g = wrel_make(sr, X, X, {y: {z: num(1) for z in word_elements(X)} for y in word_elements(X)})
+    got = wrel_compose(sr, f, g)
+    assert _exact(got) == _exact(wrel_make(sr, I, X, {(): {(0,): num(cell), (1,): num(cell)}}))
+    assert _exact(got) == _exact(_dense_compose(sr, f, g))
+
+
+def test_a_weight_one_entry_reads_the_row_of_g_itself():
+    for sr in (NAT, QPLUS):
+        f = wrel_make(sr, X, Y, {(0,): {(1,): sr.one}, (1,): {(0,): sr.one + sr.one}})
+        g = wrel_make(sr, Y, X, {(0,): {(0,): sr.one}, (1,): {(0,): sr.one, (1,): sr.one}})
+        got = wrel_compose(sr, f, g)
+        assert got.row(sr, (0,)) is g.row(sr, (1,))
+        assert _exact(got) == _exact(_dense_compose(sr, f, g))
+
+
+@pytest.mark.parametrize("sr, minus", [(NAT, -1), (QPLUS, Fraction(-1, 2))])
+def test_packing_refuses_a_negative_value(sr, minus):
+    # the carriers refuse a negative label, but WeightMap(...) takes one.
+    # Packed, f's row (-1, 2) against id would borrow from its neighbour's
+    # slot: -1 + 2 * 2**8 reads as the cells (255, 1) in 1-byte slots
+    neg = {(0,): minus, (1,): 2}
+    pos = {(0,): 1, (1,): 2}
+    cases = [
+        (wrel_make(sr, I, X, {(): neg}), wrel_id(sr, X)),
+        (wrel_make(sr, I, X, {(): pos}), wrel_make(sr, X, X, {(0,): neg, (1,): pos})),
+    ]
+    for f, g in cases:
+        with pytest.raises(gsrel.weightmap.WeightMapError, match="negative"):
+            wrel_compose(sr, f, g)
 
 
 # The trusted path: over a positive carrier wrel_compose and wrel_tensor
