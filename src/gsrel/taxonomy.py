@@ -61,36 +61,16 @@ argument check of a semiring's run; run_theorem_suite adds the one check
 across runs, that no semiring name repeats.  It makes one _Run per
 semiring and drops it before the next, so every variant's rows read the
 same structural arrows and the same gsm/ reports; each public law suite
-is a thin call on a fresh one, as wrel_dom is on Structure.  Memos of
-monad operations live on a _BoundOps and stay local to one law-suite call;
-they are dicts, subscripted as psi_once[h, k], so a repeated application
-costs one lookup.
-The run holds the row memo: a row that another variant of the run has
-checked over equal enumerated cases is replayed, not checked again.  A
-sampled row is walked for every variant, since its draws are tagged per
-variant, but each of its verdicts is decided once per run: the run keeps
-a verdict per (law, case), and a case equal to one the law was already
-asked on, by any variant, is answered from it.  The walk is the variant's
-own, so its checks_performed, its first failure and the witness describe
-makes of it are too.  A replayed row's checks_performed counts the cases
-its verdict covers, which the run checked once.  Both memos are sound
-only for a row whose predicate and witness read nothing but the run's
-ops, its Structure and the case.  The laws whose predicate or witness
-reads the variant are declared once, in _READS_VARIANT, and _Run.check
-shares neither memo with them.
+is a thin call on a fresh one, as wrel_dom is on Structure.  What a run
+remembers across rows and variants, and for which laws, is written once,
+in the _Run docstring.
 
 The per-arrow laws are row-local: row x of both sides reads only row x of
 the arrow, or of the scalar arrows f, g and h, so a law holds on an arrow
 exactly when it holds on each one-row arrow X1 -> Y cut from its rows, and
 vacuously on an arrow from an empty word.  They are declared once, in
 _ROW_LOCAL, and _Run.check decides each case of theirs as the AND of its
-rows' verdicts.  The run keeps a verdict per law, codomain and row (or
-tuple of rows at one key), so an arrow's verdict is decided once per
-distinct row, across arrows, pool tags and variants; the walk over whole
-arrows, so the count, the first failure and its witness, is unchanged.
-closure/composition, which reads the variant, keeps its verdicts per
-(row of f, g) for one call, and only for the rows it cuts from an f with
-several.
+rows' verdicts.
 
 run_theorem_suite ties the layers together for every (variant, semiring)
 pair and emits one entry per law instance.  Entries whose law id starts
@@ -167,12 +147,12 @@ from .wrel import (
 _CASE_CAP = 20000
 
 # The law ids, or id prefixes, whose predicate or witness reads the variant.
-# _Run.check shares neither memo with them: every variant asks every case.
+# _Run.check shares no run memo with them (see _Run).
 _READS_VARIANT = ("closure/", "kleisli/weakly-markov", "monadflag/weakly-affine-")
 
 # The law ids, or id prefixes, that are row-local: a case holds exactly when
 # each one-row case cut from it holds (see _cut).  _Run.check decides them
-# row by row, each distinct row once.
+# row by row (see _Run).
 _ROW_LOCAL = (
     "kleisli/markov",
     "kleisli/restriction",
@@ -187,7 +167,8 @@ _ROW_LOCAL = (
 
 class SuiteArgumentError(ValueError):
     """An argument the law suites refuse: an unknown variant, empty sizes, a
-    nonpositive budget or a semiring named twice.  The CLI exits 2 on it."""
+    nonpositive budget, a semiring named twice, or a theorem suite with no
+    positive size.  The CLI exits 2 on it."""
 
 
 @dataclass(frozen=True)
@@ -196,10 +177,7 @@ class MonadOps:
 
     Tests plant broken operations here to confirm the suite catches them.
     Each operation must be a pure, deterministic function of its arguments:
-    a suite call may evaluate a shared sub-term once and reuse the result,
-    and one run may reuse a row's report for every variant whose cases are
-    equal, and a law's verdict on a sampled case for every variant that
-    draws an equal case (see _Run).
+    a run reuses what it has evaluated and decided (see _Run).
     """
 
     eta: Callable
@@ -539,28 +517,36 @@ class _Run:
     ask for the same word's maps or the same arrows under several tags.
     nested keeps nothing, since no run asks for one nested pool twice.
 
-    The row memo.  check gives a row checked earlier in the run over the
-    same enumerated cases a copy of that row's report, so a variant whose
-    pools equal another's, as Md's equal M's over a distributive lattice,
-    is not checked twice.  A row is keyed by its laws and by what fixes its
-    cases: each group's pools by member list, with its prefix and suffix,
-    or the parts of a _Pool; never the case list.  Cases with no key, a
-    _Pool without parts, are checked afresh.  Sampled cases are never keyed
-    as a row, because their draws are tagged per variant.  Instead check
-    walks them as report.check_laws does, and asks a law only on a case
-    that the verdict memo lacks; the walk, so the count and the witness, is
-    unchanged.  A law of _READS_VARIANT shares neither memo.  The _TableFns
-    in the keys compare by identity, so functions and tensor build them
-    once per run.
+    The run keeps two memos, each with one job.  Both are sound only for a
+    row whose predicate and witness read nothing but the run's ops, its
+    Structure and the case.  The laws whose predicate or witness reads the
+    variant are declared once, in _READS_VARIANT, and check shares neither
+    memo with them: every variant asks every case.  Memos of monad
+    operations are not the run's: they live on a _BoundOps, for one
+    law-suite call.
 
-    The row-verdict memo.  A law of _ROW_LOCAL is asked on one-row cases
-    only (see _cut): check decides each case as the AND of its rows'
-    verdicts, which the run keeps as booleans keyed by law, codomain and
-    row (or tuple of rows at one key), and which every later arrow, pool
-    tag and variant reads.  It takes the place of the verdict memo for
-    these laws; the row memo still replays their enumerated rows.  A law
-    that also reads the variant keeps its row verdicts for one check (see
-    _by_rows).
+    The row memo (_rows) replays enumerated rows across variants.  check
+    gives a row checked earlier in the run over the same enumerated cases a
+    copy of that row's report, so a variant whose pools equal another's, as
+    Md's equal M's over a distributive lattice, is not checked twice; the
+    copy's checks_performed counts the cases its verdict covers, which the
+    run checked once.  A row is keyed by its laws and by what fixes its
+    cases: each group's pools by member list, with its prefix and suffix,
+    or the parts of a _Pool; never the case list.  The _TableFns in the
+    keys compare by identity, so functions and tensor build them once per
+    run.  Cases with no key, a _Pool without parts, are checked afresh, and
+    so are sampled cases, whose draws are tagged per variant: each variant
+    walks its own draws through plain report.check_laws.
+
+    The row-verdict memo (_row_verdicts) decides each distinct row of a
+    _ROW_LOCAL law once.  Such a law is asked on one-row cases only (see
+    _cut): check decides each case as the AND of its rows' verdicts, which
+    the run keeps as booleans keyed by law, codomain and row (or tuple of
+    rows at one key), and which every later arrow, pool tag and variant
+    reads.  The walk is over whole arrows, so the count, the first failure
+    and its witness are unchanged, and the row memo still replays their
+    enumerated rows.  A row-local law that also reads the variant keeps its
+    row verdicts for one check (see _by_rows).
     """
 
     def __init__(self, variants, sr, sizes, budget, seed, samples, ops=DEFAULT_OPS):
@@ -579,7 +565,6 @@ class _Run:
         self.functions = _memo(_functions)
         self.tensor = _memo(_tensor)
         self._rows = {}
-        self._verdicts = {}
         self._row_verdicts = {}
         # one object per distinct pool, however many row keys hold it
         self._members = {}
@@ -713,27 +698,15 @@ class _Run:
         return self._members.setdefault(fixed, fixed)
 
     def check(self, laws, cases, holds_for, describe) -> list[LawReport]:
-        """report.check_laws over the cases, sharing the run's memos unless
-        a law reads the variant (_READS_VARIANT).  Over enumerated cases,
-        the run's reports for these laws over equal cases are replayed; over
-        sampled cases, a law is asked only for verdicts the run lacks.  Row-
-        local laws (_ROW_LOCAL) are decided row by row, each row's verdict
-        kept for the run, or for this call when a law reads the variant.  A
-        holds_for of None says that every case holds unread: the cases are
-        walked for their count alone."""
+        """report.check_laws over the cases, through the run's memos (see
+        _Run).  A holds_for of None says that every case holds unread: the
+        cases are walked for their count alone."""
         laws = tuple(laws)
         if holds_for is None:
             return check_laws(laws, cases, lambda _: lambda _: True, describe, cases.complete)
         shared = not any(law.startswith(_READS_VARIANT) for law in laws)
         if all(law.startswith(_ROW_LOCAL) for law in laws):
             holds_for = self._by_rows(holds_for, self._row_verdicts if shared else None)
-        elif shared and not cases.complete:
-
-            def recalled(case):
-                holds = holds_for(case)
-                return lambda law: self._recall(law, case, partial(holds, law))
-
-            return check_laws(laws, cases, recalled, describe, False)
         key = cases.key(self.members) if shared else None
         if key is None:
             return check_laws(laws, cases, holds_for, describe, cases.complete)
@@ -742,14 +715,6 @@ class _Run:
             reports = self._rows[laws, key] = check_laws(laws, cases, holds_for, describe)
         # copies: callers rename the law and rewrap the witness
         return [replace(r) for r in reports]
-
-    def _recall(self, law, case, holds) -> bool:
-        """holds(), or the verdict the run already has for law on case."""
-        key = law, case
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._verdicts[key] = holds()
-        return verdict
 
     def _by_rows(self, holds_for, verdicts=None):
         """holds_for of row-local laws, deciding a case as the AND of its
@@ -1632,13 +1597,17 @@ def run_theorem_suite(
     family draws `samples` clamped to `budget`.  A repeated variant runs
     once.  Rows are keyed by semiring name, so two specs that load to one
     name (say "bool" and "boolean") raise SuiteArgumentError before any row is
-    computed.
+    computed.  So do sizes with no positive size: the monad flags read the
+    unit word's maps, but a Kleisli flag over arrows from X0 alone holds
+    vacuously, and the theorem rows that compare the two would fail.
     """
     loaded = [load_semiring(spec) for spec in semirings]
     names = [sr.name for sr in loaded]
     for name in names:
         if names.count(name) > 1:
             raise SuiteArgumentError(f"semiring {name!r} is given twice")
+    if sizes and not any(int(size) > 0 for size in sizes):
+        raise SuiteArgumentError("sizes must include a positive size")
     variants = list(dict.fromkeys(variants))
     entries: list[SuiteEntry] = []
     for spec in loaded:

@@ -146,20 +146,23 @@ def test_unreadable_or_malformed_input_files_exit_2(files, tmp_path, capsys, nam
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-# each builds an argv whose --out path cannot be written
+# each builds an argv whose --out path cannot be written, and its error
 BAD_OUTPUTS = {
-    "check-semiring-out-is-a-directory": lambda t: ["check-semiring", "bool", "--out", t],
-    "taxonomy-out-in-missing-directory": lambda t: [
-        "taxonomy", "--semiring", "bool", "--sizes", "0", "--out", t / "missing" / "x.jsonl"
-    ],
+    "check-semiring-out-is-a-directory": lambda t: (
+        ["check-semiring", "bool", "--out", t], f"{t}: Is a directory"
+    ),
+    "taxonomy-out-in-missing-directory": lambda t: (
+        ["taxonomy", "--semiring", "bool", "--sizes", "1", "--out", t / "missing" / "x.jsonl"],
+        f"{t / 'missing' / 'x.jsonl'}: No such file or directory",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", BAD_OUTPUTS)
 def test_unwritable_out_path_exits_2(tmp_path, capsys, name):
-    assert run(BAD_OUTPUTS[name](tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    argv, error = BAD_OUTPUTS[name](tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 # classify
@@ -595,6 +598,15 @@ def test_a_suite_value_error_of_another_kind_is_not_bad_input(monkeypatch):
     monkeypatch.setattr(cli, "run_theorem_suite", broken)
     with pytest.raises(ValueError, match="not an argument error"):
         run(["taxonomy", "--semiring", "bool", "--sizes", "0"])
+
+
+@pytest.mark.parametrize("sizes", ["0", "0,0"])
+def test_taxonomy_with_no_positive_size_exits_2(capsys, sizes):
+    # the monad flags read the unit word's maps, but the Kleisli flags over
+    # arrows from X0 alone hold vacuously: the theorem rows would compare
+    # the two and report refutations that are not there
+    assert run(["taxonomy", "--sizes", sizes]) == 2
+    assert capsys.readouterr() == ("", "error: sizes must include a positive size\n")
 
 
 def test_taxonomy_repeated_variant_runs_once(capsys):

@@ -1,23 +1,31 @@
-"""One run checks each enumerated law row once and replays it for the rest,
-and decides each sampled (law, case) verdict once.
+"""One run checks each enumerated law row once and replays it for the rest.
 
 A _Run keeps a memo of report rows keyed by the law and by the pools that
 generate the row's cases.  A variant whose pools equal an earlier
 variant's gets a copy of the earlier row: the same status, count and
-witness it would get from a run of its own.  Sampled rows are walked for
-every variant over its own draws; a verdict the run has already decided
-for the law on an equal case is replayed, not asked again, so the count,
-the first failure and its witness stay the variant's own.  Every row over
-the run's pools goes through _Run.check, which shares no memo with the
-laws that taxonomy._READS_VARIANT declares: those are checked for every
-variant, every case asked afresh.
+witness it would get from a run of its own.  Sampled rows are checked for
+every variant over its own draws.  Every row over the run's pools goes
+through _Run.check, which shares no memo with the laws that
+taxonomy._READS_VARIANT declares: those are checked for every variant,
+every case asked afresh.  A run whose check and pools keep nothing gives
+the same report bytes as a run with its memos.
 """
 from collections import Counter
 
 import pytest
 
-from gsrel import DEFAULT_OPS, VARIANTS, MonadOps, WeightMap, taxonomy, wm_psi
-from gsrel.report import DEFAULT_BUDGET
+from gsrel import (
+    CATALOG,
+    DEFAULT_OPS,
+    VARIANTS,
+    MonadOps,
+    WeightMap,
+    entries_to_jsonl,
+    run_theorem_suite,
+    taxonomy,
+    wm_psi,
+)
+from gsrel.report import DEFAULT_BUDGET, check_laws
 from gsrel.taxonomy import (
     _classify_kleisli,
     _classify_monad,
@@ -96,6 +104,37 @@ class _MapsOfM(_Run):
     def maps(self, variant, words, tag):
         pools = super().maps("M", words, tag)
         return {w: _Pool([h for h in p if len(h)], p.complete) for w, p in pools.items()}
+
+
+class _MemoFree(_Run):
+    """A run that keeps no row, row verdict or pool: check is plain
+    report.check_laws, and every pool is built afresh."""
+
+    def check(self, laws, cases, holds_for, describe):
+        holds_for = holds_for or (lambda _: lambda _: True)
+        return check_laws(tuple(laws), cases, holds_for, describe, cases.complete)
+
+    def _kept(self, variant, key, build):
+        return build()
+
+
+@pytest.mark.parametrize(
+    "semirings, variants, sizes, ops",
+    [
+        (CATALOG, VARIANTS, (0, 1, 2), DEFAULT_OPS),
+        (CATALOG, VARIANTS, (0, 1, 2), FIRST_ENTRY_OPS),
+        (["bool"], ["M", "Md"], (0, 1, 3), DEFAULT_OPS),
+        (["nat", "gf(2)"], VARIANTS, (0, 1), DEFAULT_OPS),
+    ],
+    ids=["catalog", "catalog-first-entry-psi", "finite-sizes013", "golden-nat-gf2"],
+)
+def test_the_run_memos_move_no_report_byte(monkeypatch, semirings, variants, sizes, ops):
+    def report():
+        return entries_to_jsonl(run_theorem_suite(semirings, variants, sizes, seed=11, ops=ops))
+
+    with_memos = report()
+    monkeypatch.setattr(taxonomy, "_Run", _MemoFree)
+    assert report() == with_memos
 
 
 def test_rows_that_read_the_variant_keep_their_verdicts_per_variant():
@@ -187,21 +226,6 @@ def test_sampled_rows_draw_their_own_cases(computed):
     assert md_reports == _monad_laws(alone, "Md")
 
 
-def test_sampled_verdicts_are_replayed_across_variants():
-    # Md's draws over nat repeat cases whose verdicts M decided; the shared
-    # run recalls those and asks the operations for the rest
-    counting = CountingOps()
-    run = _Run(["M", "Md"], "nat", (0, 1, 2), DEFAULT_BUDGET, 11, 24, counting.ops)
-    _monad_laws(run, "M")
-    counting.calls.clear()
-    md_reports = _monad_laws(run, "Md")
-    fresh = CountingOps()
-    alone = _Run(["Md"], "nat", (0, 1, 2), DEFAULT_BUDGET, 11, 24, fresh.ops)
-    assert md_reports == _monad_laws(alone, "Md")
-    after_m = counting.calls["psi"] + counting.calls["pushforward"]
-    assert 0 < after_m < fresh.calls["psi"] + fresh.calls["pushforward"]
-
-
 def test_rows_that_read_the_variant_ask_every_sampled_case(monkeypatch):
     asked = []  # (law, sampled, predicate calls, checks_performed), one per row
 
@@ -239,15 +263,8 @@ def test_rows_that_read_the_variant_ask_every_sampled_case(monkeypatch):
     rows = [row for row in asked if row[0] in reading]
     assert Counter(law for law, *_ in rows) == {law: len(VARIANTS) for law in reading}
     assert {law for law, sampled, *_ in rows if sampled} >= {"closure/psi", "closure/mu"}
-    # each row asks its own predicate on every case it walks, and the run
-    # holds no verdict of it to replay
+    # each row asks its own predicate on every case it walks
     assert all(calls == checks for *_, calls, checks in rows)
-    decided = {law for law, _ in run._verdicts}
-    assert not reading & decided
-    # the other pointwise flag criteria read no variant and share the
-    # verdict memo over nat's sampled pools
-    pointwise = {law for law, *_ in asked if law.endswith("-pointwise")} - reading
-    assert len(pointwise) == 5 and pointwise <= decided
 
 
 def test_a_row_sampled_over_equal_complete_pools_draws_per_variant(computed):

@@ -35,7 +35,14 @@ from gsrel import (
     wrel_dom,
 )
 from gsrel import FinSet, diagram, taxonomy, wrel
-from gsrel.report import DEFAULT_BUDGET, EXHAUSTIVE_PASS, SAMPLED_PASS, check_cases, check_laws
+from gsrel.report import (
+    COUNTEREXAMPLE,
+    DEFAULT_BUDGET,
+    EXHAUSTIVE_PASS,
+    SAMPLED_PASS,
+    check_cases,
+    check_laws,
+)
 from gsrel.taxonomy import (
     _classify_kleisli,
     _classify_monad,
@@ -857,6 +864,38 @@ def test_suite_refuses_a_semiring_named_twice(monkeypatch):
     for semirings in (["bool", "bool"], ["nat", "bool", "boolean"], [BOOL, "bool"]):
         with pytest.raises(SuiteArgumentError, match="semiring 'bool' is given twice"):
             run_theorem_suite(semirings, ["M"], sizes=(0,))
+
+
+def test_suite_refuses_sizes_with_no_positive_size(monkeypatch):
+    # over X0 alone every Kleisli flag holds vacuously, while the monad
+    # flags read the unit word's maps, so the theorem rows would refute
+    # claims that hold
+    def no_run(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(taxonomy, "_Run", no_run)
+    for sizes in ((0,), (0, 0)):
+        with pytest.raises(SuiteArgumentError, match="sizes must include a positive size"):
+            run_theorem_suite(["bool"], ["M"], sizes=sizes)
+
+
+def test_the_law_suites_below_the_theorem_suite_accept_size_0():
+    assert all(r.passed for r in check_monad_laws("M", "nat", sizes=(0,)))
+    assert classify_monad("M", "bool", sizes=(0,)).consistent
+    assert classify_kleisli("M", "bool", sizes=(0,)).flags["markov"]
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_bool_and_fuzzy_max_min_agree_on_every_row(seed):
+    # fuzzy-max-min embeds in a power of bool by its threshold maps, so a
+    # row in the Horn fragment has one verdict on both carriers; at the
+    # default sizes every row agrees, those outside the fragment included
+    entries = run_theorem_suite(["bool", "fuzzy-max-min"], seed=seed)
+    verdicts = {"bool": {}, "fuzzy-max-min": {}}
+    for e in entries:
+        verdicts[e.semiring][e.law, e.variant] = e.status != COUNTEREXAMPLE
+    assert len(verdicts["bool"]) == 262
+    assert verdicts["fuzzy-max-min"] == verdicts["bool"]
 
 
 @pytest.mark.parametrize(
