@@ -34,10 +34,11 @@ family), nested (variant maps keyed by the maps of a pool) and arrows (one
 dom and cod; arrow_grid joins them over every pair of sizes).  Each pool
 is a _Pool, a list that says whether it is complete, that is enumerated,
 or a seeded sample; a nested pool is complete only when its inner pool is.
-An enumerated pool reads no tag, so maps and arrows build each complete
-pool of a variant once, keyed by the variant and the word, or dom and
-cod, and every family that asks for it again gets the same object; a
-sampled pool is drawn afresh under its tag.
+A complete pool carries its key in the run's row memo from where it is
+built (see _Run).  An enumerated pool reads no tag, so maps and arrows
+build each complete pool of a variant once, keyed by the variant and the
+word, or dom and cod, and every family that asks for it again gets the
+same object; a sampled pool is drawn afresh under its tag.
 A law's cases come in groups, one per word, word pair, function pair or
 size triple; _Run.grouped_cases gives each group an equal share of the
 samples, enumerating the group instead when its pools are complete and the
@@ -359,8 +360,9 @@ def _dedup_values(values, sr):
 class _TableFn(dict):
     """Function between word element sets, tabulated for stable witnesses:
     the table of key -> image, called with no Python frame.  Two functions
-    compare and hash by identity, as memo keys; _Run.functions and
-    _Run.tensor build each once per run."""
+    compare and hash by identity, as memo keys; _Run.functions builds each
+    once per run, so the row keys that hold them are equal across
+    variants."""
 
     __slots__ = ()
     __call__ = dict.__getitem__
@@ -374,22 +376,18 @@ class _TableFn(dict):
 
 class _Pool(list):
     """Pool members or case tuples, and whether they are all of them:
-    complete when enumerated, not when a seeded sample stands in.  `parts`,
-    when given, are the pools whose member lists fix these items, which
-    makes a complete pool a key of the run's row memo (see _Run).  `source`
-    is set by _Run.nested on the pools it filters from a candidate list."""
+    complete when enumerated, not when a seeded sample stands in.
 
-    def __init__(self, items, complete: bool, parts=None):
+    A complete pool carries its key in the run's row memo (see _Run), set
+    here, where the pool is built: `key` when given, which must fix the
+    items within the run, or else the items as a tuple.  A sampled pool
+    has no key.  No code changes a pool after it is built, which the key
+    relies on."""
+
+    def __init__(self, items, complete: bool, key=None):
         super().__init__(items)
         self.complete = complete
-        self.parts = parts
-        self.source = None
-
-    def key(self, members):
-        """The parts by member list when the pool is complete and has them."""
-        if not self.complete or self.parts is None:
-            return None
-        return tuple(map(members, self.parts))
+        self.key = (tuple(self) if key is None else key) if complete else None
 
 
 def _functions(dom_word: Word, cod_word: Word) -> _Pool:
@@ -405,10 +403,12 @@ def _tensor(f: _TableFn, g: _TableFn) -> _TableFn:
 
 
 def _keyed(pools: dict) -> _Pool:
-    """(key, member) over a dict of pools, in order; complete when every pool is."""
+    """(key, member) over a dict of pools, in order; complete when every
+    pool is, and then keyed by each key with its pool's key."""
     return _Pool(
         ((k, x) for k, pool in pools.items() for x in pool),
         all(pool.complete for pool in pools.values()),
+        tuple((k, pool.key) for k, pool in pools.items()),
     )
 
 
@@ -433,28 +433,25 @@ class _Cases:
     """One law's cases over groups (pools, tag, prefix, suffix[, targeted]),
     each case built as prefix + case + suffix only when it is read.  The
     cases are complete when every group is _enumerated, which the pools
-    decide before any case is built."""
+    decide before any case is built.  Complete cases are keyed like a
+    _Pool: by each group's pool keys with its prefix and suffix."""
 
     def __init__(self, groups, samples, seed):
         self.groups = groups
         self.samples = samples
         self.seed = seed
         self.complete = all(_enumerated(pools, samples) for pools, *_ in groups)
+        self.key = None
+        if self.complete:
+            self.key = tuple(
+                (tuple(pool.key for pool in pools), prefix, suffix)
+                for pools, _, prefix, suffix, *_ in groups
+            )
 
     def __iter__(self):
         for pools, tag, prefix, suffix, *targeted in self.groups:
             for case in _cases(pools, self.samples, self.seed, tag, *targeted):
                 yield prefix + case + suffix
-
-    def key(self, members):
-        """Each group's pools by member list, with its prefix and suffix,
-        when the cases are complete; None for sampled cases."""
-        if not self.complete:
-            return None
-        return tuple(
-            (tuple(map(members, pools)), prefix, suffix)
-            for pools, _, prefix, suffix, *_ in self.groups
-        )
 
 
 def _rows(f: WRel, empty) -> tuple:
@@ -530,12 +527,12 @@ class _Run:
     copy of that row's report, so a variant whose pools equal another's, as
     Md's equal M's over a distributive lattice, is not checked twice; the
     copy's checks_performed counts the cases its verdict covers, which the
-    run checked once.  A row is keyed by its laws and by what fixes its
-    cases: each group's pools by member list, with its prefix and suffix,
-    or the parts of a _Pool; never the case list.  The _TableFns in the
-    keys compare by identity, so functions and tensor build them once per
-    run.  Cases with no key, a _Pool without parts, are checked afresh, and
-    so are sampled cases, whose draws are tagged per variant: each variant
+    run checked once.  A row is keyed by its laws and by the key its cases
+    carry, set where they are built (see _Pool and _Cases); never the case
+    list.  The _TableFns in the keys compare by identity, so functions
+    builds them once per run.  Every complete case set has a key, so
+    _READS_VARIANT alone decides which enumerated rows replay.  Sampled
+    cases have none, and their draws are tagged per variant: each variant
     walks its own draws through plain report.check_laws.
 
     The row-verdict memo (_row_verdicts) decides each distinct row of a
@@ -563,11 +560,8 @@ class _Run:
         self.samples = max(1, min(samples, budget))
         self.ops = ops
         self.functions = _memo(_functions)
-        self.tensor = _memo(_tensor)
         self._rows = {}
         self._row_verdicts = {}
-        # one object per distinct pool, however many row keys hold it
-        self._members = {}
         # the complete pools of one variant, by what fixes them (see _kept)
         self._kept_variant, self._complete = None, {}
 
@@ -639,19 +633,15 @@ class _Run:
                     for support in combinations(inner, k)
                     for values in product(nonzero, repeat=k)
                 )
-                mask = bytearray()
-
-                def admitted():
-                    for H in candidates:
-                        mask.append(in_variant(sr, H, variant))
-                        if mask[-1]:
-                            yield H
-
-                pool = _Pool(admitted(), inner.complete)
+                members, mask = [], bytearray()
+                for H in candidates:
+                    mask.append(in_variant(sr, H, variant))
+                    if mask[-1]:
+                        members.append(H)
                 # the candidates follow from inner and max_support (over the
-                # run's semiring), so with the mask they fix the members
-                pool.source = (inner, max_support, bytes(mask))
-                return pool
+                # run's semiring), so with the mask they fix the members, in
+                # a key that keeps far fewer objects alive than the members
+                return _Pool(members, inner.complete, (inner.key, max_support, bytes(mask)))
         rng = derive_rng(self.seed, "nested", sr.name, variant, tag, len(inner), n)
         stream = _distinct_maps(sr, _nested_dicts(sr, inner, rng, n, max_support))
         return _Pool(_first_members(sr, stream, variant, n), False)
@@ -664,17 +654,16 @@ class _Run:
             lambda: _Pool(*variant_arrows(self.sr, dom, cod, variant, self.seed, n, tag=tag)),
         )
 
-    def arrow_grid(self, variant, n, tag) -> _Pool:
+    def arrow_grid(self, variant, n, stem) -> _Pool:
         """Variant arrows X(ds) -> Y(cs) over every pair of sizes, in one
-        pool.  `tag` is formatted with variant, ds, cs."""
+        pool; the cell of ds and cs is drawn under the tag
+        stem-variant-{ds}x{cs}."""
         cells = [
-            self.arrows(variant, u, v, n, tag.format(variant=variant, ds=u[0].size, cs=v[0].size))
+            self.arrows(variant, u, v, n, f"{stem}-{variant}-{u[0].size}x{v[0].size}")
             for u in self.words("X")
             for v in self.words("Y")
         ]
-        return _Pool(
-            (f for cell in cells for f in cell), all(cell.complete for cell in cells), cells
-        )
+        return _Pool((f for cell in cells for f in cell), all(cell.complete for cell in cells))
 
     def grouped_cases(self, groups, floor) -> _Cases:
         """One law's cases over groups (pools, tag, prefix, suffix[, targeted]).
@@ -684,18 +673,6 @@ class _Run:
         the cases are complete when every group is enumerated in full.
         """
         return _Cases(groups, max(floor, self.samples // len(groups)), self.seed)
-
-    def members(self, pool) -> tuple:
-        """What fixes the pool's members, as one object for equal pools: the
-        members as a tuple or, for a pool that nested filters from
-        candidates, the inner pool's key with the support bound and the
-        filter mask, which keep far fewer objects alive than the members."""
-        if pool.source is None:
-            fixed = tuple(pool)
-        else:
-            inner, max_support, mask = pool.source
-            fixed = (self.members(inner), max_support, mask)
-        return self._members.setdefault(fixed, fixed)
 
     def check(self, laws, cases, holds_for, describe) -> list[LawReport]:
         """report.check_laws over the cases, through the run's memos (see
@@ -707,7 +684,7 @@ class _Run:
         shared = not any(law.startswith(_READS_VARIANT) for law in laws)
         if all(law.startswith(_ROW_LOCAL) for law in laws):
             holds_for = self._by_rows(holds_for, self._row_verdicts if shared else None)
-        key = cases.key(self.members) if shared else None
+        key = cases.key if shared else None
         if key is None:
             return check_laws(laws, cases, holds_for, describe, cases.complete)
         reports = self._rows.get((laws, key))
@@ -856,7 +833,8 @@ class _BoundOps:
     _memos that evaluate each distinct application once per call, a hit
     costing one dict lookup, so the equations use them only on arguments
     that recur across cases: pool maps and the _TableFns of the call's
-    function pairs, never a per-case lambda.
+    function pairs, never a per-case lambda.  tensor_once[f, g] is the
+    function f x g, built once per call for each pair of _TableFns.
     """
 
     def __init__(self, sr, ops):
@@ -868,6 +846,7 @@ class _BoundOps:
         self.mu_once = _memo1(self.mu)
         self.psi_once = _memo(self.psi)
         self.push_once = _memo(self.push)
+        self.tensor_once = _memo(_tensor)
 
 
 def _law_holds(table, m, case, law):
@@ -880,7 +859,7 @@ def _law_holds(table, m, case, law):
 # The monad-level equations, one per report row: a predicate over the row's
 # case slots, evaluated through the call's _BoundOps m.  A case is a word
 # (u, w) followed by maps (h, k, h1, h2, h3), nested maps (H, K), _TableFns
-# (f, g, and fg = f x g), keys (x, y) or a word length n.
+# (f, g), keys (x, y) or a word length n.
 _EQUATIONS = {
     # unit laws and associativity of mu (H a triple nesting)
     "monad/mu-unit-left": lambda m, w, h: m.mu(m.eta(h)) == h,
@@ -891,8 +870,9 @@ _EQUATIONS = {
     "monad/mu-natural": lambda m, u, f, H: (
         m.push(f, m.mu_once[H]) == m.mu(m.push(lambda h: m.push_once[f, h], H))
     ),
-    "monad/psi-natural": lambda m, u, f, g, h, k, fg: (
-        m.psi_once[m.push_once[f, h], m.push_once[g, k]] == m.push(fg, m.psi_once[h, k])
+    "monad/psi-natural": lambda m, u, f, g, h, k: (
+        m.psi_once[m.push_once[f, h], m.push_once[g, k]]
+        == m.push(m.tensor_once[f, g], m.psi_once[h, k])
     ),
     # lax structure: associativity, unit squares, symmetry
     "monad/lax-assoc": lambda m, w, h1, h2, h3: (
@@ -941,8 +921,9 @@ def check_monad_laws(
     Each law is its row of _EQUATIONS, and the sharing is written there:
     an application spelled *_once is evaluated once per distinct arguments
     per call.  So psi-natural and lax-assoc share psi_once, psi-natural and
-    mu-natural share push_once, and mu-natural takes each mu_once[H] once;
-    every other application is evaluated afresh.
+    mu-natural share push_once, mu-natural takes each mu_once[H] once, and
+    psi-natural builds each f x g once, through tensor_once; every other
+    application is evaluated afresh.
     """
     return _monad_laws(_Run([variant], sr, sizes, budget, seed, samples, ops), variant)
 
@@ -1003,7 +984,6 @@ def _monad_laws(run, variant):
             mdescribe,
         ),
         (
-            # the last case item is fn x gn, built once per run
             "monad/psi-natural",
             run.grouped_cases(
                 [
@@ -1011,7 +991,7 @@ def _monad_laws(run, variant):
                         [pools[u1], pools[u2]],
                         f"psi-nat-{site}-{name(u1)}{name(v1)}{name(u2)}{name(v2)}",
                         (u1, fn, gn),
-                        (run.tensor(fn, gn),),
+                        (),
                     )
                     for u1, v1, fn in fn_pairs
                     for u2, v2, gn in fn_pairs
@@ -1291,7 +1271,7 @@ def classify_kleisli(
 
 
 def _classify_kleisli(run, variant):
-    arrows = run.arrow_grid(variant, run.samples, "classify-{variant}-{ds}x{cs}")
+    arrows = run.arrow_grid(variant, run.samples, "classify")
     flag_reports = run.check(
         _FLAG_LAWS.values(),
         arrows,
@@ -1414,7 +1394,7 @@ def crosscheck_dom_paths(
 
 def _crosscheck(run, variant):
     sr = run.sr
-    arrows = run.arrow_grid(variant, run.samples, "domx-{variant}-{ds}x{cs}")
+    arrows = run.arrow_grid(variant, run.samples, "domx")
     dom = _memo1(run.st.dom)
     checks = {
         "crosscheck/dom-closed-form": lambda f: wrel_eq(dom(f), wrel_dom_closed(sr, f)),
@@ -1432,9 +1412,7 @@ def _structural_reports(run, variant, domain_category):
     """dom is invariant under post-discharge and post-copy for every arrow;
     the pre-copy variant is a lemma whose hypothesis is domain_category, so
     it is reported under gated/ where that flag fails."""
-    arrows = run.arrow_grid(
-        variant, max(4, run.samples // len(run.sizes) ** 2), "structural-{variant}-{ds}x{cs}"
-    )
+    arrows = run.arrow_grid(variant, max(4, run.samples // len(run.sizes) ** 2), "structural")
     reports = run.check(
         (
             "structural/dom-after-discharge",
@@ -1468,7 +1446,6 @@ def _hom_monoid_reports(run, variant):
     unit = _Pool(
         ((f,) for pool in pools.values() for f in pool),
         all(pool.complete for pool in pools.values()),
-        list(pools.values()),
     )
 
     def case(c):

@@ -125,8 +125,17 @@ class _MemoFree(_Run):
         (CATALOG, VARIANTS, (0, 1, 2), FIRST_ENTRY_OPS),
         (["bool"], ["M", "Md"], (0, 1, 3), DEFAULT_OPS),
         (["nat", "gf(2)"], VARIANTS, (0, 1), DEFAULT_OPS),
+        (["gf(3)"], VARIANTS, (0, 1, 2), DEFAULT_OPS),
+        (["gf(3)"], VARIANTS, (0, 1, 2), FIRST_ENTRY_OPS),
     ],
-    ids=["catalog", "catalog-first-entry-psi", "finite-sizes013", "golden-nat-gf2"],
+    ids=[
+        "catalog",
+        "catalog-first-entry-psi",
+        "finite-sizes013",
+        "golden-nat-gf2",
+        "gf3",
+        "gf3-first-entry-psi",
+    ],
 )
 def test_the_run_memos_move_no_report_byte(monkeypatch, semirings, variants, sizes, ops):
     def report():
@@ -169,14 +178,16 @@ def test_pools_are_keyed_by_their_members():
     run = _Run(["M", "Ma"], "bool", (2,), DEFAULT_BUDGET, 11, 24)
     [inner] = run.maps("M", run.words(), "t").values()
     a, b, c = inner[:3]
-    assert run.members(_Pool([a, b], True)) != run.members(_Pool([a, c], True))
+    assert _Pool([a, b], True).key == (a, b) != _Pool([a, c], True).key
+    assert _Pool([a, b], False).key is None
     # a pool that nested filters from candidates is keyed by its inner
-    # pool, its support bound and the candidates it kept, one object for
+    # pool, its support bound and the candidates it kept: equal keys for
     # equal pools however often they are built
     built = [run.nested(v, inner, 8, "t", max_support=3) for v in ("M", "M", "Ma")]
-    keys = [run.members(pool) for pool in built]
+    keys = [pool.key for pool in built]
     assert built[0] == built[1] != built[2]
-    assert keys[0] is keys[1] and keys[0] != keys[2]
+    assert keys[0] == keys[1] != keys[2]
+    assert keys[0][:2] == (inner.key, 3)
 
 
 class CountingOps:
@@ -291,12 +302,43 @@ def test_rows_that_read_the_variant_are_checked_for_every_variant(computed):
         "closure/mu",
         "closure/composition",
         "kleisli/weakly-markov",
-        "monadflag/affine-pointwise",
         "monadflag/weakly-affine-diagram",
     ):
         assert counts[law] == 2, law
     # the per-arrow flags of Md are M's
     assert counts["kleisli/markov"] == 1
+
+
+@pytest.mark.parametrize("sizes", [(0, 1), (0, 1, 2)])
+def test_replay_is_decided_by_reads_variant_alone(sizes, computed):
+    # over bool every pool of Md equals M's and every row is enumerated, so
+    # after M's families Md checks only the rows that read the variant
+    run = _Run(["M", "Md"], "bool", sizes, DEFAULT_BUDGET, 11, 24)
+    _reports(run, "M")
+    del computed[:]
+    _reports(run, "Md")
+    assert computed
+    assert [law for law in computed if not law.startswith(taxonomy._READS_VARIANT)] == []
+
+
+def test_a_row_key_holds_each_group_suffix(computed):
+    run = _Run(["M"], "bool", (1,), DEFAULT_BUDGET, 11, 24)
+    [pool] = run.maps("M", run.words(), "t").values()
+
+    def cases(suffix):
+        return run.grouped_cases([([pool], "t", ("w",), suffix)], 1)
+
+    first, second = cases((0,)), cases((1,))
+    assert first.complete and second.complete and first.key != second.key
+
+    def holds(case):
+        return lambda _: case[-1] == 0
+
+    [a] = run.check(["law"], first, holds, lambda c: c[-1])
+    [b] = run.check(["law"], second, holds, lambda c: c[-1])
+    # the second row is checked, not replayed from the first
+    assert computed == ["law", "law"]
+    assert a.passed and not b.passed and b.witness == 1
 
 
 def test_grouped_cases_build_no_case_before_they_are_read(monkeypatch):

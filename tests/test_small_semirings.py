@@ -3,13 +3,17 @@
 The paper's mass- and domain-preserving monads are claimed for semiring-
 weighted relations in general, not only for the catalog.  Small carriers
 are enumerated outright, so the theorem suite runs on every one of them.
+Over the catalog and order 3, the survey's three correspondences between
+monad and Kleisli flags hold on every (semiring, variant) pair, and each
+implication the suite asserts is strict.
 """
 from itertools import permutations, product
 
 import pytest
 
-from gsrel import check_semiring_laws, load_table_semiring, run_theorem_suite
-from gsrel.report import COUNTEREXAMPLE
+from gsrel import CATALOG, VARIANTS, check_semiring_laws, load_table_semiring, run_theorem_suite
+from gsrel.report import COUNTEREXAMPLE, DEFAULT_BUDGET
+from gsrel.taxonomy import _IMPLICATIONS, _classify_kleisli, _classify_monad, _Run
 
 
 def _tables(n: int, op_free_cells, fixed):
@@ -107,3 +111,61 @@ def test_theorem_suite_has_no_blocking_row(sr):
     entries = run_theorem_suite([sr], sizes=(0, 1), seed=11)
     assert entries
     assert [e.to_doc() for e in entries if e.blocking] == []
+
+
+@pytest.fixture(scope="module")
+def flags():
+    """Per (semiring, variant) over the catalog and order 3: the suite's
+    monad and Kleisli flags at sizes 0,1,2, seed 11, samples 24, and
+    whether every closure row passes."""
+    out = {}
+    for sr in [*CATALOG, *(sr for sr in SEMIRINGS if sr.name.startswith("s3-"))]:
+        run = _Run(VARIANTS, sr, (0, 1, 2), DEFAULT_BUDGET, 11, 24)
+        for variant in VARIANTS:
+            mc, kc = _classify_monad(run, variant), _classify_kleisli(run, variant)
+            closed = all(r.passed for r in mc.closure.values()) and kc.composition_closure.passed
+            out[run.sr.name, variant] = {**mc.flag_values(), **kc.flag_values()}, closed
+    return out
+
+
+def test_the_surveys_flag_correspondences_hold_on_every_pair(flags):
+    # affine monad iff Markov (every arrow total), relevant iff every arrow
+    # copyable, weakly affine iff weakly Markov; closed pairs or not
+    assert len(flags) == 72
+    for pair, (f, _) in flags.items():
+        for monad, kleisli in (
+            ("affine", "markov"),
+            ("relevant", "restriction"),
+            ("weakly_affine", "weakly_markov"),
+        ):
+            assert f[monad] == f[kleisli], (pair, monad, kleisli)
+
+
+# One pair per implication where the consequent holds and the antecedent
+# fails, and whether that pair passes every closure row.
+SEPARATING = {
+    "markov-implies-domain-category": (("bool", "M"), True),
+    "restriction-implies-domain-category": (("bool", "M"), True),
+    "domain-implies-mass": (("gf(2)", "M"), True),
+    # the only separating pair fails closure: on a closed pair the theorems
+    # mass-preserving-vs-mass-category and unital-vs-mass-category force the
+    # converse
+    "mass-implies-unital": (("nat", "Mi"), False),
+    "affine-implies-domain-preserving": (("bool", "M"), True),
+    "relevant-implies-domain-preserving": (("bool", "M"), True),
+}
+
+
+def test_each_implication_is_strict(flags):
+    assert set(SEPARATING) == {law for law, *_ in _IMPLICATIONS}
+    for law, antecedent, consequent in _IMPLICATIONS:
+        pair, closed = SEPARATING[law]
+        f, pair_closed = flags[pair]
+        assert f[consequent] and not f[antecedent], law
+        assert pair_closed == closed, law
+    separating = [
+        pair
+        for pair, (f, _) in flags.items()
+        if f["unital_domain_preserving"] and not f["mass_preserving"]
+    ]
+    assert separating == [("nat", "Mi")]
